@@ -25,7 +25,7 @@ from .cover import (
     min_cover,
     verify_cover,
 )
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec
 from .forms import (
     EvalMatrix,
     MonomialBasis,
@@ -53,7 +53,6 @@ from .matroid import (
     exists_flat_cover,
     flats,
     is_mcb,
-    matroid_from_points,
 )
 from .projective import (
     Flat,

@@ -22,13 +22,13 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .cb import is_cb, is_cb_rows
+from .cb import excise, is_cb, is_cb_rows
 from .cover import exists_cover, min_cover, node_budget_default
 from .errors import BudgetExceededError, ResampleBudgetExceededError
 from .fields import FieldSpec
 from .forms import evaluation_row, monomial_basis
 from .generators import SUPPORTED_CI_DEGREES, GenSpec, generate
-from .matroid import exists_flat_cover, is_mcb, matroid_from_points
+from .matroid import Matroid, exists_flat_cover, is_mcb
 from .projective import PlaneConfiguration, PointSet, enumerate_points, merge_intersecting, span
 
 TARGETS = (
@@ -175,9 +175,8 @@ def _draw_genspec(d: int, r: int, field: FieldSpec, rng: random.Random,
     bound = (d + 1) * r + 1 if size_limit is None else min((d + 1) * r + 1, size_limit)
     if name == "rnc":
         lo, hi = info["m_range"]
-        m = rng.randint(lo, hi)
-        return GenSpec.make("rnc", {"k": info["k"], "m": m}, field, seed)
-    if name == "skew_lines":
+        info = {"k": info["k"], "m": rng.randint(lo, hi)}
+    elif name == "skew_lines":
         nl = info["d"]
         counts = [r + 2] * nl
         spare = bound - nl * (r + 2)
@@ -187,14 +186,8 @@ def _draw_genspec(d: int, r: int, field: FieldSpec, rng: random.Random,
             if cap is None or counts[i] < cap:
                 if rng.random() < 0.5:
                     counts[i] += 1
-        return GenSpec.make("skew_lines", {"d": nl, "counts": counts}, field, seed)
-    if name == "plane_curve_ci":
-        return GenSpec.make("plane_curve_ci", info, field, seed)
-    if name == "elliptic_quartic":
-        return GenSpec.make("elliptic_quartic", info, field, seed)
-    if name == "two_plane_conics":
-        return GenSpec.make("two_plane_conics", info, field, seed)
-    raise AssertionError(name)
+        info = {"d": nl, "counts": counts}
+    return GenSpec.make(name, info, field, seed)
 
 
 def _draw_cb_set(d: int, r: int, field: FieldSpec, rng: random.Random,
@@ -221,16 +214,6 @@ def _draw_cb_set(d: int, r: int, field: FieldSpec, rng: random.Random,
 
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Dispatch a campaign; per-trial budget failures are recorded, not raised."""
-    if spec.target == "conjecture":
-        return _campaign_conjecture(spec)
-    if spec.target == "tightness":
-        return _campaign_tightness(spec)
-    if spec.target == "excision":
-        return _campaign_excision(spec)
-    if spec.target == "balancing":
-        return _campaign_balancing(spec)
-    if spec.target == "mcb_analog":
-        return _campaign_mcb(spec)
     if spec.target == "lower_bound_exhaustive":
         return exhaustive_lower_bound(
             spec.field, spec.ambient, spec.r_values[0], node_budget=spec.node_budget
@@ -240,62 +223,19 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
             spec.field, spec.ambient, spec.r_values[0], spec.d_values[0],
             spec.size_cap or 0, node_budget=spec.node_budget,
         )
-    raise AssertionError(spec.target)
+    return _run_trials(spec, _TRIALS[spec.target])
 
 
-def _trial_pairs(spec: CampaignSpec):
+def _run_trials(spec: CampaignSpec, trial) -> CampaignReport:
+    """The randomized-campaign loop shared by every target.
+
+    ``trial(rec, rng, field, budget)`` fills in the record, whose header is
+    (trial, seed, d, r), sets its "violation" flag and returns the point set
+    a violation record embeds.
+    """
     pairs = [(d, r) for d in spec.d_values for r in spec.r_values if r >= 1]
     if not pairs:
         raise ValueError("no (d, r) pair with r >= 1")
-    return pairs
-
-
-def _campaign_conjecture(spec: CampaignSpec) -> CampaignReport:
-    pairs = _trial_pairs(spec)
-    master = random.Random(spec.seed)
-    seeds = [master.randrange(2**63) for _ in range(spec.trials)]
-    budget = spec.node_budget or node_budget_default()
-    records, violations = [], []
-    t0 = time.perf_counter()
-    for i, trial_seed in enumerate(seeds):
-        d, r = pairs[i % len(pairs)]
-        rng = random.Random(trial_seed)
-        started = time.perf_counter()
-        gamma, genspec, discarded = _draw_cb_set(d, r, spec.field, rng)
-        rec = {
-            "trial": i, "seed": trial_seed, "d": d, "r": r,
-            "discarded": discarded,
-        }
-        if gamma is None:
-            rec.update({"status": "no_cb_sample", "violation": False})
-            rec["elapsed_s"] = time.perf_counter() - started
-            records.append(rec)
-            continue
-        rec["genspec"] = genspec.to_json()
-        rec["size"] = len(gamma)
-        rec["cb"] = True
-        try:
-            len2 = exists_cover(gamma, d, min(2, d), node_budget=budget)
-            cover = len2 if len2.found else exists_cover(gamma, d, d, node_budget=budget)
-            rec.update({
-                "cover_found": cover.found,
-                "cover_dim": cover.dim,
-                "cover_length": cover.length,
-                "cover_length_le_2": len2.found,
-                "status": "ok",
-            })
-            rec["violation"] = not cover.found
-        except BudgetExceededError:
-            rec.update({"status": "budget_exceeded", "violation": False})
-        rec["elapsed_s"] = time.perf_counter() - started
-        records.append(rec)
-        if rec.get("violation"):
-            violations.append(_violation_record(rec, gamma, spec.field))
-    return _finish(spec, records, violations, t0)
-
-
-def _campaign_tightness(spec: CampaignSpec) -> CampaignReport:
-    pairs = _trial_pairs(spec)
     master = random.Random(spec.seed)
     seeds = [master.randrange(2**63) for _ in range(spec.trials)]
     budget = spec.node_budget or node_budget_default()
@@ -304,76 +244,8 @@ def _campaign_tightness(spec: CampaignSpec) -> CampaignReport:
     for i, trial_seed in enumerate(seeds):
         d, r = pairs[i % len(pairs)]
         started = time.perf_counter()
-        m = (d + 1) * r + 2
-        genspec = GenSpec.make("rnc", {"k": d + 1, "m": m}, spec.field, trial_seed)
-        gamma, _ = generate(genspec)
-        cb = is_cb(gamma, r).verdict
-        rec = {
-            "trial": i, "seed": trial_seed, "d": d, "r": r,
-            "genspec": genspec.to_json(), "size": m, "cb": cb,
-        }
-        try:
-            res = exists_cover(gamma, d, d, node_budget=budget)
-            rec["cover_found"] = res.found
-            rec["proof_of_minimality"] = res.proof_of_minimality
-            # Tightness expects CB true and no dimension-d cover.
-            rec["violation"] = not (cb and not res.found and res.proof_of_minimality)
-            rec["status"] = "ok"
-        except BudgetExceededError:
-            rec.update({"status": "budget_exceeded", "violation": False})
-        rec["elapsed_s"] = time.perf_counter() - started
-        records.append(rec)
-        if rec.get("violation"):
-            violations.append(_violation_record(rec, gamma, spec.field))
-    return _finish(spec, records, violations, t0)
-
-
-def _campaign_excision(spec: CampaignSpec) -> CampaignReport:
-    pairs = _trial_pairs(spec)
-    master = random.Random(spec.seed)
-    seeds = [master.randrange(2**63) for _ in range(spec.trials)]
-    records, violations = [], []
-    t0 = time.perf_counter()
-    for i, trial_seed in enumerate(seeds):
-        d, r = pairs[i % len(pairs)]
-        rng = random.Random(trial_seed)
-        started = time.perf_counter()
-        gamma, genspec, discarded = _draw_cb_set(d, r, spec.field, rng)
-        rec = {"trial": i, "seed": trial_seed, "d": d, "r": r, "discarded": discarded}
-        if gamma is None or len(gamma) < 2:
-            rec.update({"status": "no_cb_sample", "violation": False})
-            rec["elapsed_s"] = time.perf_counter() - started
-            records.append(rec)
-            continue
-        # Up to min(r, 3) distinct flats spanned by small point samples; a
-        # degenerate draw (e.g. collinear) may admit fewer distinct spans.
-        want = rng.randint(1, min(r, 3))
-        flats_chosen = []
-        guard = 0
-        while len(flats_chosen) < want and guard < 50:
-            guard += 1
-            size = rng.choice((2, 3))
-            size = min(size, len(gamma))
-            idx = rng.sample(range(len(gamma)), size)
-            fl = span([gamma[j] for j in idx])
-            if fl.dim >= 1 and fl not in flats_chosen:
-                flats_chosen.append(fl)
-        if not flats_chosen:
-            rec.update({"status": "no_configuration", "violation": False})
-            rec["elapsed_s"] = time.perf_counter() - started
-            records.append(rec)
-            continue
-        ell = len(flats_chosen)
-        cfg = PlaneConfiguration(tuple(flats_chosen))
-        from .cb import excise
-
-        survivors = excise(gamma, cfg)
-        verdict = is_cb(survivors, r - ell).verdict
-        rec.update({
-            "genspec": genspec.to_json(), "size": len(gamma), "cb": True,
-            "excised_length": ell, "survivors": len(survivors),
-            "survivors_cb": verdict, "violation": not verdict, "status": "ok",
-        })
+        rec = {"trial": i, "seed": trial_seed, "d": d, "r": r}
+        gamma = trial(rec, random.Random(trial_seed), spec.field, budget)
         rec["elapsed_s"] = time.perf_counter() - started
         records.append(rec)
         if rec["violation"]:
@@ -381,88 +253,134 @@ def _campaign_excision(spec: CampaignSpec) -> CampaignReport:
     return _finish(spec, records, violations, t0)
 
 
-def _campaign_balancing(spec: CampaignSpec) -> CampaignReport:
-    pairs = _trial_pairs(spec)
-    master = random.Random(spec.seed)
-    seeds = [master.randrange(2**63) for _ in range(spec.trials)]
-    budget = spec.node_budget or node_budget_default()
-    records, violations = [], []
-    t0 = time.perf_counter()
-    for i, trial_seed in enumerate(seeds):
-        d, r = pairs[i % len(pairs)]
-        rng = random.Random(trial_seed)
-        started = time.perf_counter()
-        gamma, genspec, discarded = _draw_cb_set(d, r, spec.field, rng)
-        rec = {"trial": i, "seed": trial_seed, "d": d, "r": r, "discarded": discarded}
-        if gamma is None:
-            rec.update({"status": "no_cb_sample", "violation": False})
-            rec["elapsed_s"] = time.perf_counter() - started
-            records.append(rec)
-            continue
-        rec["genspec"] = genspec.to_json()
-        try:
-            mc = min_cover(gamma, node_budget=budget)
-            cfg = merge_intersecting(mc.config)
-            counts = [sum(1 for pt in gamma if pl.contains(pt)) for pl in cfg.planes]
-            ell = cfg.length
-            case_i = all(c >= max(ell, r + 2) for c in counts)
-            case_ii = min(counts) < ell and ell >= r + 2
-            ok = case_i or case_ii
-            rec.update({
-                "cover_dim": mc.dim, "cover_length": mc.length,
-                "skew_length": ell, "plane_counts": counts,
-                "balanced": case_i, "sparse_plane_case": case_ii,
-                "violation": not ok, "status": "ok",
-            })
-        except BudgetExceededError:
-            rec.update({"status": "budget_exceeded", "violation": False})
-        rec["elapsed_s"] = time.perf_counter() - started
-        records.append(rec)
-        if rec.get("violation"):
-            violations.append(_violation_record(rec, gamma, spec.field))
-    return _finish(spec, records, violations, t0)
+def _draw_trial_set(rec: dict, rng: random.Random, field: FieldSpec,
+                    size_limit: int | None = None, min_size: int = 1):
+    """_draw_cb_set for one trial; returns (gamma, genspec), or (None, None)
+    after marking the record no_cb_sample."""
+    gamma, genspec, rec["discarded"] = _draw_cb_set(rec["d"], rec["r"], field, rng, size_limit)
+    if gamma is None or len(gamma) < min_size:
+        rec.update(status="no_cb_sample", violation=False)
+        return None, None
+    return gamma, genspec
 
 
-def _campaign_mcb(spec: CampaignSpec) -> CampaignReport:
-    pairs = _trial_pairs(spec)
-    master = random.Random(spec.seed)
-    seeds = [master.randrange(2**63) for _ in range(spec.trials)]
-    budget = spec.node_budget or node_budget_default()
-    records, violations = [], []
-    t0 = time.perf_counter()
-    for i, trial_seed in enumerate(seeds):
-        d, r = pairs[i % len(pairs)]
-        rng = random.Random(trial_seed)
-        started = time.perf_counter()
-        gamma, genspec, discarded = _draw_cb_set(d, r, spec.field, rng, size_limit=12)
-        rec = {"trial": i, "seed": trial_seed, "d": d, "r": r, "discarded": discarded}
-        if gamma is None:
-            rec.update({"status": "no_cb_sample", "violation": False})
-            rec["elapsed_s"] = time.perf_counter() - started
-            records.append(rec)
-            continue
-        rec["genspec"] = genspec.to_json()
-        rec["size"] = len(gamma)
-        matroid = matroid_from_points(gamma)
-        mcb = is_mcb(matroid, r)
-        rec["mcb"] = mcb.verdict
-        try:
-            mc = min_cover(gamma, node_budget=budget)
-            dims = sorted((pl.dim for pl in mc.config.planes), reverse=True)
-            flat_cover = exists_flat_cover(matroid, dims)
-            rec.update({
-                "cover_dims": dims,
-                "flat_cover_found": flat_cover is not None,
-                "violation": not (mcb.verdict and flat_cover is not None),
-                "status": "ok",
-            })
-        except BudgetExceededError:
-            rec.update({"status": "budget_exceeded", "violation": not mcb.verdict})
-        rec["elapsed_s"] = time.perf_counter() - started
-        records.append(rec)
-        if rec.get("violation"):
-            violations.append(_violation_record(rec, gamma, spec.field))
-    return _finish(spec, records, violations, t0)
+def _conjecture_trial(rec, rng, field, budget):
+    d = rec["d"]
+    gamma, genspec = _draw_trial_set(rec, rng, field)
+    if gamma is None:
+        return None
+    rec.update(genspec=genspec.to_json(), size=len(gamma), cb=True)
+    try:
+        len2 = exists_cover(gamma, d, min(2, d), node_budget=budget)
+        cover = len2 if len2.found else exists_cover(gamma, d, d, node_budget=budget)
+        rec.update(
+            cover_found=cover.found, cover_dim=cover.dim, cover_length=cover.length,
+            cover_length_le_2=len2.found, status="ok", violation=not cover.found,
+        )
+    except BudgetExceededError:
+        rec.update(status="budget_exceeded", violation=False)
+    return gamma
+
+
+def _tightness_trial(rec, rng, field, budget):
+    d, r = rec["d"], rec["r"]
+    m = (d + 1) * r + 2
+    genspec = GenSpec.make("rnc", {"k": d + 1, "m": m}, field, rec["seed"])
+    gamma, _ = generate(genspec)
+    cb = is_cb(gamma, r).verdict
+    rec.update(genspec=genspec.to_json(), size=m, cb=cb)
+    try:
+        res = exists_cover(gamma, d, d, node_budget=budget)
+        # Tightness expects CB true and no dimension-d cover.
+        rec.update(
+            cover_found=res.found, proof_of_minimality=res.proof_of_minimality,
+            violation=not (cb and not res.found and res.proof_of_minimality), status="ok",
+        )
+    except BudgetExceededError:
+        rec.update(status="budget_exceeded", violation=False)
+    return gamma
+
+
+def _excision_trial(rec, rng, field, budget):
+    r = rec["r"]
+    gamma, genspec = _draw_trial_set(rec, rng, field, min_size=2)
+    if gamma is None:
+        return None
+    # Up to min(r, 3) distinct flats spanned by small point samples; a
+    # degenerate draw (e.g. collinear) may admit fewer distinct spans.
+    want = rng.randint(1, min(r, 3))
+    flats_chosen = []
+    for _ in range(50):
+        if len(flats_chosen) >= want:
+            break
+        size = min(rng.choice((2, 3)), len(gamma))
+        fl = span([gamma[j] for j in rng.sample(range(len(gamma)), size)])
+        if fl.dim >= 1 and fl not in flats_chosen:
+            flats_chosen.append(fl)
+    if not flats_chosen:
+        rec.update(status="no_configuration", violation=False)
+        return None
+    survivors = excise(gamma, PlaneConfiguration(tuple(flats_chosen)))
+    verdict = is_cb(survivors, r - len(flats_chosen)).verdict
+    rec.update(
+        genspec=genspec.to_json(), size=len(gamma), cb=True,
+        excised_length=len(flats_chosen), survivors=len(survivors),
+        survivors_cb=verdict, violation=not verdict, status="ok",
+    )
+    return gamma
+
+
+def _balancing_trial(rec, rng, field, budget):
+    r = rec["r"]
+    gamma, genspec = _draw_trial_set(rec, rng, field)
+    if gamma is None:
+        return None
+    rec["genspec"] = genspec.to_json()
+    try:
+        mc = min_cover(gamma, node_budget=budget)
+        cfg = merge_intersecting(mc.config)
+        counts = [sum(1 for pt in gamma if pl.contains(pt)) for pl in cfg.planes]
+        ell = cfg.length
+        case_i = all(c >= max(ell, r + 2) for c in counts)
+        case_ii = min(counts) < ell and ell >= r + 2
+        rec.update(
+            cover_dim=mc.dim, cover_length=mc.length, skew_length=ell, plane_counts=counts,
+            balanced=case_i, sparse_plane_case=case_ii,
+            violation=not (case_i or case_ii), status="ok",
+        )
+    except BudgetExceededError:
+        rec.update(status="budget_exceeded", violation=False)
+    return gamma
+
+
+def _mcb_trial(rec, rng, field, budget):
+    gamma, genspec = _draw_trial_set(rec, rng, field, size_limit=12)
+    if gamma is None:
+        return None
+    rec.update(genspec=genspec.to_json(), size=len(gamma))
+    matroid = Matroid.from_points(gamma)
+    mcb = is_mcb(matroid, rec["r"])
+    rec["mcb"] = mcb.verdict
+    try:
+        mc = min_cover(gamma, node_budget=budget)
+        dims = sorted((pl.dim for pl in mc.config.planes), reverse=True)
+        flat_cover = exists_flat_cover(matroid, dims)
+        rec.update(
+            cover_dims=dims, flat_cover_found=flat_cover is not None,
+            violation=not (mcb.verdict and flat_cover is not None), status="ok",
+        )
+    except BudgetExceededError:
+        rec.update(status="budget_exceeded", violation=not mcb.verdict)
+    return gamma
+
+
+_TRIALS = {
+    "conjecture": _conjecture_trial,
+    "tightness": _tightness_trial,
+    "excision": _excision_trial,
+    "balancing": _balancing_trial,
+    "mcb_analog": _mcb_trial,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +513,14 @@ def _finish(spec: CampaignSpec, records, violations, t0) -> CampaignReport:
 
 
 def replay_record(record: dict) -> dict:
-    """Re-verify one record from its own contents.
+    """Recompute the CB and cover verdicts of one record from its own contents.
 
-    Violations embed the full point set; ordinary records embed a GenSpec
-    whose regeneration is byte-identical.  Returns the recomputed verdicts
-    and whether they match the record.
+    The point set comes from the record's "points" (violations embed them) or
+    else from regenerating its "genspec", which is byte-identical.  With "r"
+    set, CB(r) is recomputed and compared against "cb" when the record has
+    one; with "d" set and a recorded "cover_found", a dimension-d cover search
+    (default node budget) is compared against it.  No other recorded verdict
+    is rechecked.  Returns the recomputed verdicts and whether they match.
     """
     if "points" in record:
         gamma = PointSet.from_json(record["points"])

@@ -20,7 +20,7 @@ from .cover import exists_cover, min_cover
 from .errors import BudgetExceededError, CbLabError
 from .fields import FieldSpec
 from .generators import GenSpec, generate
-from .matroid import exists_flat_cover, is_mcb, matroid_from_points
+from .matroid import Matroid, exists_flat_cover, is_mcb
 from .projective import PointSet
 
 EXIT_OK = 0
@@ -139,7 +139,7 @@ def _cmd_verify_conjecture(args) -> int:
 
 def _cmd_matroid(args) -> int:
     gamma = _load_points(args.input)
-    m = matroid_from_points(gamma)
+    m = Matroid.from_points(gamma)
     code = EXIT_OK
     obj = {}
     lines = []

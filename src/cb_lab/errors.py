@@ -9,10 +9,6 @@ class InvalidFieldError(CbLabError, ValueError):
     """Field specification rejected (composite modulus, oversized prime, bad kind)."""
 
 
-class MixedFieldsError(CbLabError):
-    """Operands belong to different fields."""
-
-
 class DivisionByZeroError(CbLabError, ZeroDivisionError):
     """Division by, or inversion of, the zero element."""
 

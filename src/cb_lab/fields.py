@@ -5,9 +5,9 @@ prime p < 2**31 (elements are canonical int residues in [0, p)) or the
 rational numbers (elements are reduced fractions.Fraction values).  No
 floating point appears anywhere: verdicts are exact rank statements.
 
-The heavy linear algebra works on raw elements (int / Fraction) through the
-FieldSpec methods; the Scalar wrapper carries the field tag for API use and
-catches cross-field mixing.
+Elements are raw values (int / Fraction) with no field tag; every operation
+goes through the FieldSpec methods.  Mixing fields is caught one level up:
+a PointSet rejects a point from another field.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZeroError, InvalidFieldError, MixedFieldsError
+from .errors import DivisionByZeroError, InvalidFieldError
 
 PRIME = "prime"
 RATIONAL = "rational"
@@ -137,9 +137,6 @@ class FieldSpec:
             raise InvalidFieldError("cannot enumerate the rationals")
         return range(self.p)
 
-    def scalar(self, x) -> Scalar:
-        return Scalar(self, x)
-
     # ---- JSON ----
 
     def to_json(self) -> dict:
@@ -162,59 +159,3 @@ class FieldSpec:
         if self.kind == PRIME:
             return int(v) % self.p
         return Fraction(v) if isinstance(v, str) else Fraction(int(v))
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """One field element in canonical form (residue in [0,p) or reduced fraction)."""
-
-    field: FieldSpec
-    value: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.field.coerce(self.value))
-
-    def _coerce_other(self, other) -> Scalar:
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise MixedFieldsError(f"{self.field} vs {other.field}")
-            return other
-        return Scalar(self.field, other)
-
-    def __add__(self, other):
-        o = self._coerce_other(other)
-        return Scalar(self.field, self.field.add(self.value, o.value))
-
-    def __sub__(self, other):
-        o = self._coerce_other(other)
-        return Scalar(self.field, self.field.sub(self.value, o.value))
-
-    def __mul__(self, other):
-        o = self._coerce_other(other)
-        return Scalar(self.field, self.field.mul(self.value, o.value))
-
-    def __truediv__(self, other):
-        o = self._coerce_other(other)
-        return Scalar(self.field, self.field.div(self.value, o.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return Scalar(self.field, self.field.pow(self.value, e))
-
-    def inv(self) -> Scalar:
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __repr__(self) -> str:
-        return f"Scalar({self.field}, {self.value})"
-
-    def to_json(self):
-        return self.field.encode(self.value)
-
-    @classmethod
-    def from_json(cls, field: FieldSpec, v) -> Scalar:
-        return cls(field, field.decode(v))

@@ -44,14 +44,15 @@ from .projective import (
 RESAMPLE_BUDGET = 60
 INNER_BUDGET = 400
 
-FAMILIES = (
-    "rnc",
-    "skew_lines",
-    "two_plane_conics",
-    "plane_curve_ci",
-    "elliptic_quartic",
-    "on_configuration",
-)
+# Each family with the params its generator requires.
+FAMILIES = {
+    "rnc": ("k", "m"),
+    "skew_lines": ("d", "counts"),
+    "two_plane_conics": ("points_per_conic",),
+    "plane_curve_ci": ("deg_d", "deg_e"),
+    "elliptic_quartic": ("m",),
+    "on_configuration": ("counts",),
+}
 
 # Degree pairs the plane-curve intersection generator can certify: equal
 # degrees go through a pencil with d*e-1 base points (the last base point of
@@ -74,6 +75,9 @@ class GenSpec:
     def make(cls, family, params: dict, field, seed, config=None) -> GenSpec:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        missing = [key for key in FAMILIES[family] if key not in params]
+        if missing:
+            raise ValueError(f"family {family!r} needs params {', '.join(missing)}")
         norm = []
         for key in sorted(params):
             val = params[key]
@@ -96,13 +100,14 @@ class GenSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> GenSpec:
-        cfg = None
-        if "config" in obj:
-            cfg = PlaneConfiguration.from_json(obj["config"])
-        return cls.make(
-            obj["family"], obj["params"], FieldSpec.from_json(obj["field"]),
-            obj["seed"], cfg,
-        )
+        try:
+            cfg = PlaneConfiguration.from_json(obj["config"]) if "config" in obj else None
+            return cls.make(
+                obj["family"], obj["params"], FieldSpec.from_json(obj["field"]),
+                obj["seed"], cfg,
+            )
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed GenSpec JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def generate(spec: GenSpec):

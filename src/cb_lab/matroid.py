@@ -297,11 +297,6 @@ def is_mcb(m: Matroid, r: int, hyperplanes_only: bool = False) -> McbReport:
     return McbReport(r, True)
 
 
-def matroid_from_points(gamma: PointSet) -> Matroid:
-    """The representable matroid of a point set (rank = coordinate-matrix rank)."""
-    return Matroid.from_points(gamma)
-
-
 def exists_flat_cover(m: Matroid, dims) -> list | None:
     """Flats F_i with rank(F_i) = dims[i] + 1 covering the ground set, or None."""
     dims = list(dims)

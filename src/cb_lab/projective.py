@@ -114,9 +114,13 @@ class PointSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> PointSet:
-        fld = FieldSpec.from_json(obj["field"])
-        pts = tuple(ProjPoint(fld, [fld.decode(c) for c in row]) for row in obj["points"])
-        return cls(fld, obj["ambient_dim"], pts)
+        try:
+            fld = FieldSpec.from_json(obj["field"])
+            pts = tuple(ProjPoint(fld, [fld.decode(c) for c in row]) for row in obj["points"])
+            ambient_dim = obj["ambient_dim"]
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed point set JSON: {type(exc).__name__}: {exc}") from exc
+        return cls(fld, ambient_dim, pts)
 
 
 @dataclass(frozen=True)

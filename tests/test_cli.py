@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cb_lab import (
     PointSet,
     exists_cover,
@@ -130,6 +132,42 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["verify-conjecture", "--trials", "2"]) == 2  # missing --d/--r
     assert main(["search", "--mode", "counterexample", "--field", "2",
                  "--ambient", "3", "--r", "2"]) == 2  # missing --d/--size-cap
+
+
+_GF101 = {"kind": "prime", "p": 101}
+_BAD_POINT_SETS = {
+    "empty_object": {},
+    "list": [],
+    "no_points": {"field": _GF101, "ambient_dim": 2},
+    "points_not_list": {"field": _GF101, "ambient_dim": 2, "points": 5},
+    "zero_denominator": {
+        "field": {"kind": "rational"}, "ambient_dim": 2, "points": [["1/0", "1", "1"]],
+    },
+}
+_RNC_WITHOUT_M = {"family": "rnc", "params": {"k": 2}, "field": _GF101, "seed": 1}
+_MALFORMED = [
+    pytest.param([cmd, "-i", "{path}", *extra], bad, id=f"{cmd}-{name}")
+    for cmd, extra in (
+        ("check-cb", ["--r", "1"]), ("cover", ["--dim", "1"]), ("matroid", ["--mcb", "1"])
+    )
+    for name, bad in _BAD_POINT_SETS.items()
+] + [
+    pytest.param(["generate", "--spec", "{path}"], {}, id="genspec-empty"),
+    pytest.param(["generate", "--spec", "{path}"], _RNC_WITHOUT_M, id="genspec-rnc-no-m"),
+    pytest.param(["generate", "--family", "rnc", "--params", "k=2"], None, id="flags-rnc-no-m"),
+    pytest.param(["verify-conjecture", "--replay", "{path}"], {"genspec": {}, "r": 1},
+                 id="replay-empty-genspec"),
+]
+
+
+@pytest.mark.parametrize("argv, payload", _MALFORMED)
+def test_malformed_json_is_usage_error(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main([arg.replace("{path}", str(path)) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
 
 
 def test_budget_exit_code(tmp_path, capsys, gf101, monkeypatch):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cb_lab import FieldSpec, Scalar
-from cb_lab.errors import DivisionByZeroError, InvalidFieldError, MixedFieldsError
+from cb_lab import FieldSpec, PointSet, ProjPoint
+from cb_lab.errors import DivisionByZeroError, InvalidFieldError
 from cb_lab.fields import is_prime
 
 
@@ -15,18 +15,17 @@ def brute_force_inverse(x: int, p: int) -> int:
 
 
 def test_gf7_inverse_examples(gf7):
-    assert gf7.scalar(1).inv().value == 1
+    assert gf7.inv(gf7.coerce(1)) == 1
     # oracle: scan x in 1..6 for 3x == 1 mod 7
     assert brute_force_inverse(3, 7) == 5
-    assert gf7.scalar(3).inv().value == 5
+    assert gf7.inv(gf7.coerce(3)) == 5
 
 
 def test_rational_arithmetic():
     q = FieldSpec.rational()
-    s = q.scalar(Fraction(1, 2)) + q.scalar(Fraction(1, 3))
-    assert s.value == Fraction(5, 6)
-    assert (q.scalar(2) * q.scalar(Fraction(3, 4))).value == Fraction(3, 2)
-    assert (-q.scalar(Fraction(-2, 4))).value == Fraction(1, 2)
+    assert q.add(q.coerce(Fraction(1, 2)), q.coerce(Fraction(1, 3))) == Fraction(5, 6)
+    assert q.mul(q.coerce(2), q.coerce(Fraction(3, 4))) == Fraction(3, 2)
+    assert q.neg(q.coerce(Fraction(-2, 4))) == Fraction(1, 2)
 
 
 def test_inverse_property_randomized(gf101):
@@ -47,11 +46,11 @@ def test_canonical_uniqueness(gf7):
     for _ in range(500):
         a = rng.randrange(-100, 100)
         b = rng.randrange(-100, 100)
-        sa, sb = gf7.scalar(a), gf7.scalar(b)
-        assert (sa == sb) == (sa.to_json() == sb.to_json())
-        qa = q.scalar(Fraction(a, 7))
-        qb = q.scalar(Fraction(b, 7))
-        assert (qa == qb) == (qa.to_json() == qb.to_json())
+        sa, sb = gf7.coerce(a), gf7.coerce(b)
+        assert (sa == sb) == (gf7.encode(sa) == gf7.encode(sb))
+        qa = q.coerce(Fraction(a, 7))
+        qb = q.coerce(Fraction(b, 7))
+        assert (qa == qb) == (q.encode(qa) == q.encode(qb))
 
 
 def test_rational_reduces_to_prime_field(gf101):
@@ -71,17 +70,16 @@ def test_rational_reduces_to_prime_field(gf101):
 
 
 def test_mixed_fields_rejected(gf7, gf101):
-    with pytest.raises(MixedFieldsError):
-        gf7.scalar(1) + gf101.scalar(1)
-    with pytest.raises(MixedFieldsError):
-        gf7.scalar(2) * FieldSpec.rational().scalar(2)
+    for other in (gf101, FieldSpec.rational()):
+        with pytest.raises(InvalidFieldError):
+            PointSet(gf7, 2, (ProjPoint(gf7, (1, 0, 0)), ProjPoint(other, (0, 1, 0))))
 
 
 def test_division_by_zero(gf7):
     with pytest.raises(DivisionByZeroError):
-        gf7.scalar(3) / gf7.scalar(0)
+        gf7.div(gf7.coerce(3), gf7.coerce(0))
     with pytest.raises(DivisionByZeroError):
-        FieldSpec.rational().scalar(0).inv()
+        FieldSpec.rational().inv(FieldSpec.rational().coerce(0))
 
 
 def test_field_spec_validation():
@@ -109,20 +107,19 @@ def test_is_prime_matches_trial_division():
 
 def test_scalar_json_round_trip(gf101):
     q = FieldSpec.rational()
-    assert gf101.scalar(42).to_json() == 42
-    assert Scalar.from_json(gf101, 42).value == 42
-    assert q.scalar(Fraction(-3, 4)).to_json() == "-3/4"
-    assert q.scalar(5).to_json() == "5"
-    assert Scalar.from_json(q, "-3/4").value == Fraction(-3, 4)
+    assert gf101.encode(gf101.coerce(42)) == 42
+    assert gf101.decode(42) == 42
+    assert q.encode(q.coerce(Fraction(-3, 4))) == "-3/4"
+    assert q.encode(q.coerce(5)) == "5"
+    assert q.decode("-3/4") == Fraction(-3, 4)
     assert FieldSpec.from_json(gf101.to_json()) == gf101
     assert FieldSpec.from_json(q.to_json()) == q
 
 
-def test_scalars_hashable_and_frozen(gf7):
-    s = gf7.scalar(3)
-    assert hash(s) == hash(gf7.scalar(10))  # 10 == 3 mod 7
+def test_coerce_canonical_and_field_frozen(gf7):
+    assert gf7.coerce(10) == gf7.coerce(3)  # 10 == 3 mod 7
     with pytest.raises(Exception):
-        s.value = 4
+        gf7.p = 11
 
 
 def test_float_rejected():

@@ -14,7 +14,6 @@ from cb_lab import (
     gen_skew_lines,
     is_cb,
     is_mcb,
-    matroid_from_points,
     min_cover,
 )
 from cb_lab.errors import GroundTooLargeError
@@ -23,7 +22,7 @@ from cb_lab.matroid import _elements, _mask_of
 
 def test_three_collinear_is_u23(gf101):
     gamma = PointSet.from_coords(gf101, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    m = matroid_from_points(gamma)
+    m = Matroid.from_points(gamma)
     u = Matroid.uniform(2, 3)
     for mask in range(8):
         assert m.rank(mask) == u.rank(mask)
@@ -31,7 +30,7 @@ def test_three_collinear_is_u23(gf101):
 
 def test_four_generic_is_u34(gf101):
     gamma = PointSet.from_coords(gf101, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-    m = matroid_from_points(gamma)
+    m = Matroid.from_points(gamma)
     u = Matroid.uniform(3, 4)
     for mask in range(16):
         assert m.rank(mask) == u.rank(mask)
@@ -39,7 +38,7 @@ def test_four_generic_is_u34(gf101):
 
 def test_skew_lines_matroid(gf101):
     pts, cfg = gen_skew_lines(2, (5, 5), gf101, seed=3)
-    m = matroid_from_points(pts)
+    m = Matroid.from_points(pts)
     assert m.full_rank == 4
     lat = flats(m, 2)
     line_flats = [f for f in lat.by_rank[2] if f.bit_count() == 5]
@@ -70,7 +69,7 @@ def test_mcb_u23_true_and_brute_force():
 
 
 def test_mcb_single_element_false(gf101):
-    m = matroid_from_points(PointSet.from_coords(gf101, [[1, 2, 3]]))
+    m = Matroid.from_points(PointSet.from_coords(gf101, [[1, 2, 3]]))
     rep = is_mcb(m, 1)
     assert not rep.verdict
     assert rep.excluded_element == 0
@@ -85,7 +84,7 @@ def test_cb_implies_mcb(gf101):
     ]
     for gamma, r in zip(cases, (3, 1, 2, 3)):
         assert is_cb(gamma, r).verdict
-        assert is_mcb(matroid_from_points(gamma), r).verdict
+        assert is_mcb(Matroid.from_points(gamma), r).verdict
 
 
 def test_flat_cover_examples(gf101):
@@ -93,7 +92,7 @@ def test_flat_cover_examples(gf101):
     got = exists_flat_cover(u23, [1])
     assert got == [[0, 1, 2]]  # the ground set as the rank-2 flat
     pts, _ = gen_skew_lines(2, (5, 5), gf101, seed=3)
-    m = matroid_from_points(pts)
+    m = Matroid.from_points(pts)
     got2 = exists_flat_cover(m, [1, 1])
     assert got2 is not None
     assert sorted(map(sorted, got2)) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
@@ -106,7 +105,7 @@ def test_geometric_cover_induces_flat_cover(gf101):
         pts, _ = gen_skew_lines(2, (4, 4), gf101, seed=seed)
         mc = min_cover(pts)
         dims = sorted((pl.dim for pl in mc.config.planes), reverse=True)
-        m = matroid_from_points(pts)
+        m = Matroid.from_points(pts)
         got = exists_flat_cover(m, dims)
         assert got is not None
         union = set()
@@ -119,8 +118,8 @@ def test_rank_axioms_fuzz(gf101):
     matroids = [
         Matroid.uniform(3, 6),
         Matroid.fano(),
-        matroid_from_points(gen_rnc(3, 7, gf101, seed=5)),
-        matroid_from_points(gen_skew_lines(2, (4, 4), gf101, seed=6)[0]),
+        Matroid.from_points(gen_rnc(3, 7, gf101, seed=5)),
+        Matroid.from_points(gen_skew_lines(2, (4, 4), gf101, seed=6)[0]),
     ]
     rng = random.Random(123)
     for m in matroids:
@@ -153,8 +152,8 @@ def test_hyperplane_mode_matches_full_on_small_cases(gf101):
         Matroid.uniform(2, 4),
         Matroid.uniform(3, 5),
         Matroid.fano(),
-        matroid_from_points(gen_rnc(2, 5, gf101, seed=1)),
-        matroid_from_points(gen_skew_lines(2, (3, 3), gf101, seed=2)[0]),
+        Matroid.from_points(gen_rnc(2, 5, gf101, seed=1)),
+        Matroid.from_points(gen_skew_lines(2, (3, 3), gf101, seed=2)[0]),
     ]
     for m in small:
         for r in (1, 2, 3):
@@ -166,7 +165,7 @@ def test_hyperplane_mode_matches_full_on_small_cases(gf101):
 
 def test_matroid_json_round_trip(gf101):
     gamma = gen_rnc(2, 5, gf101, seed=9)
-    m = matroid_from_points(gamma)
+    m = Matroid.from_points(gamma)
     obj = m.to_json()
     assert "matrix" in obj
     back = Matroid.from_json(obj)
