@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import MonotonicityError
 from .fields import FieldSpec
-from .forms import EvalMatrix, eval_matrix
+from .forms import eval_matrix
 from .projective import PlaneConfiguration, PointSet
 
 
@@ -87,26 +87,19 @@ def is_cb_rows(rows, field: FieldSpec) -> bool:
     return not _failing_indices(rows, len(rows), field)
 
 
-def is_cb_matrix(m: EvalMatrix) -> CbReport:
-    """CB decision on a prebuilt evaluation matrix (rows = points)."""
-    r = m.basis.r
-    if m.nrows == 0 or r == 0:
-        return CbReport(r, True)
-    failing = _failing_indices(m.rows, m.nrows, m.field)
-    if not failing:
-        return CbReport(r, True)
-    omit = failing[0]
-    form = _witness_for(m.rows, omit, m.field, m.ncols)
-    return CbReport(r, False, CbWitness(omit, form))
-
-
 def is_cb(gamma: PointSet, r: int) -> CbReport:
     """Decide CB(r) for gamma; on failure the report carries a witness form."""
     if r < 0:
         raise ValueError("degree must be nonnegative")
     if len(gamma) == 0 or r == 0:
         return CbReport(r, True)
-    return is_cb_matrix(eval_matrix(gamma, r))
+    m = eval_matrix(gamma, r)
+    failing = _failing_indices(m.rows, m.nrows, m.field)
+    if not failing:
+        return CbReport(r, True)
+    omit = failing[0]
+    form = _witness_for(m.rows, omit, m.field, m.ncols)
+    return CbReport(r, False, CbWitness(omit, form))
 
 
 def excise(gamma: PointSet, cfg: PlaneConfiguration) -> PointSet:

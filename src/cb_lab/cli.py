@@ -19,7 +19,7 @@ from .cb import is_cb
 from .cover import exists_cover, min_cover
 from .errors import BudgetExceededError, CbLabError
 from .fields import FieldSpec
-from .generators import GenSpec, generate
+from .generators import FAMILIES, GenSpec, generate
 from .matroid import Matroid, exists_flat_cover, is_mcb
 from .projective import PointSet
 
@@ -193,9 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate an example-family point set")
-    g.add_argument("--family", choices=(
-        "rnc", "skew_lines", "two_plane_conics", "plane_curve_ci",
-        "elliptic_quartic", "on_configuration"))
+    g.add_argument("--family", choices=tuple(FAMILIES))
     g.add_argument("--params", help="comma list key=value (lists as a:b:c)")
     g.add_argument("--field", default="101", help="prime p or Q")
     g.add_argument("--seed", type=int, default=0)

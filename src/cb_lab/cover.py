@@ -121,25 +121,6 @@ def verify_cover(gamma: PointSet, cfg: PlaneConfiguration | None) -> bool:
     return all(cfg.covers(pt) for pt in gamma)
 
 
-def _cover_candidates(gamma: PointSet, d: int):
-    """Candidate flats for a dim <= d cover search.
-
-    A cover by two or more planes uses planes of dimension <= d-1 (the others
-    contribute at least 1 each), and a single covering plane shrinks to
-    span(gamma); so spans of subsets up to dim d-1 plus the total span are a
-    complete candidate set.
-    """
-    n = gamma.ambient_dim
-    cap = min(d - 1, n)
-    cands = candidate_flats(gamma, cap) if cap >= 1 else []
-    top = span(list(gamma))
-    if top.dim <= min(d, n) and all(c.flat != top for c in cands):
-        mask = (1 << len(gamma)) - 1
-        cands = cands + [CandidateFlat(top, tuple(range(len(gamma))), mask)]
-        cands.sort(key=lambda c: (c.flat.dim, c.flat.basis))
-    return cands
-
-
 def _single_point_line(gamma: PointSet) -> Flat | None:
     pt = gamma[0]
     fld = gamma.field
@@ -155,15 +136,30 @@ def _single_point_line(gamma: PointSet) -> Flat | None:
 
 
 class _CoverSearch:
-    def __init__(self, candidates, npts: int, node_budget: int):
-        self.cands = candidates
+    """Branch and bound over the candidate flats of one gamma, for any number
+    of run(d, max_length) queries with dim budget d <= max_dim.
+
+    A cover by two or more planes uses planes of dimension <= max_dim-1 (the
+    others contribute at least 1 each), and a single covering plane shrinks
+    to span(gamma); so spans of subsets up to dim max_dim-1 plus the total
+    span are a complete candidate set.  Each run counts its own nodes
+    against the node budget.
+    """
+
+    def __init__(self, gamma: PointSet, max_dim: int, node_budget: int):
+        n = gamma.ambient_dim
+        npts = len(gamma)
+        cap = min(max_dim - 1, n)
+        cands = candidate_flats(gamma, cap) if cap >= 1 else []
+        top = span(list(gamma))
+        if top.dim <= min(max_dim, n) and all(c.flat != top for c in cands):
+            cands.append(CandidateFlat(top, tuple(range(npts)), (1 << npts) - 1))
+            cands.sort(key=lambda c: (c.flat.dim, c.flat.basis))
+        self.cands = cands
         self.all_mask = (1 << npts) - 1
         self.npts = npts
         self.node_budget = node_budget
-        self.nodes = 0
-        self.by_point = [
-            [c for c in candidates if c.mask >> i & 1] for i in range(npts)
-        ]
+        self.by_point = [[c for c in cands if c.mask >> i & 1] for i in range(npts)]
 
     def _coverage_bound(self, d: int, length: int):
         # best[b][l]: most points coverable with dim budget b and l flats,
@@ -189,6 +185,7 @@ class _CoverSearch:
         return table
 
     def run(self, d: int, max_length: int):
+        self.nodes = 0
         length = min(max_length, d)
         if length < 1:
             return None
@@ -256,7 +253,6 @@ def exists_cover(
     d: int,
     max_length: int,
     node_budget: int | None = None,
-    _candidates=None,
 ) -> CoverResult:
     """Search for a plane configuration of dimension <= d and length <=
     max_length covering gamma.
@@ -281,10 +277,7 @@ def exists_cover(
         return _result_from_chosen(
             gamma, [CandidateFlat(line, (0,), 1)], nodes=1, minimal=False
         )
-    cands = _candidates
-    if cands is None:
-        cands = _cover_candidates(gamma, d)
-    search = _CoverSearch(cands, len(gamma), node_budget)
+    search = _CoverSearch(gamma, d, node_budget)
     chosen = search.run(d, max_length)
     if chosen is None:
         return CoverResult(False, None, 0, 0, search.nodes, True)
@@ -308,15 +301,12 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
             True, res.assignment,
         )
     top = span(list(gamma)).dim
-    cands = _cover_candidates(gamma, top)
+    search = _CoverSearch(gamma, top, node_budget)
     total_nodes = 0
     for dim in range(1, top + 1):
         for length in range(1, dim + 1):
-            res = exists_cover(gamma, dim, length, node_budget, _candidates=cands)
-            total_nodes += res.nodes_explored
-            if res.found:
-                return CoverResult(
-                    True, res.config, res.dim, res.length, total_nodes,
-                    True, res.assignment,
-                )
+            chosen = search.run(dim, length)
+            total_nodes += search.nodes
+            if chosen is not None:
+                return _result_from_chosen(gamma, chosen, total_nodes, minimal=True)
     raise AssertionError("the span of gamma always covers it")

@@ -126,17 +126,6 @@ class FieldSpec:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow(self, a, e: int):
-        if self.kind == PRIME:
-            return pow(a, e, self.p)
-        return a**e
-
-    def elements(self):
-        """All field elements in canonical order (prime fields only)."""
-        if self.kind != PRIME:
-            raise InvalidFieldError("cannot enumerate the rationals")
-        return range(self.p)
-
     # ---- JSON ----
 
     def to_json(self) -> dict:

@@ -35,6 +35,7 @@ from .projective import (
     PlaneConfiguration,
     PointSet,
     ProjPoint,
+    _prime_coeff_tuples,
     enumerate_points,
     intersect,
     is_split,
@@ -44,15 +45,28 @@ from .projective import (
 RESAMPLE_BUDGET = 60
 INNER_BUDGET = 400
 
-# Each family with the params its generator requires.
+# Each family: the params its generator requires, and a runner from
+# (params dict, GenSpec) to (PointSet, PlaneConfiguration | None).
 FAMILIES = {
-    "rnc": ("k", "m"),
-    "skew_lines": ("d", "counts"),
-    "two_plane_conics": ("points_per_conic",),
-    "plane_curve_ci": ("deg_d", "deg_e"),
-    "elliptic_quartic": ("m",),
-    "on_configuration": ("counts",),
+    "rnc": (("k", "m"), lambda p, s: (gen_rnc(p["k"], p["m"], s.field, s.seed), None)),
+    "skew_lines": (
+        ("d", "counts"), lambda p, s: gen_skew_lines(p["d"], p["counts"], s.field, s.seed)
+    ),
+    "two_plane_conics": (
+        ("points_per_conic",),
+        lambda p, s: gen_two_plane_conics(p["points_per_conic"], s.field, s.seed),
+    ),
+    "plane_curve_ci": (
+        ("deg_d", "deg_e"),
+        lambda p, s: (gen_plane_curve_ci(p["deg_d"], p["deg_e"], s.field, s.seed), None),
+    ),
+    "elliptic_quartic": (
+        ("m",), lambda p, s: (gen_elliptic_quartic(p["m"], s.field, s.seed), None)
+    ),
+    "on_configuration": (("counts",), lambda p, s: _run_on_configuration(p["counts"], s)),
 }
+# Params whose value is a list of ints; every other required param is an int.
+LIST_PARAMS = ("counts",)
 
 # Degree pairs the plane-curve intersection generator can certify: equal
 # degrees go through a pencil with d*e-1 base points (the last base point of
@@ -75,9 +89,14 @@ class GenSpec:
     def make(cls, family, params: dict, field, seed, config=None) -> GenSpec:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        missing = [key for key in FAMILIES[family] if key not in params]
+        required = FAMILIES[family][0]
+        missing = [key for key in required if key not in params]
         if missing:
             raise ValueError(f"family {family!r} needs params {', '.join(missing)}")
+        for key in required:
+            if isinstance(params[key], (list, tuple)) != (key in LIST_PARAMS):
+                shape = "a list of ints" if key in LIST_PARAMS else "an int"
+                raise ValueError(f"param {key!r} of family {family!r} must be {shape}")
         norm = []
         for key in sorted(params):
             val = params[key]
@@ -112,25 +131,15 @@ class GenSpec:
 
 def generate(spec: GenSpec):
     """Run the family generator; returns (PointSet, PlaneConfiguration | None)."""
-    p = spec.param_dict()
-    if spec.family == "rnc":
-        return gen_rnc(p["k"], p["m"], spec.field, spec.seed), None
-    if spec.family == "skew_lines":
-        return gen_skew_lines(p["d"], tuple(p["counts"]), spec.field, spec.seed)
-    if spec.family == "two_plane_conics":
-        return gen_two_plane_conics(p["points_per_conic"], spec.field, spec.seed)
-    if spec.family == "plane_curve_ci":
-        return gen_plane_curve_ci(p["deg_d"], p["deg_e"], spec.field, spec.seed), None
-    if spec.family == "elliptic_quartic":
-        return gen_elliptic_quartic(p["m"], spec.field, spec.seed), None
-    if spec.family == "on_configuration":
-        if spec.config is None:
-            raise ValueError("on_configuration needs an embedded config")
-        return (
-            gen_on_configuration(spec.config, tuple(p["counts"]), spec.field, spec.seed),
-            spec.config,
-        )
-    raise ValueError(f"unknown family {spec.family!r}")
+    if spec.family not in FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return FAMILIES[spec.family][1](spec.param_dict(), spec)
+
+
+def _run_on_configuration(counts, spec: GenSpec):
+    if spec.config is None:
+        raise ValueError("on_configuration needs an embedded config")
+    return gen_on_configuration(spec.config, counts, spec.field, spec.seed), spec.config
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +170,6 @@ def _distinct_params(field: FieldSpec, count: int, rng: random.Random):
     return [field.coerce(t) for t in rng.sample(range(lo, hi + 1), count)]
 
 
-def _combine(field: FieldSpec, coeffs, rows):
-    n = len(rows[0])
-    out = [field.zero()] * n
-    for c, row in zip(coeffs, rows):
-        if c != 0:
-            for j in range(n):
-                out[j] = field.add(out[j], field.mul(c, row[j]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rational normal curves
 # ---------------------------------------------------------------------------
@@ -197,15 +196,9 @@ def gen_rnc(k: int, m: int, field: FieldSpec, seed: int) -> PointSet:
             ts = rng.sample(range(field.p), m)
     else:
         ts = _distinct_params(field, m, rng)
-    pts = []
-    for t in ts:
-        coords = [field.one()]
-        for _ in range(k):
-            coords.append(field.mul(coords[-1], t))
-        pts.append(ProjPoint(field, coords))
+    pts = [ProjPoint(field, [t**i for i in range(k + 1)]) for t in ts]
     if infinity:
-        coords = [field.zero()] * k + [field.one()]
-        pts.append(ProjPoint(field, coords))
+        pts.append(ProjPoint(field, [0] * k + [1]))
     return PointSet(field, k, tuple(pts))
 
 
@@ -215,23 +208,20 @@ def gen_rnc(k: int, m: int, field: FieldSpec, seed: int) -> PointSet:
 
 
 def _line_points(line: Flat, count: int, rng: random.Random):
-    """count distinct points on a line, via the parameters of its two basis rows."""
+    """count distinct points on a line, via the parameters of its two basis rows.
+
+    Over GF(p) parameter t < p stands for b0 + t*b1 and t = p for b1: the
+    lex order of P^1(GF(p)), indexed without listing it.
+    """
     field = line.field
-    b0, b1 = line.basis
     if field.kind == PRIME:
         total = field.p + 1
         if count > total:
             raise FieldTooSmallError(f"a line has only {total} points over {field}")
-        params = rng.sample(range(total), count)
-        pts = []
-        for t in params:
-            if t == field.p:
-                pts.append(ProjPoint(field, b1))
-            else:
-                pts.append(ProjPoint(field, _combine(field, (field.one(), t), (b0, b1))))
-        return pts
-    params = _distinct_params(field, count, rng)
-    return [ProjPoint(field, _combine(field, (field.one(), t), (b0, b1))) for t in params]
+        coeffs = [(1, t) if t < field.p else (0, 1) for t in rng.sample(range(total), count)]
+    else:
+        coeffs = [(1, t) for t in _distinct_params(field, count, rng)]
+    return [ProjPoint(field, linalg.combine(c, line.basis, field)) for c in coeffs]
 
 
 def gen_skew_lines(d: int, counts, field: FieldSpec, seed: int):
@@ -273,56 +263,36 @@ def gen_skew_lines(d: int, counts, field: FieldSpec, seed: int):
 
 
 def _conic_through_origin_point(field: FieldSpec, rng: random.Random):
-    """A smooth plane conic through (1:0:0): Gram matrix and its point list.
+    """A smooth plane conic through (1:0:0), as a function listing its points.
 
-    The conic is x^T G x = 0 with symmetric G, G[0][0] = 0; smoothness is
-    det(G) != 0 (needs odd characteristic).  Points come from the lines
-    through the base point, so over GF(p) the full list has p+1 entries in a
-    deterministic order.
+    The conic is x^T G x = 0 with G = [[0,b,c],[b,dd,e],[c,e,f]]; smoothness
+    is det(G) != 0 (needs odd characteristic).  Points come from the lines
+    {base + t v} through the base point, v = (0, v1, v2), so over GF(p) the
+    full list has p+1 entries in a deterministic order.
     """
     if field.kind == PRIME and field.p == 2:
         raise FieldTooSmallError("smooth-conic sampling needs odd characteristic")
     b, c = _rand_element(field, rng), _rand_element(field, rng)
     dd, e, f = (_rand_element(field, rng) for _ in range(3))
-    # det of [[0,b,c],[b,dd,e],[c,e,f]]
-    det = field.sub(
-        field.mul(field.mul(field.coerce(2), b), field.mul(c, e)),
-        field.add(field.mul(field.mul(b, b), f), field.mul(field.mul(c, c), dd)),
-    )
-    if det == 0:
+    if field.coerce(2 * b * c * e - b * b * f - c * c * dd) == 0:
         raise DegenerateConicError("singular Gram matrix")
-    gram = ((field.zero(), b, c), (b, dd, e), (c, e, f))
-
-    def quad(v):
-        acc = field.zero()
-        for i in range(3):
-            row = gram[i]
-            s = field.zero()
-            for j in range(3):
-                if v[j] != 0:
-                    s = field.add(s, field.mul(row[j], v[j]))
-            if v[i] != 0:
-                acc = field.add(acc, field.mul(v[i], s))
-        return acc
-
-    base = ProjPoint(field, (field.one(), field.zero(), field.zero()))
+    base = ProjPoint(field, (1, 0, 0))
 
     def second_point(v):
-        # Line {base + t v}: roots of t * (2 b.G.v + t v.G.v).
-        fv = quad(v)
-        bgv = field.add(field.mul(gram[0][1], v[1]), field.mul(gram[0][2], v[2]))
+        # Roots in t of t * (2 b.G.v + t v.G.v), with v.G.v and b.G.v at v0 = 0.
+        _, v1, v2 = v
+        fv = field.coerce(dd * v1 * v1 + 2 * e * v1 * v2 + f * v2 * v2)
         if fv == 0:
             return ProjPoint(field, v)  # the direction itself lies on the conic
-        t = field.div(field.neg(field.mul(field.coerce(2), bgv)), fv)
+        t = field.coerce(-2 * (b * v1 + c * v2) * field.inv(fv))
         if t == 0:
             return None  # tangent at the base point
-        return ProjPoint(field, (field.one(), field.mul(t, v[1]), field.mul(t, v[2])))
+        return ProjPoint(field, (1, t * v1, t * v2))
 
     def directions():
         if field.kind == PRIME:
-            for s in range(field.p):
-                yield (field.zero(), field.one(), field.coerce(s))
-            yield (field.zero(), field.zero(), field.one())
+            for t in _prime_coeff_tuples(field.p, 2):
+                yield (0,) + t
         else:
             step = 0
             while True:
@@ -343,7 +313,7 @@ def _conic_through_origin_point(field: FieldSpec, rng: random.Random):
                 break
         return out
 
-    return gram, quad, points
+    return points
 
 
 def gen_two_plane_conics(points_per_conic: int, field: FieldSpec, seed: int):
@@ -373,7 +343,7 @@ def gen_two_plane_conics(points_per_conic: int, field: FieldSpec, seed: int):
         try:
             all_pts = []
             for plane in planes:
-                _gram, _quad, points = _conic_through_origin_point(field, rng)
+                points = _conic_through_origin_point(field, rng)
                 if field.kind == PRIME:
                     local = points(field.p + 1)
                     if len(local) < points_per_conic:
@@ -383,7 +353,7 @@ def gen_two_plane_conics(points_per_conic: int, field: FieldSpec, seed: int):
                     local = points(points_per_conic)
                     local = local[:points_per_conic]
                 for lp in local:
-                    all_pts.append(ProjPoint(field, _combine(field, lp.coords, plane.basis)))
+                    all_pts.append(ProjPoint(field, linalg.combine(lp.coords, plane.basis, field)))
             cfg = PlaneConfiguration(tuple(planes))
             return PointSet(field, n, tuple(all_pts)), cfg
         except DegenerateConicError:
@@ -428,14 +398,12 @@ def _curve_then_points(deg_lo: int, deg_hi: int, field: FieldSpec, rng: random.R
         vec = tuple(_rand_element(field, rng) for _ in range(3))
         if all(v == 0 for v in vec):
             return None
-        param = linalg.kernel([vec], 3, field)
-        b0, b1 = param
-        curve_pts = [ProjPoint(field, _combine(field, (field.one(), t), (b0, b1)))
-                     for t in field.elements()]
-        curve_pts.append(ProjPoint(field, b1))
+        line = linalg.kernel([vec], 3, field)
+        curve_pts = [ProjPoint(field, linalg.combine(c, line, field))
+                     for c in _prime_coeff_tuples(field.p, 2)]
     else:
         try:
-            _gram, _quad, points = _conic_through_origin_point(field, rng)
+            points = _conic_through_origin_point(field, rng)
         except DegenerateConicError:
             return None
         curve_pts = points(field.p + 1)
@@ -505,12 +473,7 @@ def _quadric_points(q_vec, field: FieldSpec, sqrts: dict):
     alpha = ev((0, 0, 0, 1))
     inv2 = pow(2, p - 2, p) if p != 2 else None
     pts = []
-    prefixes = (
-        [(1, a, b) for a in range(p) for b in range(p)]
-        + [(0, 1, b) for b in range(p)]
-        + [(0, 0, 1)]
-    )
-    for pre in prefixes:
+    for pre in _prime_coeff_tuples(p, 3):
         gamma = ev(pre + (0,))
         beta = (ev(pre + (1,)) - gamma - alpha) % p
         if alpha == 0:
@@ -618,7 +581,7 @@ def gen_on_configuration(
             coeffs = tuple(_rand_element(field, rng) for _ in range(k))
             if all(c == 0 for c in coeffs):
                 continue
-            pt = ProjPoint(field, _combine(field, coeffs, rows))
+            pt = ProjPoint(field, linalg.combine(coeffs, rows, field))
             if pt.coords in seen:
                 continue
             seen.add(pt.coords)

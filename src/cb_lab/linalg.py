@@ -179,6 +179,16 @@ def in_row_space(vec, basis, piv_cols, field: FieldSpec) -> bool:
     return all(x == 0 for x in reduce_against(vec, basis, piv_cols, field))
 
 
+def combine(coeffs, rows, field: FieldSpec):
+    """The linear combination sum(c * row) of equal-length rows."""
+    out = [field.zero()] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c != 0:
+            for j, x in enumerate(row):
+                out[j] = field.add(out[j], field.mul(c, x))
+    return out
+
+
 def dot(u, v, field: FieldSpec):
     acc = field.zero()
     for a, b in zip(u, v):

@@ -182,9 +182,6 @@ class FlatLattice:
         for rk in sorted(self.by_rank):
             yield from self.by_rank[rk]
 
-    def sets(self):
-        return {rk: [_elements(m) for m in masks] for rk, masks in self.by_rank.items()}
-
 
 def flats(m: Matroid, max_rank: int) -> FlatLattice:
     """All flats of rank <= max_rank, grown by closing one-element extensions."""

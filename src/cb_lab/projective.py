@@ -332,12 +332,8 @@ def merge_intersecting(cfg: PlaneConfiguration) -> PlaneConfiguration:
     return out
 
 
-def _functional_avoids(functional, targets, field) -> bool:
-    return all(linalg.dot(functional, pt.coords, field) != 0 for pt in targets)
-
-
 def _prime_coeff_tuples(p: int, k: int):
-    # Canonical representatives of P^(k-1)(GF(p)) in lexicographic order.
+    """Canonical representatives of P^(k-1)(GF(p)) in lexicographic order."""
     for lead in range(k):
         prefix = (0,) * lead + (1,)
         for tail in itertools.product(range(p), repeat=k - lead - 1):
@@ -366,35 +362,22 @@ def extend_to_hyperplane(p: Flat, gamma: PointSet) -> Flat:
         raise ValueError("point set must share the flat's ambient space")
     fld = p.field
     ann = linalg.kernel(p.basis, n + 1, fld)
-    k = len(ann)
     targets = [pt for pt in gamma if not p.contains(pt)]
-
-    def build(coeffs):
-        f = [fld.zero()] * (n + 1)
-        for c, row in zip(coeffs, ann):
-            if c:
-                for j in range(n + 1):
-                    f[j] = fld.add(f[j], fld.mul(fld.coerce(c), row[j]))
-        return f
-
     if fld.kind == PRIME:
-        candidates = _prime_coeff_tuples(fld.p, k)
-        for coeffs in candidates:
-            f = build(coeffs)
-            if _functional_avoids(f, targets, fld):
-                return Flat.from_generators(fld, n, linalg.kernel([f], n + 1, fld))
-        raise FieldTooSmallError(
-            f"every hyperplane through the flat meets the point set over {fld}"
+        candidates = _prime_coeff_tuples(fld.p, len(ann))
+    else:
+        # Rationals: widen an integer coefficient box; a product of |targets|
+        # linear forms cannot vanish on the whole box once it is large enough.
+        candidates = itertools.chain.from_iterable(
+            _integer_coeff_tuples(len(ann), bound) for bound in itertools.count(1)
         )
-    # Rationals: widen an integer coefficient box; a product of |targets|
-    # linear forms cannot vanish on the whole box once it is large enough.
-    bound = 1
-    while True:
-        for coeffs in _integer_coeff_tuples(k, bound):
-            f = build(coeffs)
-            if _functional_avoids(f, targets, fld):
-                return Flat.from_generators(fld, n, linalg.kernel([f], n + 1, fld))
-        bound += 1
+    for coeffs in candidates:
+        f = linalg.combine(coeffs, ann, fld)
+        if all(linalg.dot(f, pt.coords, fld) != 0 for pt in targets):
+            return Flat.from_generators(fld, n, linalg.kernel([f], n + 1, fld))
+    raise FieldTooSmallError(
+        f"every hyperplane through the flat meets the point set over {fld}"
+    )
 
 
 def apply_matrix(gamma: PointSet, matrix) -> PointSet:
@@ -420,9 +403,4 @@ def enumerate_points(field: FieldSpec, n: int):
     """All points of P^n(GF(p)) as canonical representatives, in lex order."""
     if field.kind != PRIME:
         raise InvalidFieldError("can only enumerate projective space over GF(p)")
-    pts = []
-    for lead in range(n + 1):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(field.p), repeat=n - lead):
-            pts.append(ProjPoint(field, prefix + tail))
-    return pts
+    return [ProjPoint(field, coords) for coords in _prime_coeff_tuples(field.p, n + 1)]

@@ -145,6 +145,9 @@ _BAD_POINT_SETS = {
     },
 }
 _RNC_WITHOUT_M = {"family": "rnc", "params": {"k": 2}, "field": _GF101, "seed": 1}
+_SKEW_SCALAR_COUNTS = {
+    "family": "skew_lines", "params": {"d": 2, "counts": 5}, "field": _GF101, "seed": 1,
+}
 _MALFORMED = [
     pytest.param([cmd, "-i", "{path}", *extra], bad, id=f"{cmd}-{name}")
     for cmd, extra in (
@@ -155,6 +158,12 @@ _MALFORMED = [
     pytest.param(["generate", "--spec", "{path}"], {}, id="genspec-empty"),
     pytest.param(["generate", "--spec", "{path}"], _RNC_WITHOUT_M, id="genspec-rnc-no-m"),
     pytest.param(["generate", "--family", "rnc", "--params", "k=2"], None, id="flags-rnc-no-m"),
+    pytest.param(["generate", "--spec", "{path}"], _SKEW_SCALAR_COUNTS,
+                 id="genspec-scalar-counts"),
+    pytest.param(["generate", "--family", "skew_lines", "--params", "d=2,counts=5"], None,
+                 id="flags-scalar-counts"),
+    pytest.param(["generate", "--family", "rnc", "--params", "k=2,m=3:4"], None,
+                 id="flags-list-m"),
     pytest.param(["verify-conjecture", "--replay", "{path}"], {"genspec": {}, "r": 1},
                  id="replay-empty-genspec"),
 ]
