@@ -5,6 +5,10 @@ values of every degree-r monomial at that point (graded-lex order, leading
 variable first).  Its kernel is the space of degree-r forms vanishing on
 the whole set, which is what makes the Cayley-Bacharach condition a rank
 statement.
+
+evaluation_row picks its kernel once per call: over GF(p) monomial values
+are int residues multiplied mod p, over Q they go through the FieldSpec ops
+on Fractions.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .fields import FieldSpec
+from .fields import PRIME, FieldSpec
 from .projective import PointSet, ProjPoint
 
 
@@ -51,6 +55,8 @@ def monomial_basis(n: int, r: int) -> MonomialBasis:
 
 def evaluation_row(coords, basis: MonomialBasis, field: FieldSpec):
     """Values of every basis monomial at one coordinate vector."""
+    if field.kind == PRIME:
+        return _evaluation_row_prime(coords, basis, field.p)
     pows = [[field.one()] for _ in coords]
     for i, c in enumerate(coords):
         col = pows[i]
@@ -62,6 +68,23 @@ def evaluation_row(coords, basis: MonomialBasis, field: FieldSpec):
         for i, e in enumerate(expo):
             if e:
                 val = field.mul(val, pows[i][e])
+        row.append(val)
+    return tuple(row)
+
+
+def _evaluation_row_prime(coords, basis: MonomialBasis, p: int):
+    pows = []
+    for c in coords:
+        col = [1]
+        for _ in range(basis.r):
+            col.append(col[-1] * c % p)
+        pows.append(col)
+    row = []
+    for expo in basis.monomials:
+        val = 1
+        for col, e in zip(pows, expo):
+            if e:
+                val = val * col[e] % p
         row.append(val)
     return tuple(row)
 

@@ -93,6 +93,9 @@ class GenSpec:
         missing = [key for key in required if key not in params]
         if missing:
             raise ValueError(f"family {family!r} needs params {', '.join(missing)}")
+        unknown = sorted(key for key in params if key not in required)
+        if unknown:
+            raise ValueError(f"family {family!r} takes no params {', '.join(unknown)}")
         for key in required:
             if isinstance(params[key], (list, tuple)) != (key in LIST_PARAMS):
                 shape = "a list of ints" if key in LIST_PARAMS else "an int"
@@ -263,12 +266,15 @@ def gen_skew_lines(d: int, counts, field: FieldSpec, seed: int):
 
 
 def _conic_through_origin_point(field: FieldSpec, rng: random.Random):
-    """A smooth plane conic through (1:0:0), as a function listing its points.
+    """A smooth plane conic through (1:0:0), as a function from an index to a point.
 
     The conic is x^T G x = 0 with G = [[0,b,c],[b,dd,e],[c,e,f]]; smoothness
-    is det(G) != 0 (needs odd characteristic).  Points come from the lines
-    {base + t v} through the base point, v = (0, v1, v2), so over GF(p) the
-    full list has p+1 entries in a deterministic order.
+    is det(G) != 0 (needs odd characteristic).  Index 0 is the base point;
+    index i >= 1 is the second point on the line {base + t v} for the
+    (i-1)-th direction v = (0, v1, v2), the tangent direction b*v1 + c*v2 = 0
+    skipped.  Over GF(p) the directions are (1, s) for s < p, then (0, 1),
+    so indices 0..p give the p+1 points; over Q they are (1, s) for the
+    slopes s = 0, 1, -1, 2, -2, ... and every index gives a new point.
     """
     if field.kind == PRIME and field.p == 2:
         raise FieldTooSmallError("smooth-conic sampling needs odd characteristic")
@@ -277,43 +283,38 @@ def _conic_through_origin_point(field: FieldSpec, rng: random.Random):
     if field.coerce(2 * b * c * e - b * b * f - c * c * dd) == 0:
         raise DegenerateConicError("singular Gram matrix")
     base = ProjPoint(field, (1, 0, 0))
+    if field.kind == PRIME:
+        p = field.p
 
-    def second_point(v):
+        def direction(j):
+            return (1, j) if j < p else (0, 1)
+
+        tangent = -b * pow(c, p - 2, p) % p if c else p
+    else:
+
+        def direction(j):
+            s = (j + 1) // 2
+            return (1, s if j % 2 else -s)
+
+        slope = -b / c if c else None
+        if slope is None or slope.denominator != 1:
+            tangent = None  # the tangent direction is not in the list
+        else:
+            tangent = 2 * int(slope) - 1 if slope > 0 else -2 * int(slope)
+
+    def point(i):
+        if i == 0:
+            return base
+        j = i - 1 if tangent is None or i - 1 < tangent else i
+        v1, v2 = direction(j)
         # Roots in t of t * (2 b.G.v + t v.G.v), with v.G.v and b.G.v at v0 = 0.
-        _, v1, v2 = v
         fv = field.coerce(dd * v1 * v1 + 2 * e * v1 * v2 + f * v2 * v2)
         if fv == 0:
-            return ProjPoint(field, v)  # the direction itself lies on the conic
+            return ProjPoint(field, (0, v1, v2))  # the direction itself lies on the conic
         t = field.coerce(-2 * (b * v1 + c * v2) * field.inv(fv))
-        if t == 0:
-            return None  # tangent at the base point
         return ProjPoint(field, (1, t * v1, t * v2))
 
-    def directions():
-        if field.kind == PRIME:
-            for t in _prime_coeff_tuples(field.p, 2):
-                yield (0,) + t
-        else:
-            step = 0
-            while True:
-                yield (field.zero(), field.one(), field.coerce(step))
-                if step > 0:
-                    yield (field.zero(), field.one(), field.coerce(-step))
-                step += 1
-
-    def points(limit):
-        seen = {base.coords}
-        out = [base]
-        for v in directions():
-            pt = second_point(v)
-            if pt is not None and pt.coords not in seen:
-                seen.add(pt.coords)
-                out.append(pt)
-            if len(out) >= limit:
-                break
-        return out
-
-    return points
+    return point
 
 
 def gen_two_plane_conics(points_per_conic: int, field: FieldSpec, seed: int):
@@ -343,16 +344,12 @@ def gen_two_plane_conics(points_per_conic: int, field: FieldSpec, seed: int):
         try:
             all_pts = []
             for plane in planes:
-                points = _conic_through_origin_point(field, rng)
+                point = _conic_through_origin_point(field, rng)
                 if field.kind == PRIME:
-                    local = points(field.p + 1)
-                    if len(local) < points_per_conic:
-                        raise DegenerateConicError("conic too small")
-                    local = rng.sample(local, points_per_conic)
+                    indices = rng.sample(range(field.p + 1), points_per_conic)
                 else:
-                    local = points(points_per_conic)
-                    local = local[:points_per_conic]
-                for lp in local:
+                    indices = range(points_per_conic)
+                for lp in map(point, indices):
                     all_pts.append(ProjPoint(field, linalg.combine(lp.coords, plane.basis, field)))
             cfg = PlaneConfiguration(tuple(planes))
             return PointSet(field, n, tuple(all_pts)), cfg
@@ -403,10 +400,10 @@ def _curve_then_points(deg_lo: int, deg_hi: int, field: FieldSpec, rng: random.R
                      for c in _prime_coeff_tuples(field.p, 2)]
     else:
         try:
-            points = _conic_through_origin_point(field, rng)
+            point = _conic_through_origin_point(field, rng)
         except DegenerateConicError:
             return None
-        curve_pts = points(field.p + 1)
+        curve_pts = [point(i) for i in range(field.p + 1)]
     if len(curve_pts) < need:
         return None
     chosen = rng.sample(curve_pts, need)
@@ -462,38 +459,47 @@ def _sqrt_table(p: int) -> dict:
     return table
 
 
+def _split_quadric(q, x0, x1, x2):
+    """(alpha, beta, gamma) with q(x0, x1, x2, w) = alpha*w^2 + beta*w + gamma.
+
+    q holds the coefficients of monomial_basis(3, 2) in its graded-lex order
+    x0^2, x0x1, x0x2, x0x3, x1^2, x1x2, x1x3, x2^2, x2x3, x3^2; the values
+    are unreduced ints.
+    """
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = q
+    beta = c3 * x0 + c6 * x1 + c8 * x2
+    gamma = x0 * (c0 * x0 + c1 * x1 + c2 * x2) + x1 * (c4 * x1 + c5 * x2) + c7 * x2 * x2
+    return c9, beta, gamma
+
+
 def _quadric_points(q_vec, field: FieldSpec, sqrts: dict):
-    """Rational points of one quadric in P^3, by solving for the last coordinate."""
+    """Rational points of one quadric in P^3, by solving for the last coordinate.
+
+    Each prefix (x0:x1:x2) of P^2(GF(p)) gives the quadratic
+    alpha*w^2 + beta*w + gamma in w; needs odd p.
+    """
     p = field.p
-    basis = monomial_basis(3, 2)
-
-    def ev(coords):
-        return linalg.dot(q_vec, evaluation_row(coords, basis, field), field)
-
-    alpha = ev((0, 0, 0, 1))
-    inv2 = pow(2, p - 2, p) if p != 2 else None
+    inv2 = (p + 1) // 2
+    alpha = q_vec[-1]
     pts = []
     for pre in _prime_coeff_tuples(p, 3):
-        gamma = ev(pre + (0,))
-        beta = (ev(pre + (1,)) - gamma - alpha) % p
+        _, beta, gamma = _split_quadric(q_vec, *pre)
+        beta, gamma = beta % p, gamma % p
         if alpha == 0:
             if beta == 0:
                 roots = range(p) if gamma == 0 else ()
             else:
                 roots = ((-gamma * pow(beta, p - 2, p)) % p,)
         else:
-            if p == 2:
-                roots = tuple(w for w in range(2) if (alpha * w * w + beta * w + gamma) % 2 == 0)
+            disc = (beta * beta - 4 * alpha * gamma) % p
+            if disc == 0:
+                roots = ((-beta * inv2 * pow(alpha, p - 2, p)) % p,)
+            elif disc in sqrts:
+                rt = sqrts[disc]
+                denom = inv2 * pow(alpha, p - 2, p)
+                roots = (((-beta + rt) * denom) % p, ((-beta - rt) * denom) % p)
             else:
-                disc = (beta * beta - 4 * alpha * gamma) % p
-                if disc == 0:
-                    roots = ((-beta * inv2 * pow(alpha, p - 2, p)) % p,)
-                elif disc in sqrts:
-                    rt = sqrts[disc]
-                    denom = inv2 * pow(alpha, p - 2, p)
-                    roots = (((-beta + rt) * denom) % p, ((-beta - rt) * denom) % p)
-                else:
-                    roots = ()
+                roots = ()
         for w in roots:
             pts.append(pre + (w,))
     if alpha == 0:
@@ -501,13 +507,26 @@ def _quadric_points(q_vec, field: FieldSpec, sqrts: dict):
     return pts
 
 
+def _line_key(a, b, p: int) -> tuple:
+    """The line through two distinct points of P^3(GF(p)): its Pluecker
+    coordinates a_i*b_j - a_j*b_i (i < j), first nonzero one scaled to 1."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    minors = (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+              a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+    for m in minors:
+        if m % p:
+            inv = pow(m, p - 2, p)
+            return tuple(x * inv % p for x in minors)
+    raise ValueError("a line needs two distinct points")
+
+
 def _has_three_collinear(pts, field: FieldSpec) -> bool:
     counts = {}
-    coords = [list(pt.coords) for pt in pts]
+    coords = [pt.coords for pt in pts]
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
-            key_rows, _ = linalg.rref([coords[i], coords[j]], field)
-            key = tuple(key_rows)
+            key = _line_key(coords[i], coords[j], field.p)
             counts[key] = counts.get(key, 0) + 1
             if counts[key] >= 3:  # C(3,2) pairs on one line
                 return True
@@ -533,16 +552,12 @@ def gen_elliptic_quartic(m: int, field: FieldSpec, seed: int) -> PointSet:
         q2 = tuple(rng.randrange(field.p) for _ in range(nmono))
         if all(c == 0 for c in q1) or all(c == 0 for c in q2):
             continue
-        basis = monomial_basis(3, 2)
-        on_q1 = _quadric_points(q1, field, sqrts)
         curve = []
-        seen = set()
-        for coords in on_q1:
-            if linalg.dot(q2, evaluation_row(coords, basis, field), field) == 0:
-                pt = ProjPoint(field, coords)
-                if pt.coords not in seen:
-                    seen.add(pt.coords)
-                    curve.append(pt)
+        for coords in _quadric_points(q1, field, sqrts):
+            alpha, beta, gamma = _split_quadric(q2, *coords[:3])
+            w = coords[3]
+            if (w * (alpha * w + beta) + gamma) % field.p == 0:
+                curve.append(ProjPoint(field, coords))
         if len(curve) < m:
             continue
         if _has_three_collinear(curve, field):

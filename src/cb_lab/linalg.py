@@ -1,10 +1,13 @@
 """Exact row reduction, rank and kernel computation on raw field elements.
 
-GF(p) matrices use plain Gaussian elimination on int residues.  Rational
-matrices are cleared to integers row by row and eliminated fraction-free
-(Bareiss one-step), so intermediate entries stay integral and reduced; a
-final normalization pass produces the unique reduced echelon form with
-Fraction entries.
+rref, reduce_against, dot and combine each pick a kernel once per call
+from the field kind.  GF(p) runs on plain int residues: Gaussian
+elimination, and dot products and linear combinations summed as ints and
+reduced mod p once per entry.  Rational matrices are cleared to integers
+row by row and eliminated fraction-free (Bareiss one-step), so
+intermediate entries stay integral and reduced; a final normalization pass
+produces the unique reduced echelon form with Fraction entries.  Rational
+dot products and combinations go through the FieldSpec ops.
 
 The reduced echelon basis (zero rows dropped) is the canonical form used
 everywhere for subspace identity: equal row spaces yield identical bases.
@@ -181,6 +184,9 @@ def in_row_space(vec, basis, piv_cols, field: FieldSpec) -> bool:
 
 def combine(coeffs, rows, field: FieldSpec):
     """The linear combination sum(c * row) of equal-length rows."""
+    if field.kind == PRIME:
+        p = field.p
+        return [sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*rows)]
     out = [field.zero()] * len(rows[0])
     for c, row in zip(coeffs, rows):
         if c != 0:
@@ -190,6 +196,8 @@ def combine(coeffs, rows, field: FieldSpec):
 
 
 def dot(u, v, field: FieldSpec):
+    if field.kind == PRIME:
+        return sum(a * b for a, b in zip(u, v)) % field.p
     acc = field.zero()
     for a, b in zip(u, v):
         if a != 0 and b != 0:

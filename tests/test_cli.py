@@ -164,6 +164,8 @@ _MALFORMED = [
                  id="flags-scalar-counts"),
     pytest.param(["generate", "--family", "rnc", "--params", "k=2,m=3:4"], None,
                  id="flags-list-m"),
+    pytest.param(["generate", "--family", "rnc", "--params", "k=2,m=3,typo_seed=4"], None,
+                 id="flags-unknown-param"),
     pytest.param(["verify-conjecture", "--replay", "{path}"], {"genspec": {}, "r": 1},
                  id="replay-empty-genspec"),
 ]

@@ -3,6 +3,8 @@
 import random
 from math import comb
 
+import pytest
+
 from cb_lab import (
     FieldSpec,
     PointSet,
@@ -14,7 +16,8 @@ from cb_lab import (
     monomial_basis,
     rank_kernel,
 )
-from cb_lab.forms import EvalMatrix, form_from_json
+from cb_lab import linalg
+from cb_lab.forms import EvalMatrix, evaluation_row, form_from_json
 
 from helpers import random_invertible_matrix, random_point_set
 
@@ -138,3 +141,49 @@ def test_form_json_round_trip(gf101):
     blob = form_to_json(vec, basis, gf101)
     assert all(set(term) == {"exponents", "coeff"} for term in blob)
     assert form_from_json(blob, basis, gf101) == vec
+
+
+# Reference results built from the FieldSpec element ops alone, to check the
+# int-residue kernels of evaluation_row, dot and combine against.
+def _ops_evaluation_row(coords, basis, field):
+    row = []
+    for expo in basis.monomials:
+        val = field.one()
+        for c, e in zip(coords, expo):
+            for _ in range(e):
+                val = field.mul(val, c)
+        row.append(val)
+    return tuple(row)
+
+
+def _ops_dot(u, v, field):
+    acc = field.zero()
+    for a, b in zip(u, v):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def _ops_combine(coeffs, rows, field):
+    out = [field.zero()] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [field.add(o, field.mul(c, x)) for o, x in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, 2**31 - 1])
+def test_prime_kernels_match_field_ops(p):
+    field = FieldSpec.prime(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        n, r = rng.randint(1, 4), rng.randint(0, 4)
+        # residues, plus unreduced and negative ints that the kernels must reduce
+        coords = [rng.choice((rng.randrange(p), rng.randint(-3 * p, 3 * p))) for _ in range(n + 1)]
+        basis = monomial_basis(n, r)
+        row = evaluation_row(coords, basis, field)
+        assert row == _ops_evaluation_row(coords, basis, field)
+        assert all(0 <= x < p for x in row)
+        coeffs = [rng.randint(-p, 2 * p) for _ in range(len(basis))]
+        assert linalg.dot(coeffs, row, field) == _ops_dot(coeffs, row, field)
+        rows = [[rng.randint(-p, 2 * p) for _ in range(n + 1)] for _ in range(rng.randint(1, 4))]
+        weights = [rng.choice((0, p, rng.randrange(p))) for _ in rows]
+        assert linalg.combine(weights, rows, field) == _ops_combine(weights, rows, field)

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import random
+import time
 
 import pytest
 
@@ -10,7 +12,10 @@ from cb_lab import (
     GenSpec,
     PlaneConfiguration,
     PointSet,
+    ProjPoint,
+    enumerate_points,
     eval_matrix,
+    evaluate_form,
     exists_cover,
     gen_elliptic_quartic,
     gen_on_configuration,
@@ -21,12 +26,19 @@ from cb_lab import (
     generate,
     is_cb,
     is_split,
+    monomial_basis,
     rank_kernel,
     span,
     verify_cover,
 )
-from cb_lab.errors import FieldTooSmallError, InvalidFieldError
-from cb_lab.linalg import rank
+from cb_lab.errors import DegenerateConicError, FieldTooSmallError, InvalidFieldError
+from cb_lab.generators import (
+    _conic_through_origin_point,
+    _line_key,
+    _quadric_points,
+    _sqrt_table,
+)
+from cb_lab.linalg import combine, rank, rref
 
 from helpers import rank_oracle
 
@@ -196,3 +208,90 @@ def test_genspec_validation(gf101):
     spec = GenSpec.make("on_configuration", {"counts": [2]}, gf101, 0)
     with pytest.raises(ValueError):
         generate(spec)  # missing embedded configuration
+
+
+def _brute_quadric_points(q, field):
+    basis = monomial_basis(3, 2)
+    return {pt.coords for pt in enumerate_points(field, 3) if evaluate_form(q, basis, pt) == 0}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_quadric_points_closed_form_matches_brute_force(p):
+    field = FieldSpec.prime(p)
+    rng = random.Random(p)
+    quadrics = [tuple(rng.randrange(p) for _ in range(10)) for _ in range(6)]
+    # alpha = q[9] = 0; beta = 0 (no x0x3, x1x3, x2x3 terms); and both
+    quadrics += [q[:9] + (0,) for q in quadrics[:3]]
+    quadrics += [q[:3] + (0,) + q[4:6] + (0,) + q[7:8] + (0,) + q[9:] for q in quadrics[:3]]
+    quadrics += [(0, 1, 0, 0, 0, 0, 0, 1, 0, 0), (0,) * 9 + (1,), (0, 0, 0, 1) + (0,) * 6]
+    sqrts = _sqrt_table(p)
+    for q in quadrics:
+        pts = _quadric_points(q, field, sqrts)
+        assert len(pts) == len(set(pts))
+        assert set(pts) == _brute_quadric_points(q, field), q
+
+
+def test_line_key_matches_rref_key():
+    field = FieldSpec.prime(5)
+    rng = random.Random(3)
+    pts = enumerate_points(field, 3)
+    pairs = [tuple(rng.sample(pts, 2)) for _ in range(150)]
+    # pairs on a few shared lines, so that equal keys occur
+    for a, b in pairs[:10]:
+        on_line = [ProjPoint(field, combine((1, t), [a.coords, b.coords], field)) for t in range(5)]
+        pairs += list(itertools.combinations(on_line, 2))
+    pk = [_line_key(a.coords, b.coords, field.p) for a, b in pairs]
+    rk = [tuple(rref([a.coords, b.coords], field)[0]) for a, b in pairs]
+    assert len(set(pk)) == len(set(rk)) < len(pairs)
+    for i, j in itertools.combinations(range(len(pairs)), 2):
+        assert (pk[i] == pk[j]) == (rk[i] == rk[j])
+
+
+def _assert_distinct_points_of_one_conic(point, count, field):
+    pts = [point(i) for i in range(count)]
+    assert pts[0].coords == (1, 0, 0)
+    gamma = PointSet(field, 2, tuple(pts))  # rejects repeated points
+    assert rank_kernel(eval_matrix(gamma, 2)).corank == 1
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(7), FieldSpec.prime(11), FieldSpec.rational()],
+                         ids=str)
+def test_conic_indices_are_distinct_points_of_one_conic(field):
+    count = field.p + 1 if field.is_prime_field else 12
+    for seed in range(6):
+        try:
+            point = _conic_through_origin_point(field, random.Random(seed))
+        except DegenerateConicError:
+            continue
+        _assert_distinct_points_of_one_conic(point, count, field)
+
+
+class _ScriptedRandom:
+    """Hands out the given values as the next randint draws."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randint(self, lo, hi):
+        return next(self._values)
+
+
+# (b, c, dd, e, f) with the tangent slope -b/c = 2, -3, 0 and none (c = 0)
+@pytest.mark.parametrize("gram", [(2, -1, 1, 0, 1), (3, 1, 1, 0, 1), (0, 1, 1, 0, 1),
+                                  (1, 0, 1, 0, 1)])
+def test_conic_indices_skip_the_tangent_over_q(gram):
+    field = FieldSpec.rational()
+    point = _conic_through_origin_point(field, _ScriptedRandom(gram))
+    _assert_distinct_points_of_one_conic(point, 12, field)
+
+
+def test_two_plane_conics_large_prime_is_fast():
+    start = time.perf_counter()
+    pts, cfg = gen_two_plane_conics(3, FieldSpec.prime(100003), seed=1)
+    assert time.perf_counter() - start < 1.0
+    assert len(pts) == 6 and is_split(cfg)
+
+
+def test_genspec_rejects_unknown_params(gf101):
+    with pytest.raises(ValueError, match="typo_seed"):
+        GenSpec.make("rnc", {"k": 2, "m": 3, "typo_seed": 4}, gf101, 0)
