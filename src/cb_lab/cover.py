@@ -8,6 +8,14 @@ by the line through it and any other point (still within the dim budget
 because planes are positive-dimensional).  Only |gamma| = 1 needs an ad hoc
 line through the point.
 
+The candidates are grown one dimension at a time without a fresh row
+reduction: each flat reduces every outside point against its echelon basis
+once, the points with equal residuals (scaled to a leading 1) span one
+child flat, children are identified by their point mask, and a new child's
+basis is its parent's plus one pivot insert of the residual.  min_cover
+spans gamma once and keeps one candidate list and one by_point table for
+its whole (dim, length) sweep.
+
 The search is depth-first branch and bound: branch on the uncovered point
 lying on the fewest candidate flats, bound by the remaining dimension and
 length budgets plus a knapsack-style coverage bound, and memoize failed
@@ -18,10 +26,12 @@ set means the space was exhausted, never truncated.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import BudgetExceededError
+from .fields import PRIME
 from .projective import Flat, PlaneConfiguration, PointSet, span
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -71,47 +81,80 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     """All distinct flats of dimension 1..max_dim spanned by subsets of gamma.
 
     Grown level by level: the dim-(k+1) flats are the spans of a dim-k flat
-    and one outside point, which reaches every span of a subset.  Returned in
-    canonical order (dimension, then basis bytes).
+    F and one outside point, which reaches every span of a subset.
+
+    - Residuals: each point p_i outside F is reduced against F's echelon
+      basis once and scaled so its first nonzero entry is 1.  The reduction
+      is linear with kernel the cone of F, so p_j lies on span(F, p_i)
+      exactly when the two residuals are equal; grouping the outside points
+      by residual gives each child with its full point mask.
+    - Identity by mask: a flat spanned by points of gamma is the span of the
+      points it holds, so distinct children of a level have distinct masks.
+    - Pivot insert: a new child's basis is F's basis with the residual's
+      lead column cleared, plus the residual as a pivot row, which is the
+      unique reduced echelon form of span(F, p_i).
+
+    Returned in canonical order (dimension, then basis bytes).
     """
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
     fld = gamma.field
     n = gamma.ambient_dim
-    pts = list(gamma)
-    npts = len(pts)
+    coords = [pt.coords for pt in gamma]
+    normalise, eliminate = _residual_ops(fld)
+    # (basis, pivot columns, point mask); a point's first nonzero entry is 1
+    level = [((c,), (c.index(1),), 1 << i) for i, c in enumerate(coords)]
     result = []
-    current = {}
-    for i, pt in enumerate(pts):
-        flat = Flat(fld, n, (pt.coords,))
-        current[flat.basis] = (flat, 1 << i)
-    top_dim = min(max_dim, n)
-    for _level in range(top_dim):
-        grown = {}
-        for flat, mask in current.values():
-            rows = [list(r) for r in flat.basis]
-            for i, pt in enumerate(pts):
-                if mask >> i & 1:
+    for _dim in range(min(max_dim, n)):
+        seen = set()
+        grown = []
+        for basis, piv, mask in level:
+            groups = {}
+            for i, c in enumerate(coords):
+                if not mask >> i & 1:
+                    r = normalise(linalg.reduce_against(c, basis, piv, fld))
+                    groups[r] = groups.get(r, mask) | 1 << i
+            for r, child in groups.items():
+                if child in seen:
                     continue
-                new_basis, piv = linalg.rref(rows + [list(pt.coords)], fld)
-                key = tuple(new_basis)
-                if key in grown:
-                    continue
-                new_flat = Flat(fld, n, key)
-                new_mask = mask | (1 << i)
-                fpiv = piv
-                for j, other in enumerate(pts):
-                    if new_mask >> j & 1:
-                        continue
-                    if linalg.in_row_space(other.coords, new_basis, fpiv, fld):
-                        new_mask |= 1 << j
-                grown[key] = (new_flat, new_mask)
-        current = grown
-        for flat, mask in current.values():
-            idx = tuple(i for i in range(npts) if mask >> i & 1)
-            result.append(CandidateFlat(flat, idx, mask))
+                seen.add(child)
+                lead = r.index(1)
+                pos = bisect_left(piv, lead)
+                rows = [eliminate(row, row[lead], r) if row[lead] else row for row in basis]
+                rows.insert(pos, r)
+                grown.append((tuple(rows), piv[:pos] + (lead,) + piv[pos:], child))
+        level = grown
+        for basis, _piv, mask in level:
+            idx = tuple(i for i in range(len(coords)) if mask >> i & 1)
+            result.append(CandidateFlat(Flat(fld, n, basis), idx, mask))
     result.sort(key=lambda c: (c.flat.dim, c.flat.basis))
     return result
+
+
+def _residual_ops(field):
+    """(normalise, eliminate) on raw rows, picked once per field kind:
+    normalise(v) scales v so its first nonzero entry is 1, and
+    eliminate(row, f, r) is row - f * r."""
+    if field.kind == PRIME:
+        p = field.p
+
+        def normalise(v):
+            inv = pow(next(x for x in v if x), p - 2, p)
+            return tuple([x * inv % p for x in v])
+
+        def eliminate(row, f, r):
+            return tuple([(a - f * b) % p for a, b in zip(row, r)])
+
+    else:
+
+        def normalise(v):
+            lead = next(x for x in v if x)
+            return tuple([x / lead for x in v])
+
+        def eliminate(row, f, r):
+            return tuple([a - f * b for a, b in zip(row, r)])
+
+    return normalise, eliminate
 
 
 def verify_cover(gamma: PointSet, cfg: PlaneConfiguration | None) -> bool:
@@ -136,8 +179,9 @@ def _single_point_line(gamma: PointSet) -> Flat | None:
 
 
 class _CoverSearch:
-    """Branch and bound over the candidate flats of one gamma, for any number
-    of run(d, max_length) queries with dim budget d <= max_dim.
+    """Branch and bound over the candidate flats of one gamma (at least two
+    points, spanning top), for any number of run(d, max_length) queries with
+    dim budget d <= max_dim.
 
     A cover by two or more planes uses planes of dimension <= max_dim-1 (the
     others contribute at least 1 each), and a single covering plane shrinks
@@ -146,15 +190,15 @@ class _CoverSearch:
     against the node budget.
     """
 
-    def __init__(self, gamma: PointSet, max_dim: int, node_budget: int):
-        n = gamma.ambient_dim
+    def __init__(self, gamma: PointSet, top: Flat, max_dim: int, node_budget: int):
         npts = len(gamma)
-        cap = min(max_dim - 1, n)
+        cap = min(max_dim - 1, gamma.ambient_dim)
         cands = candidate_flats(gamma, cap) if cap >= 1 else []
-        top = span(list(gamma))
-        if top.dim <= min(max_dim, n) and all(c.flat != top for c in cands):
+        # The candidates hold every span of a subset up to dim cap, top among
+        # them when top.dim <= cap; otherwise top outranks them all in
+        # (dim, basis) order and goes last.
+        if cap < top.dim <= max_dim:
             cands.append(CandidateFlat(top, tuple(range(npts)), (1 << npts) - 1))
-            cands.sort(key=lambda c: (c.flat.dim, c.flat.basis))
         self.cands = cands
         self.all_mask = (1 << npts) - 1
         self.npts = npts
@@ -277,7 +321,7 @@ def exists_cover(
         return _result_from_chosen(
             gamma, [CandidateFlat(line, (0,), 1)], nodes=1, minimal=False
         )
-    search = _CoverSearch(gamma, d, node_budget)
+    search = _CoverSearch(gamma, span(list(gamma)), d, node_budget)
     chosen = search.run(d, max_length)
     if chosen is None:
         return CoverResult(False, None, 0, 0, search.nodes, True)
@@ -300,10 +344,10 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
             res.found, res.config, res.dim, res.length, res.nodes_explored,
             True, res.assignment,
         )
-    top = span(list(gamma)).dim
-    search = _CoverSearch(gamma, top, node_budget)
+    top = span(list(gamma))
+    search = _CoverSearch(gamma, top, top.dim, node_budget)
     total_nodes = 0
-    for dim in range(1, top + 1):
+    for dim in range(1, top.dim + 1):
         for length in range(1, dim + 1):
             chosen = search.run(dim, length)
             total_nodes += search.nodes

@@ -17,7 +17,7 @@ from cb_lab import (
     ProjPoint,
     eval_matrix,
 )
-from cb_lab.linalg import rref
+from cb_lab.linalg import in_row_space, rref
 
 
 def det_oracle(rows, field):
@@ -136,6 +136,24 @@ def cover_oracle(gamma: PointSet, candidates, d: int, max_length: int) -> bool:
             if mask == full:
                 return True
     return False
+
+
+def candidate_flats_oracle(gamma: PointSet, max_dim: int):
+    """(dim, basis, point_indices, mask) of every flat of dim 1..max_dim
+    spanned by a subset of gamma: one rref per subset of size 2..max_dim+1,
+    deduplicated by basis, masks by membership, in (dim, basis) order."""
+    fld = gamma.field
+    coords = [pt.coords for pt in gamma]
+    found = {}
+    for size in range(2, min(max_dim, gamma.ambient_dim) + 2):
+        for subset in itertools.combinations(coords, size):
+            basis, piv = rref(subset, fld)
+            key = tuple(basis)
+            if key in found:
+                continue
+            idx = tuple(i for i, c in enumerate(coords) if in_row_space(c, basis, piv, fld))
+            found[key] = (len(key) - 1, key, idx, sum(1 << i for i in idx))
+    return sorted(found.values(), key=lambda t: (t[0], t[1]))
 
 
 def random_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -> PointSet:

@@ -8,6 +8,7 @@ from cb_lab import (
     FieldSpec,
     PointSet,
     candidate_flats,
+    enumerate_points,
     exists_cover,
     gen_rnc,
     gen_skew_lines,
@@ -18,7 +19,59 @@ from cb_lab import (
 )
 from cb_lab.errors import BudgetExceededError
 
-from helpers import cover_oracle, random_point_set
+from helpers import candidate_flats_oracle, cover_oracle, random_point_set
+
+GF2, GF3 = FieldSpec.prime(2), FieldSpec.prime(3)
+GF7, GF101, Q = FieldSpec.prime(7), FieldSpec.prime(101), FieldSpec.rational()
+
+
+def _random_sets(field, n, count, seed):
+    rng = random.Random(seed)
+    return [random_point_set(field, n, rng.randint(2, count), rng) for _ in range(4)]
+
+
+def _in_hyperplane(field, seed):
+    # every point has last coordinate 0: the span is a hyperplane of P^3
+    rng = random.Random(seed)
+    pts = random_point_set(field, 2, 6, rng)
+    return PointSet.from_coords(field, [list(pt.coords) + [0] for pt in pts])
+
+
+# (id, point sets, max_dim values): every max_dim from 1 to above the span
+_ORACLE_CASES = [
+    ("gf2-random", _random_sets(GF2, 3, 8, 1), (1, 2, 3)),
+    ("gf2-all-of-p2", [PointSet(GF2, 2, tuple(enumerate_points(GF2, 2)))], (1, 2, 4)),
+    ("gf3-random", _random_sets(GF3, 3, 9, 2), (1, 2, 3)),
+    ("gf3-hyperplane", [_in_hyperplane(GF3, 3)], (1, 2, 3)),
+    ("gf7-random", _random_sets(GF7, 4, 8, 4), (1, 2, 4)),
+    ("gf7-skew-lines", [gen_skew_lines(2, (4, 5), GF7, seed=s)[0] for s in (0, 1)], (1, 2, 3)),
+    ("gf7-two-plane-conics", [gen_two_plane_conics(4, GF7, seed=5)[0]], (1, 2, 3, 4)),
+    ("gf7-rnc", [gen_rnc(3, 7, GF7, seed=6)], (1, 2, 3)),
+    ("gf101-random", _random_sets(GF101, 3, 8, 7), (1, 2, 3)),
+    ("gf101-hyperplane", [_in_hyperplane(GF101, 8)], (2, 5)),
+    ("gf101-skew-lines", [gen_skew_lines(3, (4, 4, 4), GF101, seed=9)[0]], (1, 2, 3)),
+    ("gf101-two-plane-conics", [gen_two_plane_conics(8, GF101, seed=4)[0]], (4,)),
+    ("q-random", _random_sets(Q, 3, 7, 10), (1, 2, 3)),
+    ("q-hyperplane", [_in_hyperplane(Q, 11)], (1, 3)),
+    ("q-skew-lines", [gen_skew_lines(2, (4, 4), Q, seed=6)[0]], (1, 2, 3)),
+    ("q-two-plane-conics", [gen_two_plane_conics(4, Q, seed=12)[0]], (2, 4)),
+    ("q-rnc", [gen_rnc(3, 6, Q, seed=13)], (1, 2, 3)),
+    ("single-point", [PointSet.from_coords(f, [[1, 2, 3]]) for f in (GF7, Q)], (1, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "sets,max_dims", [c[1:] for c in _ORACLE_CASES], ids=[c[0] for c in _ORACLE_CASES]
+)
+def test_candidate_flats_match_subset_oracle(sets, max_dims):
+    for gamma in sets:
+        for max_dim in max_dims:
+            got = candidate_flats(gamma, max_dim)
+            expect = candidate_flats_oracle(gamma, max_dim)
+            assert [(c.flat.dim, c.flat.basis, c.point_indices, c.mask) for c in got] == expect
+            assert [type(x) for c in got for row in c.flat.basis for x in row] == [
+                type(x) for e in expect for row in e[1] for x in row
+            ]
 
 
 def test_candidates_three_collinear(gf101):
