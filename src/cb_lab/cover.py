@@ -19,8 +19,10 @@ its whole (dim, length) sweep.
 The search is depth-first branch and bound: branch on the uncovered point
 lying on the fewest candidate flats, bound by the remaining dimension and
 length budgets plus a knapsack-style coverage bound, and memoize failed
-(covered, budgets) states.  A found=False result with proof_of_minimality
-set means the space was exhausted, never truncated.
+(uncovered, budgets) states.  A found=False result with proof_of_minimality
+set means the space was exhausted, never truncated.  The same core covers a
+target mask by any weighted candidate masks, so it also serves
+matroid.is_mcb (flats of cost 1).
 """
 
 from __future__ import annotations
@@ -125,10 +127,14 @@ def candidate_flats(gamma: PointSet, max_dim: int):
                 grown.append((tuple(rows), piv[:pos] + (lead,) + piv[pos:], child))
         level = grown
         for basis, _piv, mask in level:
-            idx = tuple(i for i in range(len(coords)) if mask >> i & 1)
-            result.append(CandidateFlat(Flat(fld, n, basis), idx, mask))
+            result.append(CandidateFlat(Flat(fld, n, basis), tuple(_elements(mask)), mask))
     result.sort(key=lambda c: (c.flat.dim, c.flat.basis))
     return result
+
+
+def _elements(mask: int) -> list:
+    """The indices of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _residual_ops(field):
@@ -179,40 +185,28 @@ def _single_point_line(gamma: PointSet) -> Flat | None:
 
 
 class _CoverSearch:
-    """Branch and bound over the candidate flats of one gamma (at least two
-    points, spanning top), for any number of run(d, max_length) queries with
-    dim budget d <= max_dim.
-
-    A cover by two or more planes uses planes of dimension <= max_dim-1 (the
-    others contribute at least 1 each), and a single covering plane shrinks
-    to span(gamma); so spans of subsets up to dim max_dim-1 plus the total
-    span are a complete candidate set.  Each run counts its own nodes
-    against the node budget.
+    """Branch and bound covering the points of a target mask by candidates,
+    each a (mask, cost >= 1, item) triple: run(d, max_length) looks for at most
+    max_length candidates of total cost <= d and returns their items in
+    pick order, or None.  Each run counts its own nodes against the node
+    budget.
     """
 
-    def __init__(self, gamma: PointSet, top: Flat, max_dim: int, node_budget: int):
-        npts = len(gamma)
-        cap = min(max_dim - 1, gamma.ambient_dim)
-        cands = candidate_flats(gamma, cap) if cap >= 1 else []
-        # The candidates hold every span of a subset up to dim cap, top among
-        # them when top.dim <= cap; otherwise top outranks them all in
-        # (dim, basis) order and goes last.
-        if cap < top.dim <= max_dim:
-            cands.append(CandidateFlat(top, tuple(range(npts)), (1 << npts) - 1))
+    def __init__(self, cands, target: int, node_budget):
         self.cands = cands
-        self.all_mask = (1 << npts) - 1
-        self.npts = npts
+        self.target = target
+        self.points = _elements(target)
+        self.max_cost = max((k for _m, k, _item in cands), default=0)
         self.node_budget = node_budget
-        self.by_point = [[c for c in cands if c.mask >> i & 1] for i in range(npts)]
+        self.by_point = {i: [c for c in cands if c[0] >> i & 1] for i in self.points}
 
     def _coverage_bound(self, d: int, length: int):
-        # best[b][l]: most points coverable with dim budget b and l flats,
-        # overestimated from the best single flat of each dimension.
+        # best[b][l]: most points coverable with cost budget b and l
+        # candidates, overestimated from the best single candidate of each cost.
         best_at = [0] * (d + 1)
-        for c in self.cands:
-            k = c.flat.dim
+        for mask, k, _item in self.cands:
             if k <= d:
-                cnt = len(c.point_indices)
+                cnt = mask.bit_count()
                 if cnt > best_at[k]:
                     best_at[k] = cnt
         for k in range(1, d + 1):
@@ -233,46 +227,71 @@ class _CoverSearch:
         length = min(max_length, d)
         if length < 1:
             return None
+        # Every pick covers a new point, so no branch holds more candidates
+        # than target points or costs more than that many times max_cost.
+        # Capping both budgets there shifts every budget in the tree by a
+        # constant and leaves each prune unchanged, but keeps the bound
+        # table small for huge budgets.
+        length = min(length, len(self.points))
+        d = min(d, length * self.max_cost)
         self.bound = self._coverage_bound(d, length)
         self.memo = set()
         self.solution = None
-        self._dfs(0, d, length, [])
+        self._dfs(self.target, d, length, [])
         return self.solution
 
-    def _dfs(self, covered: int, dim_left: int, len_left: int, stack) -> bool:
+    def _dfs(self, uncovered: int, cost_left: int, len_left: int, stack) -> bool:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise BudgetExceededError(f"cover search exceeded {self.node_budget} nodes")
-        uncovered = self.all_mask & ~covered
         if uncovered == 0:
             self.solution = list(stack)
             return True
-        if dim_left < 1 or len_left < 1:
+        if cost_left < 1 or len_left < 1:
             return False
         need = uncovered.bit_count()
-        if self.bound[dim_left][len_left] < need:
+        if self.bound[cost_left][len_left] < need:
             return False
-        key = (covered, dim_left, len_left)
+        key = (uncovered, cost_left, len_left)
         if key in self.memo:
             return False
         pick = -1
         fewest = None
-        for i in range(self.npts):
+        for i in self.points:
             if uncovered >> i & 1:
-                options = sum(1 for c in self.by_point[i] if c.flat.dim <= dim_left)
+                options = sum(1 for c in self.by_point[i] if c[1] <= cost_left)
                 if fewest is None or options < fewest:
                     fewest = options
                     pick = i
-        for cand in self.by_point[pick]:
-            k = cand.flat.dim
-            if k > dim_left:
+        for mask, k, item in self.by_point[pick]:
+            if k > cost_left:
                 continue
-            stack.append(cand)
-            if self._dfs(covered | cand.mask, dim_left - k, len_left - 1, stack):
+            stack.append(item)
+            if self._dfs(uncovered & ~mask, cost_left - k, len_left - 1, stack):
                 return True
             stack.pop()
         self.memo.add(key)
         return False
+
+
+def _point_search(gamma: PointSet, top: Flat, max_dim: int, node_budget: int) -> _CoverSearch:
+    """The cover search of gamma (at least two points, spanning top) for dim
+    budgets <= max_dim, over its candidate flats with cost = dimension.
+
+    A cover by two or more planes uses planes of dimension <= max_dim-1 (the
+    others contribute at least 1 each), and a single covering plane shrinks
+    to span(gamma); so spans of subsets up to dim max_dim-1 plus the total
+    span are a complete candidate set.
+    """
+    npts = len(gamma)
+    cap = min(max_dim - 1, gamma.ambient_dim)
+    cands = candidate_flats(gamma, cap) if cap >= 1 else []
+    # The candidates hold every span of a subset up to dim cap, top among
+    # them when top.dim <= cap; otherwise top outranks them all in
+    # (dim, basis) order and goes last.
+    if cap < top.dim <= max_dim:
+        cands.append(CandidateFlat(top, tuple(range(npts)), (1 << npts) - 1))
+    return _CoverSearch([(c.mask, c.flat.dim, c) for c in cands], (1 << npts) - 1, node_budget)
 
 
 def _result_from_chosen(gamma: PointSet, chosen, nodes: int, minimal: bool) -> CoverResult:
@@ -321,7 +340,7 @@ def exists_cover(
         return _result_from_chosen(
             gamma, [CandidateFlat(line, (0,), 1)], nodes=1, minimal=False
         )
-    search = _CoverSearch(gamma, span(list(gamma)), d, node_budget)
+    search = _point_search(gamma, span(list(gamma)), d, node_budget)
     chosen = search.run(d, max_length)
     if chosen is None:
         return CoverResult(False, None, 0, 0, search.nodes, True)
@@ -345,7 +364,7 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
             True, res.assignment,
         )
     top = span(list(gamma))
-    search = _CoverSearch(gamma, top, top.dim, node_budget)
+    search = _point_search(gamma, top, top.dim, node_budget)
     total_nodes = 0
     for dim in range(1, top.dim + 1):
         for length in range(1, dim + 1):

@@ -2,22 +2,29 @@
 
 A matroid here is a ground set 0..n-1 with an exact rank oracle, backed by a
 representing point set, by a stored flat lattice, or analytically (uniform
-matroids).  MCB(r) asks that no union of r flats contain all elements but
-one; the search runs over the maximal proper flats avoiding the excluded
-element, which is lossless because any flat avoiding it extends to a maximal
-one.  Whether those maximal flats can always be taken corank-1 is unclear in
-general, so restricting to matroid hyperplanes is offered only as a flagged
-experimental mode.
+matroids).  The flats of a point matroid are read from cover.candidate_flats:
+a rank-(k+1) flat is the point mask of a dim-k span of a subset.  Closure
+enumeration is used only for abstract matroids, which have no points to span.
+
+MCB(r) asks that no union of r flats contain all elements but one; the
+search runs over the maximal proper flats avoiding the excluded element,
+which is lossless because any flat avoiding it extends to a maximal one, on
+the same branch and bound as the point covers (cost 1 per flat).  Whether
+those maximal flats can always be taken corank-1 is unclear in general, so
+restricting to matroid hyperplanes is offered only as a flagged experimental
+mode.
 
 Ground sets are capped at 20 elements; flat enumeration is exponential.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from . import linalg
+from .cover import _CoverSearch, _elements, candidate_flats
 from .errors import GroundTooLargeError
 from .fields import FieldSpec
 from .projective import PointSet
@@ -30,17 +37,6 @@ def _mask_of(subset) -> int:
     for e in subset:
         mask |= 1 << e
     return mask
-
-
-def _elements(mask: int):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 class Matroid:
@@ -184,9 +180,18 @@ class FlatLattice:
 
 
 def flats(m: Matroid, max_rank: int) -> FlatLattice:
-    """All flats of rank <= max_rank, grown by closing one-element extensions."""
+    """All flats of rank <= max_rank: from candidate_flats for a point
+    matroid, else grown by closing one-element extensions."""
     if m.size > GROUND_CAP:
         raise GroundTooLargeError(f"ground set of {m.size} exceeds the cap {GROUND_CAP}")
+    if m._source and m._source[0] == "matrix":
+        # Points are distinct and nonzero: the empty set and the singletons
+        # are closed, and each span holds the points of gamma it contains.
+        masks = {0: [0], 1: [1 << i for i in range(m.size)]}
+        for c in candidate_flats(m._source[1], max_rank - 1) if max_rank >= 2 else ():
+            masks.setdefault(c.flat.dim + 1, []).append(c.mask)
+        by_rank = {rk: tuple(sorted(ms)) for rk, ms in masks.items() if rk <= max(max_rank, 0)}
+        return FlatLattice(m.size, by_rank)
     by_rank = {}
     bottom = m.closure(0)
     by_rank[0] = (bottom,)
@@ -230,39 +235,6 @@ def _maximal_masks(masks):
     return out
 
 
-def _cover_with_flats(target: int, flat_masks, limit: int) -> tuple | None:
-    """<= limit of the given flats whose union contains target, or None."""
-    if target == 0:
-        return ()
-    if limit == 0:
-        return None
-    elems = _elements(target)
-    containing = {e: [f for f in flat_masks if f >> e & 1] for e in elems}
-    if any(not containing[e] for e in elems):
-        return None
-    memo = set()
-
-    def dfs(remaining: int, depth: int, stack):
-        if remaining == 0:
-            return tuple(stack)
-        if depth == limit:
-            return None
-        key = (remaining, depth)
-        if key in memo:
-            return None
-        pick = min((e for e in elems if remaining >> e & 1), key=lambda e: len(containing[e]))
-        for f in containing[pick]:
-            stack.append(f)
-            got = dfs(remaining & ~f, depth + 1, stack)
-            if got is not None:
-                return got
-            stack.pop()
-        memo.add(key)
-        return None
-
-    return dfs(target, 0, [])
-
-
 def is_mcb(m: Matroid, r: int, hyperplanes_only: bool = False) -> McbReport:
     """Matroid Cayley-Bacharach: no union of r flats holds all elements but one.
 
@@ -284,7 +256,8 @@ def is_mcb(m: Matroid, r: int, hyperplanes_only: bool = False) -> McbReport:
     for x in range(m.size):
         avoid = [f for f in proper if not f >> x & 1]
         candidates = _maximal_masks(avoid) if not hyperplanes_only else avoid
-        got = _cover_with_flats(ground & ~(1 << x), candidates, r)
+        search = _CoverSearch([(f, 1, f) for f in candidates], ground & ~(1 << x), math.inf)
+        got = search.run(r, r)
         if got is not None:
             if not got and candidates:
                 got = (candidates[0],)  # all-but-one is empty; show one avoiding flat
@@ -300,6 +273,8 @@ def exists_flat_cover(m: Matroid, dims) -> list | None:
     if m.size > GROUND_CAP:
         raise GroundTooLargeError(f"ground set of {m.size} exceeds the cap {GROUND_CAP}")
     ranks_needed = [d + 1 for d in dims]
+    if not ranks_needed:
+        raise ValueError("a flat cover needs at least one flat dimension")
     if any(rk < 1 for rk in ranks_needed):
         raise ValueError("flat cover dimensions must be >= 0")
     lattice = flats(m, max_rank=max(ranks_needed))

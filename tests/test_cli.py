@@ -1,14 +1,18 @@
 """CLI subcommands: thin-adapter equivalence, exit codes, JSON schemas."""
 
 import json
+import time
 
 import pytest
 
 from cb_lab import (
+    Matroid,
     PointSet,
     exists_cover,
     gen_plane_curve_ci,
+    gen_skew_lines,
     is_cb,
+    is_mcb,
 )
 from cb_lab.cli import main
 
@@ -53,8 +57,6 @@ def test_check_cb_false_exit_code(tmp_path, capsys, gf101):
 
 
 def test_cover_matches_library(tmp_path, capsys, gf101):
-    from cb_lab import gen_skew_lines
-
     pts, _ = gen_skew_lines(2, (5, 5), gf101, seed=3)
     path = _write_points(tmp_path, pts)
     code, out = _run(capsys, "cover", "-i", path, "--dim", "2", "--json")
@@ -97,8 +99,6 @@ def test_verify_conjecture_and_replay(tmp_path, capsys):
 
 
 def test_matroid_subcommand(tmp_path, capsys, gf101):
-    from cb_lab import gen_skew_lines
-
     pts, _ = gen_skew_lines(2, (5, 5), gf101, seed=3)
     path = _write_points(tmp_path, pts)
     code, out = _run(
@@ -108,6 +108,22 @@ def test_matroid_subcommand(tmp_path, capsys, gf101):
     obj = json.loads(out)
     assert obj["mcb"]["verdict"] is True
     assert sorted(map(sorted, obj["flat_cover"])) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+
+
+def test_huge_budgets_return_quickly(tmp_path, capsys, gf101):
+    pts, _ = gen_skew_lines(3, (2, 2, 2), gf101, seed=0)
+    path = _write_points(tmp_path, pts)
+    start = time.perf_counter()
+    code, out = _run(capsys, "cover", "-i", path, "--dim", "1000000000", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == exists_cover(pts, 30, 30).to_json()
+    start = time.perf_counter()
+    code, out = _run(capsys, "matroid", "-i", path, "--mcb", "1000000000", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    expect = is_mcb(Matroid.from_points(pts), len(pts)).to_json()
+    assert json.loads(out)["mcb"] == {**expect, "r": 10**9}
 
 
 def test_search_modes(capsys):
@@ -182,8 +198,6 @@ def test_malformed_json_is_usage_error(tmp_path, capsys, argv, payload):
 
 
 def test_budget_exit_code(tmp_path, capsys, gf101, monkeypatch):
-    from cb_lab import gen_skew_lines
-
     monkeypatch.setenv("CB_LAB_NODE_BUDGET", "1")
     pts, _ = gen_skew_lines(2, (5, 5), gf101, seed=3)
     path = _write_points(tmp_path, pts)

@@ -1,6 +1,7 @@
 """Cover search: candidates, existence, minimality, the brute-force oracle."""
 
 import random
+import time
 
 import pytest
 
@@ -210,6 +211,18 @@ def test_budget_exceeded(gf101):
     pts, _ = gen_skew_lines(2, (5, 5), gf101, seed=3)
     with pytest.raises(BudgetExceededError):
         exists_cover(pts, 2, 2, node_budget=1)
+
+
+def test_huge_budgets_search_as_saturating_ones():
+    # No cover uses more planes than points, nor more dimension than that
+    # many times the largest candidate's, so a budget of 10**6 must run the
+    # search of a saturating budget, nodes included, and as fast.
+    for gamma in (gen_skew_lines(3, (2, 2, 2), GF101, seed=0)[0], gen_rnc(3, 6, Q, seed=13)):
+        saturating = len(gamma) * gamma.ambient_dim
+        start = time.perf_counter()
+        huge = exists_cover(gamma, 10**6, 10**6)
+        assert time.perf_counter() - start < 1.0
+        assert huge.to_json() == exists_cover(gamma, saturating, saturating).to_json()
 
 
 def test_cover_determinism(gf101):

@@ -7,7 +7,10 @@ with its points and caveat.  The exhaustive scans pin their per-size subset
 and cb_true counts.  The generator digests pin the canonical JSON of every
 family's output (points, then configuration) and of ``extend_to_hyperplane``,
 so RNG consumption and point order cannot drift; a case that raises pins its
-error type and message instead.
+error type and message instead.  The matroid digests pin the flat lattices
+``flats(m, R).by_rank`` for every R up to one past the full rank, the
+``is_mcb`` reports (witness flats and excluded element, in both modes) and
+the ``exists_flat_cover`` outputs, over point matroids and abstract ones.
 
 A digest may be regenerated only by a change whose sole purpose is that, and
 that change must say why in CHANGES.md.  ``python tests/test_golden.py``
@@ -16,6 +19,7 @@ prints the current digests.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -23,15 +27,20 @@ from cb_lab import (
     CampaignSpec,
     FieldSpec,
     GenSpec,
+    Matroid,
     PointSet,
     counterexample_search,
     enumerate_points,
     exhaustive_lower_bound,
+    exists_flat_cover,
     extend_to_hyperplane,
+    flats,
     gen_plane_curve_ci,
     gen_rnc,
     gen_skew_lines,
+    gen_two_plane_conics,
     generate,
+    is_mcb,
     run_campaign,
     span,
 )
@@ -169,6 +178,54 @@ GENERATOR_GOLDEN = {
     "two_plane_conics GF(7) conic overfull": "e7e31985db06c7bc296be4f0c8f54b1126ec4b880dbb29dad5c7b9cef8e5b0b7",
 }
 
+MATROID_GOLDEN = {
+    "flats GF(2) fano": "21989b1f89e3724004d18edb3f54dfe74b231e6f7929b33b83383ee01ea81e1f",
+    "is_mcb GF(2) fano": "26773b6ddee5e884099dd8cbf3e284b5cdcd545cce6ecbc95a65f0b7ee2db825",
+    "exists_flat_cover GF(2) fano": "5e8e3fb22fa2d25eaba873a60eea1aa0e3cf3e993f8c1a3b4349be2d50030e43",
+    "flats GF(2) P^3 sample": "5361168262b255807cdfeb656c3984d984d9f50cb3285906356ff8b29ff225bc",
+    "is_mcb GF(2) P^3 sample": "6f9bccc97ed576ac0e58cb765a2a67d8480ebc44c89b6c02452556ebbbf65925",
+    "exists_flat_cover GF(2) P^3 sample": "804b08a404d39a292663492aca4bae06ad352a11ed5a1d8b94b28ccc5df789ea",
+    "flats GF(3) P^2 sample": "81a1cd80cc4e80035a5c239943679f37146117e569970fb260caf9d681403dd7",
+    "is_mcb GF(3) P^2 sample": "0bf2b85d02f9bf4d89535253bbb8a7b9991327b75723b8007fb6211541720321",
+    "exists_flat_cover GF(3) P^2 sample": "0ebc3461341c388fe3b6f9b4a916afd80a207e869bccbea77570997ac750288c",
+    "flats GF(3) P^3 sample": "fa8869d22517a6ee998bb5aa736f88880b7df8e78ac84bc35de8f301ce40f53a",
+    "is_mcb GF(3) P^3 sample": "6d7b2e62a0c96617e3150d7bff8806c3cfd53cf9f8fe0cd41bd88f36a631ce16",
+    "exists_flat_cover GF(3) P^3 sample": "1fc16810382de3db77798e0317ba87c61fa0b269ee3761d80900923492ac8de3",
+    "flats GF(101) line and point": "d026cf6b65f2fbb1dcec2edc90733bdaf0bcccdd3e9b53cebb5fccfabf7cba7d",
+    "is_mcb GF(101) line and point": "6d72cc2211848393fc3c64f386e58a6c859d1aaadaf43317b9a0a0d489b8585c",
+    "exists_flat_cover GF(101) line and point": "2132cbd480c687ca642c5dd1ea5ddbcab48a6c164d0bf460309dfa3b31cdd0d4",
+    "flats GF(101) skew lines": "588043fc447bf6fca790a3fe4ca36e34be227cba99dc16bae392798766f47050",
+    "is_mcb GF(101) skew lines": "1b59e9986133ba349b4ff2548762a0000c3eb66cbbf0c2abf64a977a667d062a",
+    "exists_flat_cover GF(101) skew lines": "cf0cbc980b843172f9db6a4dcc8ae3ff0d0caebbc80501da98e788354f557f1e",
+    "flats GF(101) rnc": "9da2ecf0d88fe277f8afd129f5bdbc48e6065ea16f5c033d7abf74d41adad882",
+    "is_mcb GF(101) rnc": "3d057dfca61b4e37893770bbb0a4ae21313b652af74708c74f45fc8b857d3c6e",
+    "exists_flat_cover GF(101) rnc": "82e71347ea87f3e555653a9e152c45d3c0a354656f7ec7d2cd6bbcfcf902dad3",
+    "flats GF(101) plane cubics": "3529246607fb04d8f36d520d5cb2a4c3048a9185ba9a3c78c43fcc63b4825e6c",
+    "is_mcb GF(101) plane cubics": "33fd7c119d137291b9ac908546407c3760c08c76cedccb14b7628cb51773829b",
+    "exists_flat_cover GF(101) plane cubics": "bccedaecad4f53967e73ef6ccf6dfc645cc130ab580819bd3c77c6cba5fa2eee",
+    "flats GF(101) two plane conics": "646c419d7fc5d05beb54b478e42afb291f75b32ca1bcf6501eb8f4be34c0b478",
+    "is_mcb GF(101) two plane conics": "06b3c126e27e98558e4941b57932320c070449dc9e46a9afcc2d744c9c635cc0",
+    "exists_flat_cover GF(101) two plane conics": "649b5265e6058ddaa330e4d613cfa15b388dd57639ce4697ecff11e213a2f271",
+    "flats Q rnc": "44884e80401eeafb8ac4c73f5492baa7c27352d91a50b47d9acd309c60dca86a",
+    "is_mcb Q rnc": "372bf87bb1d9b1202156cee7427b49b626d609fe1dfe3ace2efa8856816bda1c",
+    "exists_flat_cover Q rnc": "e883e8e799ec1dd58ca339c20ac4c4c058079e269acbc37125b593ac4ddc4710",
+    "flats Q skew lines": "286fbeaa79d2753fd21f55ef23146985ce7c97a209ffdbf50aa8b22841867dd2",
+    "is_mcb Q skew lines": "28b26889a92a1bc4ddbe192215adb86aba8036624900650c4c5078be03a883be",
+    "exists_flat_cover Q skew lines": "58233db72887162f182dc65dfe1e1ecc3376088eff4393b0feaa0dbaa6cbdda8",
+    "flats Q special": "a3dde5fdad359e259f54b31e65db83662c370e163d18371912ad73cd65b411ed",
+    "is_mcb Q special": "81ce8f8579eb9ffa155d06c2e25d6eea37e3c55553e91184cd8d51301bc2918a",
+    "exists_flat_cover Q special": "7736839a25853dc02ce646c6b8d659e8bc583dd2923d49a6ed89cf5bb035ef86",
+    "flats U(2,4)": "9e024e1d313db4616408b825f0460b24f9610db0156f11fc297ca9e462e2e209",
+    "is_mcb U(2,4)": "311f54d11eb089128edcd108f1159ed15c85a1e10cd4732e9a7cb573048070cb",
+    "exists_flat_cover U(2,4)": "33fa0141aec78002054291ea5c3159c40907b39eeca013374f3a44138c7ad93e",
+    "flats U(3,6)": "0b705219420b656504e88a3debd92c75799c2f08575be20241bae10d7778ae3f",
+    "is_mcb U(3,6)": "0ad3188f3bd4c89ded05787e2440e88e905fe58c5d2f9d1e17f97a0c5494fe53",
+    "exists_flat_cover U(3,6)": "816f3edf5d863544865078c879e887420025f2d8978739b8cc9c3471af3a4127",
+    "flats flat list": "5956d3f0b142b52adb6ad092d57ca1b0165a5087bf7614464097f8eb71c4c3a0",
+    "is_mcb flat list": "8a9849ceeedfa7df5c51947c5ef9a8f672c0732e6be5bddc4a24795f91c8141d",
+    "exists_flat_cover flat list": "b623901df8fe524d8c1a5757e7052a01690a5b2fbbdf25d4bc7310fe6962d72a",
+}
+
 
 def _digest(report) -> str:
     return hashlib.sha256(report.dumps(include_timings=False).encode()).hexdigest()
@@ -261,6 +318,72 @@ def _generator_cases():
 
 GENERATOR_CASES = _generator_cases()
 
+def _sampled(field, n, count, seed):
+    pts = enumerate_points(field, n)
+    return PointSet(field, n, tuple(random.Random(seed).sample(pts, count)))
+
+
+def _matroids():
+    """Label -> matroid: point matroids over GF(2), GF(3), GF(101) and Q,
+    then abstract ones (uniform and a flat list), whose flats come by closure."""
+    gf2, gf3 = FieldSpec.prime(2), FieldSpec.prime(3)
+    gf101, q = FIELDS["GF(101)"], FIELDS["Q"]
+    # three collinear points, five coplanar ones, two off that plane
+    q_special = PointSet.from_coords(q, [
+        [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0],
+        [1, 2, 3, 0], [0, 0, 0, 1], [1, -1, 2, 5],
+    ])
+    points = {
+        "GF(2) fano": Matroid.fano(),
+        "GF(2) P^3 sample": _sampled(gf2, 3, 8, 1),
+        "GF(3) P^2 sample": _sampled(gf3, 2, 8, 2),
+        "GF(3) P^3 sample": _sampled(gf3, 3, 9, 3),
+        "GF(101) line and point": PointSet.from_coords(
+            gf101, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
+        ),
+        "GF(101) skew lines": gen_skew_lines(2, (3, 3), gf101, 2)[0],
+        "GF(101) rnc": gen_rnc(3, 7, gf101, 5),
+        "GF(101) plane cubics": gen_plane_curve_ci(3, 3, gf101, 1),
+        "GF(101) two plane conics": gen_two_plane_conics(4, gf101, 3)[0],
+        "Q rnc": gen_rnc(2, 5, q, 4),
+        "Q skew lines": gen_skew_lines(2, (3, 4), q, 6)[0],
+        "Q special": q_special,
+    }
+    out = {
+        name: g if isinstance(g, Matroid) else Matroid.from_points(g)
+        for name, g in points.items()
+    }
+    out["U(2,4)"] = Matroid.uniform(2, 4)
+    out["U(3,6)"] = Matroid.uniform(3, 6)
+    out["flat list"] = Matroid.from_flat_list(5, [
+        [], [0], [1], [2], [3], [4], [0, 1, 2], [0, 3], [1, 3], [2, 3],
+        [0, 4], [1, 4], [2, 4], [3, 4], [0, 1, 2, 3, 4],
+    ])
+    return out
+
+
+FLAT_COVER_DIMS = ([0], [1], [2], [0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 1, 1], [0, 0, 0])
+
+
+def _matroid_cases():
+    """Case name -> zero-argument callable returning canonical JSON."""
+    cases = {}
+    for label, m in _matroids().items():
+        cases[f"flats {label}"] = lambda m=m: [
+            list(flats(m, rk).by_rank.items()) for rk in range(m.full_rank + 2)
+        ]
+        cases[f"is_mcb {label}"] = lambda m=m: [
+            is_mcb(m, r, hyperplanes_only=hyp).to_json()
+            for r in (1, 2, 3) for hyp in (False, True)
+        ]
+        cases[f"exists_flat_cover {label}"] = lambda m=m: [
+            exists_flat_cover(m, dims) for dims in FLAT_COVER_DIMS
+        ]
+    return cases
+
+
+MATROID_CASES = _matroid_cases()
+
 
 def _key(target, field_name, budget) -> str:
     return f"{target} {field_name} budget={budget}"
@@ -295,6 +418,15 @@ def test_generator_golden_cases_complete():
     assert set(GENERATOR_CASES) == set(GENERATOR_GOLDEN)
 
 
+@pytest.mark.parametrize("case", MATROID_CASES)
+def test_matroid_golden(case):
+    assert _outcome_digest(MATROID_CASES[case]) == MATROID_GOLDEN[case]
+
+
+def test_matroid_golden_cases_complete():
+    assert set(MATROID_CASES) == set(MATROID_GOLDEN)
+
+
 if __name__ == "__main__":
     for target in TARGETS:
         for field_name in FIELDS:
@@ -304,4 +436,6 @@ if __name__ == "__main__":
     for name, rep in _scans().items():
         print(f'    "{name}": "{_digest(rep)}",')
     for case, make in GENERATOR_CASES.items():
+        print(f'    "{case}": "{_outcome_digest(make)}",')
+    for case, make in MATROID_CASES.items():
         print(f'    "{case}": "{_outcome_digest(make)}",')

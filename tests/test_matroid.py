@@ -5,8 +5,10 @@ import random
 import pytest
 
 from cb_lab import (
+    FieldSpec,
     Matroid,
     PointSet,
+    enumerate_points,
     exists_flat_cover,
     flats,
     gen_plane_curve_ci,
@@ -18,6 +20,43 @@ from cb_lab import (
 )
 from cb_lab.errors import GroundTooLargeError
 from cb_lab.matroid import _elements, _mask_of
+
+from helpers import random_point_set
+
+GF2, GF3 = FieldSpec.prime(2), FieldSpec.prime(3)
+GF101, Q = FieldSpec.prime(101), FieldSpec.rational()
+
+
+def _random_sets(field, n, seed):
+    rng = random.Random(seed)
+    return [random_point_set(field, n, rng.randint(2, 8), rng) for _ in range(3)]
+
+
+def _collinear(field):
+    return PointSet.from_coords(field, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+
+
+# point sets whose flats come from candidate_flats, checked against closure
+_FLAT_ENGINE_CASES = [
+    ("gf2-point", [PointSet.from_coords(GF2, [[0, 1, 1]])]),
+    ("gf2-collinear", [_collinear(GF2)]),
+    ("gf2-all-of-p2", [PointSet(GF2, 2, tuple(enumerate_points(GF2, 2)))]),
+    ("gf2-random", _random_sets(GF2, 3, 1)),
+    ("gf3-collinear", [PointSet.from_coords(GF3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0]])]),
+    ("gf3-skew-lines", [gen_skew_lines(2, (3, 3), GF3, seed=s)[0] for s in (0, 1)]),
+    ("gf3-rnc", [gen_rnc(3, 4, GF3, seed=2)]),
+    ("gf3-random", _random_sets(GF3, 3, 2)),
+    ("gf101-point", [PointSet.from_coords(GF101, [[1, 2, 3, 4]])]),
+    ("gf101-collinear", [_collinear(GF101)]),
+    ("gf101-skew-lines", [gen_skew_lines(3, (3, 2, 2), GF101, seed=4)[0]]),
+    ("gf101-rnc", [gen_rnc(3, 7, GF101, seed=5), gen_rnc(4, 8, GF101, seed=6)]),
+    ("gf101-random", _random_sets(GF101, 4, 3)),
+    ("q-point", [PointSet.from_coords(Q, [[1, 2]])]),
+    ("q-collinear", [_collinear(Q)]),
+    ("q-skew-lines", [gen_skew_lines(2, (4, 3), Q, seed=7)[0]]),
+    ("q-rnc", [gen_rnc(3, 6, Q, seed=8)]),
+    ("q-random", _random_sets(Q, 3, 4)),
+]
 
 
 def test_three_collinear_is_u23(gf101):
@@ -43,6 +82,18 @@ def test_skew_lines_matroid(gf101):
     lat = flats(m, 2)
     line_flats = [f for f in lat.by_rank[2] if f.bit_count() == 5]
     assert sorted(line_flats) == [0b11111, 0b1111100000]
+
+
+@pytest.mark.parametrize(
+    "sets", [c[1] for c in _FLAT_ENGINE_CASES], ids=[c[0] for c in _FLAT_ENGINE_CASES]
+)
+def test_point_flats_match_closure_enumeration(sets):
+    for gamma in sets:
+        m = Matroid.from_points(gamma)
+        sourceless = Matroid(len(gamma), m.rank)  # no points: flats by closure
+        for max_rank in range(m.full_rank + 2):
+            got = flats(m, max_rank).by_rank
+            assert list(got.items()) == list(flats(sourceless, max_rank).by_rank.items())
 
 
 def test_flats_uniform():
@@ -85,6 +136,11 @@ def test_cb_implies_mcb(gf101):
     for gamma, r in zip(cases, (3, 1, 2, 3)):
         assert is_cb(gamma, r).verdict
         assert is_mcb(Matroid.from_points(gamma), r).verdict
+
+
+def test_flat_cover_needs_a_dimension():
+    with pytest.raises(ValueError, match="at least one flat dimension"):
+        exists_flat_cover(Matroid.uniform(2, 3), [])
 
 
 def test_flat_cover_examples(gf101):
