@@ -442,19 +442,19 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
     t0 = time.perf_counter()
     records, violations = [], []
 
-    def check(gamma: PointSet, source: str):
-        if not is_cb(gamma, r).verdict:
-            return False, None
+    def check_cover(gamma: PointSet, source: str):
+        """Cover a CB(r) set; record a violation when no cover exists."""
         res = exists_cover(gamma, d, d, node_budget=budget)
         if not res.found:
             violations.append({
                 "r": r, "d": d, "size": len(gamma), "source": source,
                 "points": gamma.to_json(), "caveat": SMALL_FIELD_CAVEAT,
             })
-        return True, res.found
+        return res.found
 
     for j, gamma in enumerate(injected):
-        cb, covered = check(gamma, f"injected[{j}]")
+        cb = is_cb(gamma, r).verdict
+        covered = check_cover(gamma, f"injected[{j}]") if cb else None
         records.append({
             "source": f"injected[{j}]", "size": len(gamma), "cb_true": int(cb),
             "cover_found": covered, "subsets": 1,
@@ -473,7 +473,7 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
                     continue
                 cb_count += 1
                 gamma = PointSet(field, n, tuple(pts[i] for i in idx))
-                check(gamma, "enumeration")
+                check_cover(gamma, "enumeration")  # CB(r) already decided above
             records.append({
                 "source": "enumeration", "size": size, "subsets": checked,
                 "cb_true": cb_count, "elapsed_s": time.perf_counter() - t0,

@@ -144,7 +144,7 @@ def _cmd_matroid(args) -> int:
     obj = {}
     lines = []
     if args.mcb is not None:
-        rep = is_mcb(m, args.mcb, hyperplanes_only=args.hyperplanes_only)
+        rep = is_mcb(m, args.mcb)
         obj["mcb"] = rep.to_json()
         lines.append(f"MCB({args.mcb}): {'true' if rep.verdict else 'false'}")
         if not rep.verdict:
@@ -231,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("-i", "--input", required=True)
     m.add_argument("--mcb", type=int)
     m.add_argument("--flat-cover", help="comma list of flat dimensions")
-    m.add_argument("--hyperplanes-only", action="store_true",
-                   help="experimental: search corank-1 flats only")
     m.add_argument("--json", action="store_true")
     m.set_defaults(func=_cmd_matroid)
 

@@ -210,21 +210,24 @@ def gen_rnc(k: int, m: int, field: FieldSpec, seed: int) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
-def _line_points(line: Flat, count: int, rng: random.Random):
-    """count distinct points on a line, via the parameters of its two basis rows.
+def _line_point(basis, t, field: FieldSpec) -> ProjPoint:
+    """b0 + t*b1 on the line with basis rows (b0, b1); over GF(p), t = p is b1,
+    so t = 0..p runs through P^1(GF(p)) in lex order without listing it."""
+    coeffs = (0, 1) if field.kind == PRIME and t == field.p else (1, t)
+    return ProjPoint(field, linalg.combine(coeffs, basis, field))
 
-    Over GF(p) parameter t < p stands for b0 + t*b1 and t = p for b1: the
-    lex order of P^1(GF(p)), indexed without listing it.
-    """
+
+def _line_points(line: Flat, count: int, rng: random.Random):
+    """count distinct points on a line, at distinct parameters of _line_point."""
     field = line.field
     if field.kind == PRIME:
         total = field.p + 1
         if count > total:
             raise FieldTooSmallError(f"a line has only {total} points over {field}")
-        coeffs = [(1, t) if t < field.p else (0, 1) for t in rng.sample(range(total), count)]
+        ts = rng.sample(range(total), count)
     else:
-        coeffs = [(1, t) for t in _distinct_params(field, count, rng)]
-    return [ProjPoint(field, linalg.combine(c, line.basis, field)) for c in coeffs]
+        ts = _distinct_params(field, count, rng)
+    return [_line_point(line.basis, t, field) for t in ts]
 
 
 def gen_skew_lines(d: int, counts, field: FieldSpec, seed: int):
@@ -389,37 +392,45 @@ def _pencil_ci(deg: int, field: FieldSpec, rng: random.Random):
 
 
 def _curve_then_points(deg_lo: int, deg_hi: int, field: FieldSpec, rng: random.Random):
-    """Points on a degree-deg_lo curve, cut out exactly by a degree-deg_hi form."""
+    """Points on a degree-deg_lo curve, cut out exactly by a degree-deg_hi form.
+
+    The line, or the smooth conic of _conic_through_origin_point, is the
+    image of a degree-deg_lo bijection from P^1 indexed by 0..p, so a
+    degree-deg_hi form restricts to a binary form of degree need =
+    deg_lo*deg_hi in the curve parameter.  A form vanishing at the need
+    sampled points therefore vanishes on the whole curve or nowhere else on
+    it.  One unsampled point tells the two apart: a form through the sample
+    that is nonzero there cuts out exactly the sample, which is returned in
+    index order.
+    """
     need = deg_lo * deg_hi
     if deg_lo == 1:
         vec = tuple(_rand_element(field, rng) for _ in range(3))
         if all(v == 0 for v in vec):
             return None
         line = linalg.kernel([vec], 3, field)
-        curve_pts = [ProjPoint(field, linalg.combine(c, line, field))
-                     for c in _prime_coeff_tuples(field.p, 2)]
+
+        def point(i):
+            return _line_point(line, i, field)
     else:
         try:
             point = _conic_through_origin_point(field, rng)
         except DegenerateConicError:
             return None
-        curve_pts = [point(i) for i in range(field.p + 1)]
-    if len(curve_pts) < need:
+    if field.p + 1 < need:
         return None
-    chosen = rng.sample(curve_pts, need)
+    chosen = rng.sample(range(field.p + 1), need)
+    if field.p + 1 == need:
+        return None  # every curve point is sampled: no form cuts out exactly these
+    extra = min(set(range(need + 1)).difference(chosen))
     basis = monomial_basis(2, deg_hi)
-    rows_by_pt = {pt.coords: evaluation_row(pt.coords, basis, field) for pt in curve_pts}
-    ker = linalg.kernel([rows_by_pt[pt.coords] for pt in chosen], len(basis), field)
-    g_vec = None
-    for vec in ker:
-        # Skip forms containing the whole curve (they vanish on > deg_lo*deg_hi
-        # of its points, which a proper intersection cannot).
-        if any(linalg.dot(vec, rows_by_pt[pt.coords], field) != 0 for pt in curve_pts):
-            g_vec = vec
-            break
-    if g_vec is None:
-        return None
-    return [pt for pt in curve_pts if linalg.dot(g_vec, rows_by_pt[pt.coords], field) == 0]
+    pts = [point(i) for i in sorted(chosen)]
+    ker = linalg.kernel([evaluation_row(pt.coords, basis, field) for pt in pts],
+                        len(basis), field)
+    extra_row = evaluation_row(point(extra).coords, basis, field)
+    if all(linalg.dot(vec, extra_row, field) == 0 for vec in ker):
+        return None  # every form through the sample contains the curve
+    return pts
 
 
 def gen_plane_curve_ci(deg_d: int, deg_e: int, field: FieldSpec, seed: int) -> PointSet:

@@ -6,13 +6,11 @@ matroids).  The flats of a point matroid are read from cover.candidate_flats:
 a rank-(k+1) flat is the point mask of a dim-k span of a subset.  Closure
 enumeration is used only for abstract matroids, which have no points to span.
 
-MCB(r) asks that no union of r flats contain all elements but one; the
-search runs over the maximal proper flats avoiding the excluded element,
-which is lossless because any flat avoiding it extends to a maximal one, on
-the same branch and bound as the point covers (cost 1 per flat).  Whether
-those maximal flats can always be taken corank-1 is unclear in general, so
-restricting to matroid hyperplanes is offered only as a flagged experimental
-mode.
+MCB(r) asks that no union of r flats contain all elements but one.  Every
+flat is the intersection of the hyperplanes (corank-1 flats) that contain it
+(Oxley, Matroid Theory, 1.7), so a flat avoiding an element lies in a
+hyperplane avoiding it: the search runs over those hyperplanes only, on the
+same branch and bound as the point covers (cost 1 per flat).
 
 Ground sets are capped at 20 elements; flat enumeration is exponential.
 """
@@ -174,10 +172,6 @@ class FlatLattice:
     size: int
     by_rank: dict
 
-    def all_masks(self):
-        for rk in sorted(self.by_rank):
-            yield from self.by_rank[rk]
-
 
 def flats(m: Matroid, max_rank: int) -> FlatLattice:
     """All flats of rank <= max_rank: from candidate_flats for a point
@@ -227,35 +221,23 @@ class McbReport:
         return obj
 
 
-def _maximal_masks(masks):
-    out = []
-    for m in masks:
-        if not any(o != m and m & o == m for o in masks):
-            out.append(m)
-    return out
-
-
-def is_mcb(m: Matroid, r: int, hyperplanes_only: bool = False) -> McbReport:
+def is_mcb(m: Matroid, r: int) -> McbReport:
     """Matroid Cayley-Bacharach: no union of r flats holds all elements but one.
 
-    The default mode searches unions of maximal proper flats avoiding the
-    candidate element (equivalent to all proper flats).  hyperplanes_only
-    restricts to corank-1 flats; that restriction is experimental and is
-    cross-checked against the full mode on small cases in the test suite.
+    For each element x the search covers the rest by hyperplanes avoiding x.
+    Nothing is lost: a flat avoiding x is the intersection of the hyperplanes
+    containing it, one of which must avoid x, so the hyperplanes avoiding x
+    are exactly the maximal proper flats avoiding x.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     if m.size > GROUND_CAP:
         raise GroundTooLargeError(f"ground set of {m.size} exceeds the cap {GROUND_CAP}")
     full_rank = m.full_rank
-    lattice = flats(m, max_rank=max(full_rank - 1, 0))
-    proper = [mask for mask in lattice.all_masks() if mask != (1 << m.size) - 1]
-    if hyperplanes_only:
-        proper = list(lattice.by_rank.get(full_rank - 1, ()))
+    hyperplanes = flats(m, max_rank=max(full_rank - 1, 0)).by_rank.get(full_rank - 1, ())
     ground = (1 << m.size) - 1
     for x in range(m.size):
-        avoid = [f for f in proper if not f >> x & 1]
-        candidates = _maximal_masks(avoid) if not hyperplanes_only else avoid
+        candidates = [h for h in hyperplanes if not h >> x & 1]
         search = _CoverSearch([(f, 1, f) for f in candidates], ground & ~(1 << x), math.inf)
         got = search.run(r, r)
         if got is not None:

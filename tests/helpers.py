@@ -16,8 +16,13 @@ from cb_lab import (
     PointSet,
     ProjPoint,
     eval_matrix,
+    monomial_basis,
 )
-from cb_lab.linalg import in_row_space, rref
+from cb_lab.errors import DegenerateConicError, ResampleBudgetExceededError
+from cb_lab.forms import evaluation_row
+from cb_lab.generators import RESAMPLE_BUDGET, _conic_through_origin_point, _rand_element
+from cb_lab.linalg import combine, dot, in_row_space, kernel, rref
+from cb_lab.projective import _prime_coeff_tuples
 
 
 def det_oracle(rows, field):
@@ -154,6 +159,51 @@ def candidate_flats_oracle(gamma: PointSet, max_dim: int):
             idx = tuple(i for i, c in enumerate(coords) if in_row_space(c, basis, piv, fld))
             found[key] = (len(key) - 1, key, idx, sum(1 << i for i in idx))
     return sorted(found.values(), key=lambda t: (t[0], t[1]))
+
+
+def _whole_curve_zeros(deg_lo, deg_hi, field, rng):
+    """One draw of the unequal-degree plane-curve sampler by a whole-curve scan:
+    list all p+1 points of the line or conic, sample deg_lo*deg_hi of them,
+    take the first form through the sample that is nonzero somewhere on the
+    curve and return all of its zeros on the curve, in curve order."""
+    need = deg_lo * deg_hi
+    if deg_lo == 1:
+        vec = tuple(_rand_element(field, rng) for _ in range(3))
+        if all(v == 0 for v in vec):
+            return None
+        line = kernel([vec], 3, field)
+        curve_pts = [ProjPoint(field, combine(c, line, field))
+                     for c in _prime_coeff_tuples(field.p, 2)]
+    else:
+        try:
+            point = _conic_through_origin_point(field, rng)
+        except DegenerateConicError:
+            return None
+        curve_pts = [point(i) for i in range(field.p + 1)]
+    if len(curve_pts) < need:
+        return None
+    chosen = rng.sample(curve_pts, need)
+    basis = monomial_basis(2, deg_hi)
+    rows = {pt.coords: evaluation_row(pt.coords, basis, field) for pt in curve_pts}
+    ker = kernel([rows[pt.coords] for pt in chosen], len(basis), field)
+    for vec in ker:
+        if any(dot(vec, rows[pt.coords], field) != 0 for pt in curve_pts):
+            return [pt for pt in curve_pts if dot(vec, rows[pt.coords], field) == 0]
+    return None
+
+
+def plane_curve_ci_by_scan(deg_d: int, deg_e: int, field: FieldSpec, seed: int) -> PointSet:
+    """gen_plane_curve_ci for an unequal degree pair over GF(p), by the
+    whole-curve scan (reference for the sample-only generator)."""
+    lo, hi = sorted((deg_d, deg_e))
+    rng = random.Random(seed)
+    for _ in range(RESAMPLE_BUDGET):
+        zeros = _whole_curve_zeros(lo, hi, field, rng)
+        if zeros is not None and len(zeros) == lo * hi:
+            return PointSet(field, 2, tuple(zeros))
+    raise ResampleBudgetExceededError(
+        f"no transverse ({deg_d},{deg_e}) intersection within budget"
+    )
 
 
 def random_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -> PointSet:

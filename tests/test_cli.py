@@ -110,6 +110,13 @@ def test_matroid_subcommand(tmp_path, capsys, gf101):
     assert sorted(map(sorted, obj["flat_cover"])) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
 
 
+def test_matroid_hyperplanes_only_flag_is_gone(tmp_path, capsys, gf101):
+    # MCB always searches hyperplanes now, so the old mode flag is a usage error.
+    path = _write_points(tmp_path, gen_skew_lines(2, (3, 3), gf101, seed=3)[0])
+    assert main(["matroid", "-i", path, "--mcb", "1", "--hyperplanes-only"]) == 2
+    assert "--hyperplanes-only" in capsys.readouterr().err
+
+
 def test_huge_budgets_return_quickly(tmp_path, capsys, gf101):
     pts, _ = gen_skew_lines(3, (2, 2, 2), gf101, seed=0)
     path = _write_points(tmp_path, pts)

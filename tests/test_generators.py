@@ -1,5 +1,6 @@
 """Example-family generators: determinism, certificates, structural checks."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -31,7 +32,12 @@ from cb_lab import (
     span,
     verify_cover,
 )
-from cb_lab.errors import DegenerateConicError, FieldTooSmallError, InvalidFieldError
+from cb_lab.errors import (
+    CbLabError,
+    DegenerateConicError,
+    FieldTooSmallError,
+    InvalidFieldError,
+)
 from cb_lab.generators import (
     _conic_through_origin_point,
     _line_key,
@@ -40,7 +46,7 @@ from cb_lab.generators import (
 )
 from cb_lab.linalg import combine, rank, rref
 
-from helpers import rank_oracle
+from helpers import plane_curve_ci_by_scan, rank_oracle
 
 
 def _pointset_bytes(ps: PointSet) -> str:
@@ -153,6 +159,40 @@ def test_plane_curve_ci_rejects(gf101):
         gen_plane_curve_ci(4, 4, gf101, seed=0)  # no certificate at this size
     with pytest.raises(InvalidFieldError):
         gen_plane_curve_ci(2, 2, FieldSpec.rational(), seed=0)
+
+
+def _outcome(make):
+    try:
+        return make().to_json()
+    except CbLabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+def test_plane_curve_ci_matches_whole_curve_scan(pair):
+    # p = 2 has no smooth conics, p + 1 < lo*hi rejects before the draw, and
+    # (1,4) at p = 3 and (2,4) at p = 7 have p + 1 == lo*hi: draw, then reject.
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        field = FieldSpec.prime(p)
+        for seed in range(50):
+            got = _outcome(lambda: gen_plane_curve_ci(*pair, field, seed))
+            want = _outcome(lambda: plane_curve_ci_by_scan(*pair, field, seed))
+            assert got == want, (pair, p, seed)
+
+
+# sha256 of the output bytes, recorded from the whole-curve scan (about 2.5 s each).
+_LARGE_PRIME_CI = {
+    (2, 3): "f8ea016e87f3fafb03849488c13369ac294a875f8efab3c28f4a47c866afff20",
+    (1, 4): "7fb0116cd6e0d3bbd4da79c97e194b3bd9caf09f2e74e7a6ee3e64255eaee87f",
+}
+
+
+@pytest.mark.parametrize("pair", list(_LARGE_PRIME_CI))
+def test_plane_curve_ci_large_prime_is_fast(pair):
+    start = time.perf_counter()
+    ps = gen_plane_curve_ci(*pair, FieldSpec.prime(100003), seed=1)
+    assert time.perf_counter() - start < 0.5
+    assert hashlib.sha256(_pointset_bytes(ps).encode()).hexdigest() == _LARGE_PRIME_CI[pair]
 
 
 def test_elliptic_quartic(gf101):

@@ -1,6 +1,7 @@
 """Matroids: rank oracles, flats, MCB(r), flat covers."""
 
 import random
+import time
 
 import pytest
 
@@ -113,7 +114,7 @@ def test_mcb_u23_true_and_brute_force():
     assert rep.verdict
     # brute force: every proper flat avoiding x misses at least one other point
     lat = flats(u23, 1)
-    proper = [f for f in lat.all_masks() if f != 0b111]
+    proper = [f for masks in lat.by_rank.values() for f in masks if f != 0b111]
     for x in range(3):
         target = 0b111 & ~(1 << x)
         assert not any(f & target == target and not f >> x & 1 for f in proper)
@@ -202,21 +203,51 @@ def test_fano_plane():
     assert isinstance(rep.verdict, bool)
 
 
-def test_hyperplane_mode_matches_full_on_small_cases(gf101):
-    small = [
-        Matroid.uniform(2, 3),
-        Matroid.uniform(2, 4),
-        Matroid.uniform(3, 5),
-        Matroid.fano(),
-        Matroid.from_points(gen_rnc(2, 5, gf101, seed=1)),
-        Matroid.from_points(gen_skew_lines(2, (3, 3), gf101, seed=2)[0]),
+def _maximal_flats_avoiding(m: Matroid, x: int):
+    """Maximal proper flats avoiding x, by brute force: every closed subset of
+    the ground set, then the pairwise containment filter."""
+    ground = (1 << m.size) - 1
+    closed = [
+        mask for mask in range(ground)
+        if all(m.rank(mask | 1 << e) > m.rank(mask) for e in _elements(ground & ~mask))
     ]
-    for m in small:
-        for r in (1, 2, 3):
-            assert is_mcb(m, r).verdict == is_mcb(m, r, hyperplanes_only=True).verdict, (
-                m.label,
-                r,
-            )
+    avoid = [f for f in closed if not f >> x & 1]
+    return [f for f in avoid if not any(o != f and f & o == f for o in avoid)]
+
+
+def _hyperplane_cases():
+    rng = random.Random(17)
+    cases = [Matroid.fano(), Matroid.from_flat_list(5, [
+        [], [0], [1], [2], [3], [4], [0, 1, 2], [0, 3], [1, 3], [2, 3],
+        [0, 4], [1, 4], [2, 4], [3, 4], [0, 1, 2, 3, 4],
+    ])]
+    cases += [Matroid.uniform(k, n) for n in range(1, 7) for k in range(min(4, n) + 1)]
+    for field in (GF2, GF3, FieldSpec.prime(5), FieldSpec.prime(7), Q):
+        for n in (2, 3):
+            for _ in range(4):
+                gamma = random_point_set(field, n, rng.randint(1, 8), rng)
+                cases.append(Matroid.from_points(gamma))
+    return cases
+
+
+def test_hyperplanes_avoiding_x_are_the_maximal_flats_avoiding_x():
+    # Every flat is an intersection of hyperplanes, so is_mcb may search the
+    # hyperplanes avoiding x alone; the old pairwise filter is the oracle.
+    for m in _hyperplane_cases():
+        rk = m.full_rank
+        hyperplanes = flats(m, max(rk - 1, 0)).by_rank.get(rk - 1, ())
+        for x in range(m.size):
+            got = [h for h in hyperplanes if not h >> x & 1]
+            assert got == _maximal_flats_avoiding(m, x), (m.label, x)
+
+
+def test_is_mcb_on_a_large_lattice_is_fast(gf101):
+    # 16 points of a rational normal curve in P^4 have 2517 flats; a pairwise
+    # maximality filter over them took about 5 s.
+    m = Matroid.from_points(gen_rnc(4, 16, gf101, seed=1))
+    start = time.perf_counter()
+    assert is_mcb(m, 3).verdict
+    assert time.perf_counter() - start < 0.5
 
 
 def test_matroid_json_round_trip(gf101):
