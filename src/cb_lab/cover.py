@@ -9,12 +9,13 @@ because planes are positive-dimensional).  Only |gamma| = 1 needs an ad hoc
 line through the point.
 
 The candidates are grown one dimension at a time without a fresh row
-reduction: each flat reduces every outside point against its echelon basis
-once, the points with equal residuals (scaled to a leading 1) span one
-child flat, children are identified by their point mask, and a new child's
-basis is its parent's plus one pivot insert of the residual.  min_cover
-spans gamma once and keeps one candidate list and one by_point table for
-its whole (dim, length) sweep.
+reduction: each flat skips the points of the children already found that
+contain it (any such point spans that child with it) and reduces every
+other outside point against its echelon basis once; the points with equal
+residuals (scaled to a leading 1) span one new child flat, whose basis is
+its parent's plus one pivot insert of the residual.  min_cover spans gamma
+once and keeps one candidate list and one by_point table for its whole
+(dim, length) sweep.
 
 The search is depth-first branch and bound: branch on the uncovered point
 lying on the fewest candidate flats, bound by the remaining dimension and
@@ -85,13 +86,18 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     Grown level by level: the dim-(k+1) flats are the spans of a dim-k flat
     F and one outside point, which reaches every span of a subset.
 
-    - Residuals: each point p_i outside F is reduced against F's echelon
-      basis once and scaled so its first nonzero entry is 1.  The reduction
-      is linear with kernel the cone of F, so p_j lies on span(F, p_i)
-      exactly when the two residuals are equal; grouping the outside points
-      by residual gives each child with its full point mask.
-    - Identity by mask: a flat spanned by points of gamma is the span of the
-      points it holds, so distinct children of a level have distinct masks.
+    - Skip: if a child G of this level is already built and F lies in G
+      (F's mask is inside G's), every p_j in G outside F gives span(F, p_j)
+      = G, as both have dimension dim F + 1.  So F skips the points of all
+      such G, found through the children on F's lowest point, and every
+      child F still finds is new; it is never found again, because any
+      later parent inside it skips its points.
+    - Residuals: each remaining point p_i outside F is reduced against F's
+      echelon basis once and scaled so its first nonzero entry is 1.  The
+      reduction is linear with kernel the cone of F, so p_j lies on
+      span(F, p_i) exactly when the two residuals are equal; grouping the
+      points by residual gives each new child with its full point mask
+      (a skipped point lies in another child, so not in this one).
     - Pivot insert: a new child's basis is F's basis with the residual's
       lead column cleared, plus the residual as a pivot row, which is the
       unique reduced echelon form of span(F, p_i).
@@ -108,23 +114,26 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     level = [((c,), (c.index(1),), 1 << i) for i, c in enumerate(coords)]
     result = []
     for _dim in range(min(max_dim, n)):
-        seen = set()
+        holding = [[] for _ in coords]  # point -> masks of this level's children on it
         grown = []
         for basis, piv, mask in level:
+            done = mask
+            for g in holding[(mask & -mask).bit_length() - 1]:
+                if g & mask == mask:
+                    done |= g
             groups = {}
             for i, c in enumerate(coords):
-                if not mask >> i & 1:
+                if not done >> i & 1:
                     r = normalise(linalg.reduce_against(c, basis, piv, fld))
                     groups[r] = groups.get(r, mask) | 1 << i
             for r, child in groups.items():
-                if child in seen:
-                    continue
-                seen.add(child)
                 lead = r.index(1)
                 pos = bisect_left(piv, lead)
                 rows = [eliminate(row, row[lead], r) if row[lead] else row for row in basis]
                 rows.insert(pos, r)
                 grown.append((tuple(rows), piv[:pos] + (lead,) + piv[pos:], child))
+                for i in _elements(child):
+                    holding[i].append(child)
         level = grown
         for basis, _piv, mask in level:
             result.append(CandidateFlat(Flat(fld, n, basis), tuple(_elements(mask)), mask))

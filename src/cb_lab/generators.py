@@ -399,9 +399,11 @@ def _curve_then_points(deg_lo: int, deg_hi: int, field: FieldSpec, rng: random.R
     degree-deg_hi form restricts to a binary form of degree need =
     deg_lo*deg_hi in the curve parameter.  A form vanishing at the need
     sampled points therefore vanishes on the whole curve or nowhere else on
-    it.  One unsampled point tells the two apart: a form through the sample
-    that is nonzero there cuts out exactly the sample, which is returned in
-    index order.
+    it.  Restriction to the curve is onto the binary forms of degree need,
+    so some form through the sample restricts to the product of its need
+    linear factors and cuts out exactly the sample, which is returned in
+    index order.  A sample of every curve point leaves no point to tell such
+    a form from one containing the curve, so that draw is rejected.
     """
     need = deg_lo * deg_hi
     if deg_lo == 1:
@@ -422,15 +424,7 @@ def _curve_then_points(deg_lo: int, deg_hi: int, field: FieldSpec, rng: random.R
     chosen = rng.sample(range(field.p + 1), need)
     if field.p + 1 == need:
         return None  # every curve point is sampled: no form cuts out exactly these
-    extra = min(set(range(need + 1)).difference(chosen))
-    basis = monomial_basis(2, deg_hi)
-    pts = [point(i) for i in sorted(chosen)]
-    ker = linalg.kernel([evaluation_row(pt.coords, basis, field) for pt in pts],
-                        len(basis), field)
-    extra_row = evaluation_row(point(extra).coords, basis, field)
-    if all(linalg.dot(vec, extra_row, field) == 0 for vec in ker):
-        return None  # every form through the sample contains the curve
-    return pts
+    return [point(i) for i in sorted(chosen)]
 
 
 def gen_plane_curve_ci(deg_d: int, deg_e: int, field: FieldSpec, seed: int) -> PointSet:

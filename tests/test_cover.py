@@ -18,6 +18,7 @@ from cb_lab import (
     span,
     verify_cover,
 )
+from cb_lab import cover
 from cb_lab.errors import BudgetExceededError
 
 from helpers import candidate_flats_oracle, cover_oracle, random_point_set
@@ -38,16 +39,29 @@ def _in_hyperplane(field, seed):
     return PointSet.from_coords(field, [list(pt.coords) + [0] for pt in pts])
 
 
+def _plane_plus_three(field, seed):
+    # 7 points in the plane x3 = x4 = 0 of P^4, then 3 points spanning P^4 with it
+    rng = random.Random(seed)
+    plane = [list(pt.coords) + [0, 0] for pt in random_point_set(field, 2, 7, rng)]
+    return PointSet.from_coords(field, plane + [[2, 5, 1, 1, 0], [4, 0, 3, 0, 1], [1, 6, 2, 3, 5]])
+
+
+def _all_of(field, n):
+    return PointSet(field, n, tuple(enumerate_points(field, n)))
+
+
 # (id, point sets, max_dim values): every max_dim from 1 to above the span
 _ORACLE_CASES = [
     ("gf2-random", _random_sets(GF2, 3, 8, 1), (1, 2, 3)),
-    ("gf2-all-of-p2", [PointSet(GF2, 2, tuple(enumerate_points(GF2, 2)))], (1, 2, 4)),
+    ("gf2-all-of-p2", [_all_of(GF2, 2)], (1, 2, 4)),
+    ("gf2-all-of-p3", [_all_of(GF2, 3)], (1, 2, 3)),
     ("gf3-random", _random_sets(GF3, 3, 9, 2), (1, 2, 3)),
     ("gf3-hyperplane", [_in_hyperplane(GF3, 3)], (1, 2, 3)),
     ("gf7-random", _random_sets(GF7, 4, 8, 4), (1, 2, 4)),
     ("gf7-skew-lines", [gen_skew_lines(2, (4, 5), GF7, seed=s)[0] for s in (0, 1)], (1, 2, 3)),
     ("gf7-two-plane-conics", [gen_two_plane_conics(4, GF7, seed=5)[0]], (1, 2, 3, 4)),
     ("gf7-rnc", [gen_rnc(3, 7, GF7, seed=6)], (1, 2, 3)),
+    ("gf7-plane-plus-three", [_plane_plus_three(GF7, 14)], (1, 2, 3)),
     ("gf101-random", _random_sets(GF101, 3, 8, 7), (1, 2, 3)),
     ("gf101-hyperplane", [_in_hyperplane(GF101, 8)], (2, 5)),
     ("gf101-skew-lines", [gen_skew_lines(3, (4, 4, 4), GF101, seed=9)[0]], (1, 2, 3)),
@@ -73,6 +87,30 @@ def test_candidate_flats_match_subset_oracle(sets, max_dims):
             assert [type(x) for c in got for row in c.flat.basis for x in row] == [
                 type(x) for e in expect for row in e[1] for x in row
             ]
+
+
+@pytest.mark.parametrize(
+    "gamma,max_dim",
+    [
+        (gen_two_plane_conics(8, GF101, 0)[0], 4),
+        (gen_two_plane_conics(5, Q, 3)[0], 4),
+        (_all_of(GF2, 3), 3),
+    ],
+    ids=["gf101-two-plane-conics", "q-two-plane-conics", "gf2-all-of-p3"],
+)
+def test_candidate_flats_reduce_each_point_once_per_new_child(gamma, max_dim, monkeypatch):
+    # A residual is taken only for a point that lands in a child not built
+    # before, outside its parent, so a child C costs at most |C| - dim C.
+    calls = []
+    reduce_against = cover.linalg.reduce_against
+
+    def counted(*args):
+        calls.append(args)
+        return reduce_against(*args)
+
+    monkeypatch.setattr(cover.linalg, "reduce_against", counted)
+    cands = candidate_flats(gamma, max_dim)
+    assert len(calls) <= sum(c.mask.bit_count() - c.flat.dim for c in cands)
 
 
 def test_candidates_three_collinear(gf101):
