@@ -520,7 +520,8 @@ def replay_record(record: dict) -> dict:
     set, CB(r) is recomputed and compared against "cb" when the record has
     one; with "d" set and a recorded "cover_found", a dimension-d cover search
     (default node budget) is compared against it.  No other recorded verdict
-    is rechecked.  Returns the recomputed verdicts and whether they match.
+    is rechecked.  Returns the recomputed verdicts and whether they match;
+    raises ValueError when "r" or "d" is present but not an integer.
     """
     if "points" in record:
         gamma = PointSet.from_json(record["points"])
@@ -528,14 +529,15 @@ def replay_record(record: dict) -> dict:
         gamma, _ = generate(GenSpec.from_json(record["genspec"]))
     else:
         raise ValueError("record carries neither points nor a genspec")
+    r, d = record.get("r"), record.get("d")
+    if any(v is not None and type(v) is not int for v in (r, d)):
+        raise ValueError(f"record r and d must be integers, got r={r!r}, d={d!r}")
     out = {"size": len(gamma)}
     matches = True
-    r = record.get("r")
     if r is not None and r >= 0:
         out["cb"] = is_cb(gamma, r).verdict
         if "cb" in record:
             matches = matches and out["cb"] == record["cb"]
-    d = record.get("d")
     if d is not None and "cover_found" in record:
         res = exists_cover(gamma, d, d)
         out["cover_found"] = res.found

@@ -48,10 +48,10 @@ def node_budget_default() -> int:
 
 @dataclass(frozen=True)
 class CandidateFlat:
-    """A span of a subset of gamma, with the indices of all points it contains."""
+    """A span of a subset of gamma, with the mask of all points it contains
+    (bit i set when gamma[i] lies on flat)."""
 
     flat: Flat
-    point_indices: tuple
     mask: int
 
 
@@ -136,7 +136,7 @@ def candidate_flats(gamma: PointSet, max_dim: int):
                     holding[i].append(child)
         level = grown
         for basis, _piv, mask in level:
-            result.append(CandidateFlat(Flat(fld, n, basis), tuple(_elements(mask)), mask))
+            result.append(CandidateFlat(Flat(fld, n, basis), mask))
     result.sort(key=lambda c: (c.flat.dim, c.flat.basis))
     return result
 
@@ -299,7 +299,7 @@ def _point_search(gamma: PointSet, top: Flat, max_dim: int, node_budget: int) ->
     # them when top.dim <= cap; otherwise top outranks them all in
     # (dim, basis) order and goes last.
     if cap < top.dim <= max_dim:
-        cands.append(CandidateFlat(top, tuple(range(npts)), (1 << npts) - 1))
+        cands.append(CandidateFlat(top, (1 << npts) - 1))
     return _CoverSearch([(c.mask, c.flat.dim, c) for c in cands], (1 << npts) - 1, node_budget)
 
 
@@ -347,7 +347,7 @@ def exists_cover(
         if line is None:
             return CoverResult(False, None, 0, 0, 0, True)
         return _result_from_chosen(
-            gamma, [CandidateFlat(line, (0,), 1)], nodes=1, minimal=False
+            gamma, [CandidateFlat(line, 1)], nodes=1, minimal=False
         )
     search = _point_search(gamma, span(list(gamma)), d, node_budget)
     chosen = search.run(d, max_length)

@@ -1,10 +1,14 @@
 """Abstract matroids, flat enumeration, and the matroid Cayley-Bacharach check.
 
 A matroid here is a ground set 0..n-1 with an exact rank oracle, backed by a
-representing point set, by a stored flat lattice, or analytically (uniform
+representing point set, by a list of flats, or analytically (uniform
 matroids).  The flats of a point matroid are read from cover.candidate_flats:
 a rank-(k+1) flat is the point mask of a dim-k span of a subset.  Closure
 enumeration is used only for abstract matroids, which have no points to span.
+
+Only from_flat_list (behind from_json's "flats") spot-checks the rank axioms,
+as its ranks come from an input family that may not be a flat lattice; matrix
+rank (from_points) and min(k, |S|) (uniform) are rank functions by theorem.
 
 MCB(r) asks that no union of r flats contain all elements but one.  Every
 flat is the intersection of the hyperplanes (corank-1 flats) that contain it
@@ -12,7 +16,7 @@ flat is the intersection of the hyperplanes (corank-1 flats) that contain it
 hyperplane avoiding it: the search runs over those hyperplanes only, on the
 same branch and bound as the point covers (cost 1 per flat).
 
-Ground sets are capped at 20 elements; flat enumeration is exponential.
+flats refuses ground sets above 20 elements; flat enumeration is exponential.
 """
 
 from __future__ import annotations
@@ -38,17 +42,17 @@ def _mask_of(subset) -> int:
 
 
 class Matroid:
-    """Ground set {0..size-1} with a memoized exact rank oracle."""
+    """Ground set {0..size-1} with a memoized exact rank oracle; rank_fn is trusted
+    (only from_flat_list spot-checks).  points is set by from_points."""
 
-    def __init__(self, size: int, rank_fn, label: str = "matroid", source=None):
+    def __init__(self, size: int, rank_fn, label: str = "matroid", points=None):
         if size < 1:
             raise ValueError("ground set must be nonempty")
         self.size = size
         self.label = label
+        self.points = points
         self._rank_fn = rank_fn
         self._cache = {}
-        self._source = source  # ("matrix", PointSet) or ("flats", lattice dict)
-        self._spot_check()
 
     # -- construction ------------------------------------------------------
 
@@ -62,7 +66,7 @@ class Matroid:
         def rank_fn(mask: int) -> int:
             return linalg.rank([rows[i] for i in _elements(mask)], fld)
 
-        return cls(len(rows), rank_fn, f"points({len(rows)})", ("matrix", gamma))
+        return cls(len(rows), rank_fn, f"points({len(rows)})", gamma)
 
     @classmethod
     def uniform(cls, k: int, n: int) -> Matroid:
@@ -84,7 +88,7 @@ class Matroid:
 
     @classmethod
     def from_flat_list(cls, size: int, flat_sets) -> Matroid:
-        """Matroid from its complete list of flats (ranks inferred by lattice height)."""
+        """Matroid from its complete list of flats (ranks by lattice height, spot-checked)."""
         masks = sorted({_mask_of(s) for s in flat_sets})
         full = (1 << size) - 1
         if full not in masks:
@@ -95,14 +99,11 @@ class Matroid:
             height[m] = (max(below) + 1) if below else 0
 
         def rank_fn(mask: int) -> int:
-            best = None
-            for m in masks:
-                if mask & m == mask and (best is None or height[m] < best):
-                    best = height[m]
-            return best
+            return min(height[m] for m in masks if mask & m == mask)
 
-        lattice = {h: sorted(m for m in masks if height[m] == h) for h in set(height.values())}
-        return cls(size, rank_fn, f"flats({size})", ("flats", lattice))
+        m = cls(size, rank_fn, f"flats({size})")
+        m._spot_check()
+        return m
 
     # -- rank / closure ----------------------------------------------------
 
@@ -128,7 +129,7 @@ class Matroid:
         return out
 
     def _spot_check(self, triples: int = 40):
-        """Light rank-axiom check at construction (full fuzz lives in tests)."""
+        """Light rank-axiom check of an inferred rank function (full fuzz in tests)."""
         if self.rank(0) != 0:
             raise ValueError("rank of the empty set must be 0")
         rng = random.Random(self.size * 7919 + 1)
@@ -148,8 +149,8 @@ class Matroid:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self._source and self._source[0] == "matrix":
-            return {"matrix": self._source[1].to_json()}
+        if self.points is not None:
+            return {"matrix": self.points.to_json()}
         lattice = flats(self, self.full_rank)
         sets = [
             _elements(m) for rk in sorted(lattice.by_rank) for m in lattice.by_rank[rk]
@@ -175,14 +176,15 @@ class FlatLattice:
 
 def flats(m: Matroid, max_rank: int) -> FlatLattice:
     """All flats of rank <= max_rank: from candidate_flats for a point
-    matroid, else grown by closing one-element extensions."""
+    matroid, else grown by closing one-element extensions.  Raises
+    GroundTooLargeError above GROUND_CAP elements."""
     if m.size > GROUND_CAP:
         raise GroundTooLargeError(f"ground set of {m.size} exceeds the cap {GROUND_CAP}")
-    if m._source and m._source[0] == "matrix":
+    if m.points is not None:
         # Points are distinct and nonzero: the empty set and the singletons
         # are closed, and each span holds the points of gamma it contains.
         masks = {0: [0], 1: [1 << i for i in range(m.size)]}
-        for c in candidate_flats(m._source[1], max_rank - 1) if max_rank >= 2 else ():
+        for c in candidate_flats(m.points, max_rank - 1) if max_rank >= 2 else ():
             masks.setdefault(c.flat.dim + 1, []).append(c.mask)
         by_rank = {rk: tuple(sorted(ms)) for rk, ms in masks.items() if rk <= max(max_rank, 0)}
         return FlatLattice(m.size, by_rank)
@@ -231,8 +233,6 @@ def is_mcb(m: Matroid, r: int) -> McbReport:
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    if m.size > GROUND_CAP:
-        raise GroundTooLargeError(f"ground set of {m.size} exceeds the cap {GROUND_CAP}")
     full_rank = m.full_rank
     hyperplanes = flats(m, max_rank=max(full_rank - 1, 0)).by_rank.get(full_rank - 1, ())
     ground = (1 << m.size) - 1
@@ -252,8 +252,6 @@ def is_mcb(m: Matroid, r: int) -> McbReport:
 def exists_flat_cover(m: Matroid, dims) -> list | None:
     """Flats F_i with rank(F_i) = dims[i] + 1 covering the ground set, or None."""
     dims = list(dims)
-    if m.size > GROUND_CAP:
-        raise GroundTooLargeError(f"ground set of {m.size} exceeds the cap {GROUND_CAP}")
     ranks_needed = [d + 1 for d in dims]
     if not ranks_needed:
         raise ValueError("a flat cover needs at least one flat dimension")

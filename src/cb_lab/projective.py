@@ -125,27 +125,23 @@ class PointSet:
 
 @dataclass(frozen=True)
 class Flat:
-    """A linear subspace of P^n, stored as the reduced-echelon basis of its cone."""
+    """A linear subspace of P^n.  The constructor takes the reduced-echelon basis
+    of its cone as a tuple of row tuples, unchecked; span and from_generators
+    validate raw rows."""
 
     field: FieldSpec
     ambient_dim: int
     basis: tuple
 
-    def __post_init__(self):
-        basis = tuple(tuple(row) for row in self.basis)
-        if not basis:
-            raise EmptyInputError("a flat needs a nonempty cone basis")
-        for row in basis:
-            if len(row) != self.ambient_dim + 1:
-                raise ValueError("basis row length does not match the ambient space")
-        object.__setattr__(self, "basis", basis)
-
     @classmethod
     def from_generators(cls, field: FieldSpec, ambient_dim: int, rows) -> Flat:
+        rows = list(rows)
+        if any(len(row) != ambient_dim + 1 for row in rows):
+            raise ValueError("generator length does not match the ambient space")
         basis, _ = linalg.rref(rows, field)
         if not basis:
             raise EmptyInputError("generators span only the origin")
-        return cls(field, ambient_dim, basis)
+        return cls(field, ambient_dim, tuple(basis))
 
     @property
     def dim(self) -> int:

@@ -144,7 +144,7 @@ def cover_oracle(gamma: PointSet, candidates, d: int, max_length: int) -> bool:
 
 
 def candidate_flats_oracle(gamma: PointSet, max_dim: int):
-    """(dim, basis, point_indices, mask) of every flat of dim 1..max_dim
+    """(dim, basis, mask) of every flat of dim 1..max_dim
     spanned by a subset of gamma: one rref per subset of size 2..max_dim+1,
     deduplicated by basis, masks by membership, in (dim, basis) order."""
     fld = gamma.field
@@ -156,8 +156,8 @@ def candidate_flats_oracle(gamma: PointSet, max_dim: int):
             key = tuple(basis)
             if key in found:
                 continue
-            idx = tuple(i for i, c in enumerate(coords) if in_row_space(c, basis, piv, fld))
-            found[key] = (len(key) - 1, key, idx, sum(1 << i for i in idx))
+            mask = sum(1 << i for i, c in enumerate(coords) if in_row_space(c, basis, piv, fld))
+            found[key] = (len(key) - 1, key, mask)
     return sorted(found.values(), key=lambda t: (t[0], t[1]))
 
 

@@ -171,6 +171,16 @@ _RNC_WITHOUT_M = {"family": "rnc", "params": {"k": 2}, "field": _GF101, "seed": 
 _SKEW_SCALAR_COUNTS = {
     "family": "skew_lines", "params": {"d": 2, "counts": 5}, "field": _GF101, "seed": 1,
 }
+_POINTS = {"field": _GF101, "ambient_dim": 2, "points": [["1", "0", "0"], ["0", "1", "0"]]}
+
+
+def _on_plane(field, basis):
+    """An on_configuration GenSpec whose one plane of P^3 has the given basis rows."""
+    return {
+        "family": "on_configuration", "params": {"counts": [3]}, "field": field, "seed": 1,
+        "config": {"field": field, "planes": [{"ambient_dim": 3, "basis": basis}]},
+    }
+
 _MALFORMED = [
     pytest.param([cmd, "-i", "{path}", *extra], bad, id=f"{cmd}-{name}")
     for cmd, extra in (
@@ -191,6 +201,17 @@ _MALFORMED = [
                  id="flags-unknown-param"),
     pytest.param(["verify-conjecture", "--replay", "{path}"], {"genspec": {}, "r": 1},
                  id="replay-empty-genspec"),
+    pytest.param(["verify-conjecture", "--replay", "{path}"],
+                 {"points": _POINTS, "d": "2", "cover_found": True}, id="replay-string-d"),
+    pytest.param(["verify-conjecture", "--replay", "{path}"],
+                 {"points": _POINTS, "r": 2.5, "cb": True}, id="replay-float-r"),
+] + [
+    pytest.param(["generate", "--spec", "{path}"], _on_plane(field, basis), id=f"genspec-{name}")
+    for name, field, basis in (
+        ("ragged-basis-gf101", _GF101, [[1, 0, 0, 0], [0, 1]]),
+        ("ragged-basis-q", {"kind": "rational"}, [[1, 0, 0, 0], [0, 1]]),
+        ("short-basis", _GF101, [[1, 0, 0], [0, 1, 0]]),
+    )
 ]
 
 

@@ -83,7 +83,7 @@ def test_candidate_flats_match_subset_oracle(sets, max_dims):
         for max_dim in max_dims:
             got = candidate_flats(gamma, max_dim)
             expect = candidate_flats_oracle(gamma, max_dim)
-            assert [(c.flat.dim, c.flat.basis, c.point_indices, c.mask) for c in got] == expect
+            assert [(c.flat.dim, c.flat.basis, c.mask) for c in got] == expect
             assert [type(x) for c in got for row in c.flat.basis for x in row] == [
                 type(x) for e in expect for row in e[1] for x in row
             ]
@@ -117,7 +117,7 @@ def test_candidates_three_collinear(gf101):
     gamma = PointSet.from_coords(gf101, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
     cands = candidate_flats(gamma, 1)
     assert len(cands) == 1
-    assert cands[0].point_indices == (0, 1, 2)
+    assert cands[0].mask == 0b111
 
 
 def test_candidates_four_generic_p3(gf101):
@@ -126,14 +126,14 @@ def test_candidates_four_generic_p3(gf101):
     )
     cands = candidate_flats(gamma, 1)
     assert len(cands) == 6  # one line per pair
-    assert all(len(c.point_indices) == 2 for c in cands)
+    assert all(c.mask.bit_count() == 2 for c in cands)
 
 
 def test_candidates_two_skew_lines(gf101):
     pts, _cfg = gen_skew_lines(2, (5, 5), gf101, seed=3)
     cands = candidate_flats(pts, 1)
     assert len(cands) == 27  # 2 full lines + 25 cross lines
-    sizes = sorted(len(c.point_indices) for c in cands)
+    sizes = sorted(c.mask.bit_count() for c in cands)
     assert sizes[-2:] == [5, 5] and sizes[0] == 2
 
 

@@ -266,6 +266,15 @@ def test_matroid_json_round_trip(gf101):
         assert back2.rank(mask) == u.rank(mask)
 
 
+def test_flat_list_input_is_checked_where_it_enters():
+    # {0, 2} closes to the ground set, of height 3: rank exceeds cardinality.
+    sets = [[], [0], [1], [2], [0, 1], [0, 1, 2]]
+    with pytest.raises(ValueError, match="rank oracle exceeds cardinality"):
+        Matroid.from_flat_list(3, sets)
+    with pytest.raises(ValueError, match="rank oracle exceeds cardinality"):
+        Matroid.from_json({"flats": sets})
+
+
 def test_ground_too_large(gf101):
     u = Matroid.uniform(2, 21)
     with pytest.raises(GroundTooLargeError):
