@@ -155,8 +155,12 @@ def eligible_families(d: int, r: int, field: FieldSpec, size_limit: int | None =
         if nl * (r + 2) <= bound and (cap is None or r + 2 <= cap):
             fams.append(("skew_lines", {"d": nl}))
     if d >= 2 and field.is_prime_field:
+        p = field.p
         for a, b in SUPPORTED_CI_DEGREES:
-            if a + b - 3 == r and a * b <= bound:
+            # (2, b > 2) samples a smooth conic, which needs odd p, and (a, a)
+            # a pencil through a*a - 1 distinct points of P^2.
+            runs = not (a == 2 < b and p == 2) and (a < b or p * p + p + 1 >= a * a - 1)
+            if a + b - 3 == r and a * b <= bound and runs:
                 fams.append(("plane_curve_ci", {"deg_d": a, "deg_e": b}))
     if r == 2 and d >= 3 and 9 <= bound and field.is_prime_field and field.p >= 3:
         fams.append(("elliptic_quartic", {"m": 9}))

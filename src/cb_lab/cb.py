@@ -3,11 +3,14 @@
 A finite set satisfies CB(r) when every degree-r form vanishing at all but
 one of its points also vanishes at the last one.  Equivalently, dropping any
 single row from the evaluation matrix must not lower its rank; that rank
-characterization is what is computed here, in one pass: a row can be removed
-without losing rank exactly when some left-kernel vector is nonzero on it,
-so the failing points are the row indices missing from the left kernel's
-support.  On failure the witness is the first canonical kernel vector of the
-punctured set that does not vanish at the omitted point.
+characterization is what is computed here, from one reduced echelon form of
+the transposed matrix: a row can be removed without losing rank exactly when
+some left-kernel vector is nonzero on it, and the left kernel has one vector
+per free column f, supported on f and on the pivot columns whose reduced
+row is nonzero at f.  So the failing points are the pivot columns i whose
+reduced row is the unit vector e_i.  On failure the witness is the first
+canonical kernel vector of the punctured set that does not vanish at the
+omitted point.
 
 Conventions (the definitional edge cases are not forced by the mathematics
 and are fixed here for consistency with the minimum-count bound |Gamma| >= r+2):
@@ -51,19 +54,11 @@ class CbReport:
         return obj
 
 
-def _failing_indices(rows, nrows: int, field: FieldSpec):
-    """Row indices whose removal lowers the rank.
-
-    A row is redundant (rank-preserving) iff it appears in the support of the
-    left kernel; the left kernel is the kernel of the transposed matrix.
-    """
-    left = linalg.kernel(linalg.transpose(rows), nrows, field)
-    supported = set()
-    for vec in left:
-        for i, x in enumerate(vec):
-            if x != 0:
-                supported.add(i)
-    return [i for i in range(nrows) if i not in supported]
+def _failing_indices(rows, field: FieldSpec):
+    """Row indices whose removal lowers the rank, ascending: the pivot columns
+    of the transposed matrix whose reduced row is a unit vector."""
+    basis, piv = linalg.rref(linalg.transpose(rows), field)
+    return [c for row, c in zip(basis, piv) if not any(row[c + 1:])]
 
 
 def _witness_for(rows, omit: int, field: FieldSpec, ncols: int) -> tuple:
@@ -84,7 +79,7 @@ def is_cb_rows(rows, field: FieldSpec) -> bool:
     """
     if not rows:
         return True
-    return not _failing_indices(rows, len(rows), field)
+    return not _failing_indices(rows, field)
 
 
 def is_cb(gamma: PointSet, r: int) -> CbReport:
@@ -94,7 +89,7 @@ def is_cb(gamma: PointSet, r: int) -> CbReport:
     if len(gamma) == 0 or r == 0:
         return CbReport(r, True)
     m = eval_matrix(gamma, r)
-    failing = _failing_indices(m.rows, m.nrows, m.field)
+    failing = _failing_indices(m.rows, m.field)
     if not failing:
         return CbReport(r, True)
     omit = failing[0]

@@ -102,7 +102,8 @@ def _cmd_cover(args) -> int:
     if args.min:
         res = min_cover(gamma)
     else:
-        res = exists_cover(gamma, args.dim, args.max_length or args.dim)
+        max_length = args.dim if args.max_length is None else args.max_length
+        res = exists_cover(gamma, args.dim, max_length)
     obj = res.to_json()
     lines = [
         f"cover found: {res.found}"

@@ -442,6 +442,11 @@ def gen_plane_curve_ci(deg_d: int, deg_e: int, field: FieldSpec, seed: int) -> P
     if field.kind != PRIME:
         raise InvalidFieldError("plane-curve intersections need a prime field")
     need = lo * hi
+    npts = field.p * field.p + field.p + 1
+    if lo == hi and npts < need - 1:
+        raise FieldTooSmallError(
+            f"a degree-{lo} pencil needs {need - 1} base points; P^2 has {npts} over {field}"
+        )
     rng = random.Random(seed)
     for _ in range(RESAMPLE_BUDGET):
         zeros = _pencil_ci(lo, field, rng) if lo == hi else _curve_then_points(lo, hi, field, rng)

@@ -4,10 +4,12 @@ rref, reduce_against, dot and combine each pick a kernel once per call
 from the field kind.  GF(p) runs on plain int residues: Gaussian
 elimination, and dot products and linear combinations summed as ints and
 reduced mod p once per entry.  Rational matrices are cleared to integers
-row by row and eliminated fraction-free (Bareiss one-step), so
-intermediate entries stay integral and reduced; a final normalization pass
-produces the unique reduced echelon form with Fraction entries.  Rational
-dot products and combinations go through the FieldSpec ops.
+row by row and reduced in one fraction-free Gauss-Jordan pass (Bareiss's
+one-step update applied to the rows above the pivot as well as below):
+every division is exact, so entries stay integers, and every pivot ends
+equal to the last one; dividing the pivot rows by it gives the unique
+reduced echelon form with Fraction entries.  Rational dot products and
+combinations go through the FieldSpec ops.
 
 The reduced echelon basis (zero rows dropped) is the canonical form used
 everywhere for subspace identity: equal row spaces yield identical bases.
@@ -76,17 +78,10 @@ def _rref_prime(m, p):
 
 def _clear_row(row):
     """Scale one row to coprime integers (sign preserved)."""
-    fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-    den = 1
-    for x in fracs:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    content = 0
-    for x in ints:
-        content = gcd(content, abs(x))
-    if content > 1:
-        ints = [x // content for x in ints]
-    return ints
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    content = gcd(*ints)
+    return [x // content for x in ints] if content > 1 else ints
 
 
 def _rref_rational(m):
@@ -105,30 +100,20 @@ def _rref_rational(m):
             continue
         if pivot != pr:
             ints[pr], ints[pivot] = ints[pivot], ints[pr]
-        piv = ints[pr][c]
-        for i in range(pr + 1, nrows):
-            f = ints[i][c]
-            row_i, row_p = ints[i], ints[pr]
-            for j in range(c + 1, ncols):
-                # Bareiss one-step update: the division is exact.
-                row_i[j] = (piv * row_i[j] - f * row_p[j]) // prev
-            row_i[c] = 0
+        row_p = ints[pr]
+        piv = row_p[c]
+        for i in range(nrows):
+            if i != pr:
+                # Bareiss one-step update, exact division.  Rows already 0 in
+                # column c take it too: they must be scaled by piv / prev.
+                f = ints[i][c]
+                ints[i] = [(piv * a - f * b) // prev for a, b in zip(ints[i], row_p)]
         prev = piv
         piv_cols.append(c)
         pr += 1
         if pr == nrows:
             break
-    basis = [[Fraction(x) for x in ints[i]] for i in range(pr)]
-    for i in reversed(range(pr)):
-        c = piv_cols[i]
-        lead = basis[i][c]
-        if lead != 1:
-            basis[i] = [x / lead for x in basis[i]]
-        for k in range(i):
-            f = basis[k][c]
-            if f:
-                basis[k] = [a - f * b for a, b in zip(basis[k], basis[i])]
-    return [tuple(r) for r in basis], piv_cols
+    return [tuple(Fraction(x, prev) for x in ints[i]) for i in range(pr)], piv_cols
 
 
 def rank(rows, field: FieldSpec) -> int:

@@ -297,11 +297,9 @@ def is_skew(cfg: PlaneConfiguration) -> bool:
 
 def is_split(cfg: PlaneConfiguration) -> bool:
     """True when the planes give a projectivized direct-sum decomposition of
-    their span, i.e. skew with dim span = dim + length - 1."""
-    if not is_skew(cfg):
-        return False
-    total = span(list(cfg.planes))
-    return total.dim == cfg.dim + cfg.length - 1
+    their span, i.e. dim span = dim + length - 1.  Then the cones over the
+    planes are independent, which already makes the planes skew."""
+    return span(list(cfg.planes)).dim == cfg.dim + cfg.length - 1
 
 
 def merge_intersecting(cfg: PlaneConfiguration) -> PlaneConfiguration:

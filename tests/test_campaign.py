@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cb_lab import (
     CampaignSpec,
     FieldSpec,
@@ -101,6 +103,17 @@ def test_mcb_campaign(gf101):
     done = [r for r in report.records if r["status"] == "ok"]
     assert all(r["mcb"] and r["flat_cover_found"] for r in done)
     assert all(r["size"] <= 12 for r in done)
+
+
+def test_gf2_campaigns_draw_only_runnable_families():
+    # over GF(2) no smooth conic exists and P^2 has 7 points, too few for a
+    # cubic pencil's 8 base points: r = 2 keeps only (1, 4), whose line is
+    # too short, and r = 3 keeps nothing
+    gf2 = FieldSpec.prime(2)
+    report = run_campaign(CampaignSpec("conjecture", (2,), (2,), gf2, trials=6, seed=1))
+    assert len(report.records) == 6 and report.violations == []
+    with pytest.raises(ValueError, match="no generator family fits"):
+        run_campaign(CampaignSpec("conjecture", (2,), (3,), gf2, trials=6, seed=1))
 
 
 def test_exhaustive_lower_bound_p1_gf5():

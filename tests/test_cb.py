@@ -17,10 +17,17 @@ from cb_lab import (
     is_cb,
     max_cb,
     monomial_basis,
+    eval_matrix,
     evaluate_form,
     span,
 )
-from helpers import is_cb_by_definition, random_invertible_matrix, random_point_set
+from cb_lab.cb import _failing_indices, is_cb_rows
+from helpers import (
+    is_cb_by_definition,
+    random_invertible_matrix,
+    random_point_set,
+    rank_oracle_fast,
+)
 
 
 def test_nine_cubic_intersection_points_cb3(gf101):
@@ -70,6 +77,39 @@ def test_verdicts_match_definition_oracle(gf101):
         gamma = random_point_set(gf101, n, rng.randint(1, 7), rng)
         r = rng.randint(0, 3)
         assert is_cb(gamma, r).verdict == is_cb_by_definition(gamma, r)
+
+
+def _failing_by_definition(rows, field):
+    full = rank_oracle_fast(rows, field)
+    return [i for i in range(len(rows))
+            if rank_oracle_fast(rows[:i] + rows[i + 1:], field) < full]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, None], ids=["gf2", "gf3", "gf101", "q"])
+def test_failing_indices_match_rank_definition(p):
+    # the whole failing list, not just the verdict, on evaluation matrices and
+    # on raw rows with zero and repeated rows mixed in
+    field = FieldSpec.rational() if p is None else FieldSpec.prime(p)
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 3)  # P^n(GF(2)) has 2^(n+1) - 1 points
+        gamma = random_point_set(field, n, rng.randint(1, min(7, 2 ** (n + 1) - 1)), rng)
+        rows = eval_matrix(gamma, rng.randint(1, 3)).rows
+        want = _failing_by_definition(rows, field)
+        assert _failing_indices(rows, field) == want
+        seen.add(bool(want))
+
+        ncols = rng.randint(1, 5)
+        raw = [[field.coerce(rng.randint(-3, 3)) for _ in range(ncols)]
+               for _ in range(rng.randint(1, 6))]
+        raw.insert(rng.randint(0, len(raw)), [field.zero()] * ncols)
+        raw.insert(rng.randint(0, len(raw)), list(rng.choice(raw)))
+        want = _failing_by_definition(raw, field)
+        assert _failing_indices(raw, field) == want
+        assert is_cb_rows(raw, field) == (not want)
+        seen.add(bool(want))
+    assert seen == {True, False}
 
 
 def test_witness_validity_fuzz(gf101):

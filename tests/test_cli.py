@@ -37,7 +37,8 @@ def test_generate_and_check_cb_roundtrip(tmp_path, capsys, gf101):
         "-o", out_path,
     )
     assert code == 0
-    gamma = PointSet.from_json(json.loads(open(out_path).read()))
+    with open(out_path) as fh:
+        gamma = PointSet.from_json(json.load(fh))
     direct = gen_plane_curve_ci(3, 3, gf101, seed=5)
     assert gamma == direct  # CLI is a thin adapter
 
@@ -199,6 +200,8 @@ _MALFORMED = [
                  id="flags-list-m"),
     pytest.param(["generate", "--family", "rnc", "--params", "k=2,m=3,typo_seed=4"], None,
                  id="flags-unknown-param"),
+    pytest.param(["cover", "-i", "{path}", "--dim", "2", "--max-length", "0"], _POINTS,
+                 id="cover-max-length-0"),
     pytest.param(["verify-conjecture", "--replay", "{path}"], {"genspec": {}, "r": 1},
                  id="replay-empty-genspec"),
     pytest.param(["verify-conjecture", "--replay", "{path}"],

@@ -159,6 +159,8 @@ def test_plane_curve_ci_rejects(gf101):
         gen_plane_curve_ci(4, 4, gf101, seed=0)  # no certificate at this size
     with pytest.raises(InvalidFieldError):
         gen_plane_curve_ci(2, 2, FieldSpec.rational(), seed=0)
+    with pytest.raises(FieldTooSmallError):
+        gen_plane_curve_ci(3, 3, FieldSpec.prime(2), seed=0)  # 8 base points, 7 in P^2
 
 
 def _outcome(make):

@@ -41,12 +41,34 @@ def test_rref_canonical_under_row_permutation():
             assert piv == piv2
 
 
+def _low_rank_rows(nrows, ncols, rng):
+    """A random product of nrows x k and k x ncols rational matrices, k <= both,
+    with a zero row and a zero column mixed in and integral entries as ints."""
+    q = FieldSpec.rational()
+    k = rng.randint(0, min(nrows, ncols))
+    left = _random_rows(q, nrows, k, rng)
+    right = _random_rows(q, k, ncols, rng)
+    rows = [[sum(lr[t] * right[t][j] for t in range(k)) for j in range(ncols)] for lr in left]
+    if rng.random() < 0.5:
+        rows.insert(rng.randint(0, nrows), [0] * ncols)
+    if rng.random() < 0.5:
+        zero_col = rng.randrange(ncols)
+        rows = [[0 if j == zero_col else x for j, x in enumerate(row)] for row in rows]
+    return [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
+
+
 def test_bareiss_agrees_with_fraction_ge():
     rng = random.Random(21)
     q = FieldSpec.rational()
-    for _ in range(100):
-        rows = _random_rows(q, rng.randint(1, 5), rng.randint(1, 6), rng)
-        assert rref(rows, q) == fraction_ge_rref(rows)
+    cases = [_random_rows(q, rng.randint(1, 5), rng.randint(1, 6), rng) for _ in range(100)]
+    cases += [_low_rank_rows(rng.randint(1, 6), rng.randint(1, 6), rng) for _ in range(200)]
+    ranks = set()
+    for rows in cases:
+        basis, piv = rref(rows, q)
+        assert (basis, piv) == fraction_ge_rref(rows)
+        assert all(type(x) is Fraction for row in basis for x in row)
+        ranks.add(min(len(rows), len(rows[0])) - len(basis))
+    assert {0, 1, 2} <= ranks  # full rank and deficient inputs both occur
 
 
 def test_kernel_vectors_annihilate():

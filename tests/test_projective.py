@@ -354,6 +354,33 @@ def test_merge_collapses_duplicate_products(gf101):
     assert merged.length == 1 and merged.planes[0] == plane
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, None], ids=["gf2", "gf3", "gf101", "q"])
+def test_split_needs_no_pairwise_skew_check(p):
+    # dim span = dim + length - 1 alone decides splitness: it agrees with the
+    # pairwise skew scan plus the same dimension test, on configurations that
+    # are split, skew but not split, and intersecting
+    field = FieldSpec.rational() if p is None else FieldSpec.prime(p)
+    rng = random.Random(53)
+    kinds = set()
+    tested = 0
+    while tested < 60:
+        n = rng.randint(2, 4)
+        planes = []
+        for _ in range(rng.randint(2, 3)):
+            fl = span(list(random_point_set(field, n, rng.randint(2, 3), rng)))
+            if fl.dim >= 1 and fl not in planes:
+                planes.append(fl)
+        if len(planes) < 2:
+            continue
+        cfg = PlaneConfiguration(tuple(planes))
+        skew = is_skew(cfg)
+        by_dimension = span(planes).dim == cfg.dim + cfg.length - 1
+        assert is_split(cfg) == (skew and by_dimension)
+        kinds.add((skew, by_dimension))
+        tested += 1
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
 def test_split_characterizations_agree(gf101):
     # skew + span-dimension identity must match "each plane misses the span
     # of the others" on random line/plane mixes
