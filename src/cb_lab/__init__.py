@@ -29,12 +29,9 @@ from .fields import FieldSpec
 from .forms import (
     EvalMatrix,
     MonomialBasis,
-    RankProfile,
     eval_matrix,
     evaluate_form,
-    form_to_json,
     monomial_basis,
-    rank_kernel,
 )
 from .generators import (
     GenSpec,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .cb import excise, is_cb, is_cb_rows
 from .cover import exists_cover, min_cover, node_budget_default
-from .errors import BudgetExceededError, ResampleBudgetExceededError
+from .errors import BudgetExceededError, FieldTooSmallError, ResampleBudgetExceededError
 from .fields import FieldSpec
 from .forms import evaluation_row, monomial_basis
 from .generators import SUPPORTED_CI_DEGREES, GenSpec, generate
@@ -290,9 +290,14 @@ def _tightness_trial(rec, rng, field, budget):
     d, r = rec["d"], rec["r"]
     m = (d + 1) * r + 2
     genspec = GenSpec.make("rnc", {"k": d + 1, "m": m}, field, rec["seed"])
-    gamma, _ = generate(genspec)
-    cb = is_cb(gamma, r).verdict
-    rec.update(genspec=genspec.to_json(), size=m, cb=cb)
+    rec.update(genspec=genspec.to_json(), size=m)
+    try:
+        gamma, _ = generate(genspec)
+    except FieldTooSmallError:
+        # m = (d+1)r + 2 points do not fit on a rational normal curve over a tiny field
+        rec.update(status="field_too_small", violation=False)
+        return None
+    cb = rec["cb"] = is_cb(gamma, r).verdict
     try:
         res = exists_cover(gamma, d, d, node_budget=budget)
         # Tightness expects CB true and no dimension-d cover.

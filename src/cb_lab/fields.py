@@ -5,9 +5,12 @@ prime p < 2**31 (elements are canonical int residues in [0, p)) or the
 rational numbers (elements are reduced fractions.Fraction values).  No
 floating point appears anywhere: verdicts are exact rank statements.
 
-Elements are raw values (int / Fraction) with no field tag; every operation
-goes through the FieldSpec methods.  Mixing fields is caught one level up:
-a PointSet rejects a point from another field.
+Elements are raw values (int / Fraction) with no field tag.  The FieldSpec
+element ops (add, mul, neg, inv, ...) are the reference arithmetic.  The hot
+kernels in forms and linalg compute with native int or Fraction operations
+instead (evaluation rows, dot and combine reduce mod p once per output
+entry) and are tested against these ops.  Mixing fields is caught one level
+up: a PointSet rejects a point from another field.
 """
 
 from __future__ import annotations

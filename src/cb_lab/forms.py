@@ -1,4 +1,4 @@
-"""Degree-r monomial bases, evaluation matrices and exact rank/kernel profiles.
+"""Degree-r monomial bases and evaluation (Veronese) matrices.
 
 The evaluation matrix of a point set has one row per point holding the
 values of every degree-r monomial at that point (graded-lex order, leading
@@ -6,9 +6,10 @@ variable first).  Its kernel is the space of degree-r forms vanishing on
 the whole set, which is what makes the Cayley-Bacharach condition a rank
 statement.
 
-evaluation_row picks its kernel once per call: over GF(p) monomial values
-are int residues multiplied mod p, over Q they go through the FieldSpec ops
-on Fractions.
+evaluation_row has one body for both fields: monomial values are native
+int or Fraction products of coordinate powers, reduced mod p once per entry
+over GF(p).  The FieldSpec element ops are the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -55,37 +56,23 @@ def monomial_basis(n: int, r: int) -> MonomialBasis:
 
 def evaluation_row(coords, basis: MonomialBasis, field: FieldSpec):
     """Values of every basis monomial at one coordinate vector."""
-    if field.kind == PRIME:
-        return _evaluation_row_prime(coords, basis, field.p)
-    pows = [[field.one()] for _ in coords]
-    for i, c in enumerate(coords):
-        col = pows[i]
-        for _ in range(basis.r):
-            col.append(field.mul(col[-1], c))
-    row = []
-    for expo in basis.monomials:
-        val = field.one()
-        for i, e in enumerate(expo):
-            if e:
-                val = field.mul(val, pows[i][e])
-        row.append(val)
-    return tuple(row)
-
-
-def _evaluation_row_prime(coords, basis: MonomialBasis, p: int):
+    one = field.one()
     pows = []
     for c in coords:
-        col = [1]
+        col = [one]
         for _ in range(basis.r):
-            col.append(col[-1] * c % p)
+            col.append(col[-1] * c)
         pows.append(col)
     row = []
     for expo in basis.monomials:
-        val = 1
+        val = one
         for col, e in zip(pows, expo):
             if e:
-                val = val * col[e] % p
+                val *= col[e]
         row.append(val)
+    if field.kind == PRIME:
+        p = field.p
+        return tuple(x % p for x in row)
     return tuple(row)
 
 
@@ -116,39 +103,7 @@ def eval_matrix(gamma: PointSet, r: int) -> EvalMatrix:
     return EvalMatrix(gamma.field, basis, rows)
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """Exact rank and the canonical kernel basis (forms vanishing on gamma)."""
-
-    rank: int
-    kernel_basis: tuple
-
-    @property
-    def corank(self) -> int:
-        return len(self.kernel_basis)
-
-
-def rank_kernel(m: EvalMatrix) -> RankProfile:
-    """Rank and reduced-echelon kernel basis of an evaluation matrix."""
-    ker = linalg.kernel(m.rows, m.ncols, m.field)
-    return RankProfile(m.ncols - len(ker), tuple(tuple(v) for v in ker))
-
-
 def evaluate_form(coeffs, basis: MonomialBasis, pt: ProjPoint):
     """Value of the form sum(c_j * monomial_j) at a point."""
     row = evaluation_row(pt.coords, basis, pt.field)
     return linalg.dot(coeffs, row, pt.field)
-
-
-def form_to_json(coeffs, basis: MonomialBasis, field: FieldSpec):
-    """Human-auditable sparse form: nonzero coefficients with exponent vectors."""
-    return [
-        {"exponents": list(expo), "coeff": field.encode(c)}
-        for expo, c in zip(basis.monomials, coeffs)
-        if c != 0
-    ]
-
-
-def form_from_json(terms, basis: MonomialBasis, field: FieldSpec):
-    lookup = {tuple(t["exponents"]): field.decode(t["coeff"]) for t in terms}
-    return tuple(lookup.get(expo, field.zero()) for expo in basis.monomials)

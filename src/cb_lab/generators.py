@@ -37,7 +37,6 @@ from .projective import (
     ProjPoint,
     _prime_coeff_tuples,
     enumerate_points,
-    intersect,
     is_split,
     span,
 )
@@ -323,9 +322,10 @@ def _conic_through_origin_point(field: FieldSpec, rng: random.Random):
 def gen_two_plane_conics(points_per_conic: int, field: FieldSpec, seed: int):
     """Sampled points on smooth conics inside a split pair of 2-planes in P^5.
 
-    Certificate: both planes have dimension two and are disjoint (skew, hence
-    split for two planes); each conic has a nonsingular Gram matrix; points
-    are distinct.  With 8 points per conic the output has 16 points.
+    Certificate: both planes have dimension two and the configuration is
+    split (for two planes, the same as disjoint); each conic has a
+    nonsingular Gram matrix; points are distinct.  With 8 points per conic
+    the output has 16 points.
     """
     if points_per_conic < 1:
         raise ValueError("need at least one point per conic")
@@ -342,7 +342,8 @@ def gen_two_plane_conics(points_per_conic: int, field: FieldSpec, seed: int):
                 planes.append(fl)
         if len(planes) != 2 or planes[0] == planes[1]:
             continue
-        if intersect(planes[0], planes[1]) is not None:
+        cfg = PlaneConfiguration(tuple(planes))
+        if not is_split(cfg):
             continue
         try:
             all_pts = []
@@ -354,7 +355,6 @@ def gen_two_plane_conics(points_per_conic: int, field: FieldSpec, seed: int):
                     indices = range(points_per_conic)
                 for lp in map(point, indices):
                     all_pts.append(ProjPoint(field, linalg.combine(lp.coords, plane.basis, field)))
-            cfg = PlaneConfiguration(tuple(planes))
             return PointSet(field, n, tuple(all_pts)), cfg
         except DegenerateConicError:
             continue

@@ -1,15 +1,17 @@
 """Exact row reduction, rank and kernel computation on raw field elements.
 
-rref, reduce_against, dot and combine each pick a kernel once per call
-from the field kind.  GF(p) runs on plain int residues: Gaussian
-elimination, and dot products and linear combinations summed as ints and
-reduced mod p once per entry.  Rational matrices are cleared to integers
-row by row and reduced in one fraction-free Gauss-Jordan pass (Bareiss's
-one-step update applied to the rows above the pivot as well as below):
-every division is exact, so entries stay integers, and every pivot ends
-equal to the last one; dividing the pivot rows by it gives the unique
-reduced echelon form with Fraction entries.  Rational dot products and
-combinations go through the FieldSpec ops.
+rref and reduce_against pick a kernel once per call from the field kind.
+GF(p) runs Gaussian elimination on plain int residues.  Rational matrices
+are cleared to integers row by row and reduced in one fraction-free
+Gauss-Jordan pass (Bareiss's one-step update applied to the rows above the
+pivot as well as below): every division is exact, so entries stay
+integers, and every pivot ends equal to the last one; dividing the pivot
+rows by it gives the unique reduced echelon form with Fraction entries.
+
+dot and combine have one body for both fields: native int or Fraction
+products summed from the field's zero, reduced mod p once per output entry
+over GF(p).  The FieldSpec element ops are the reference they are tested
+against.  kernel reads its basis off a single rref.
 
 The reduced echelon basis (zero rows dropped) is the canonical form used
 everywhere for subspace identity: equal row spaces yield identical bases.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .fields import PRIME, FieldSpec
 
@@ -121,22 +124,28 @@ def rank(rows, field: FieldSpec) -> int:
 
 
 def kernel(rows, ncols: int, field: FieldSpec):
-    """Canonical reduced-echelon basis of {v : rows . v = 0} in F**ncols."""
-    basis, piv = rref(rows, field)
+    """Canonical reduced-echelon basis of {v : rows . v = 0} in F**ncols.
+
+    One rref of the column-reversed rows.  Read backwards, the vector of a
+    free column f has its leading 1 at ncols-1-f, its other entries at pivot
+    columns to the right of it and zeros at every other free column, so the
+    vectors taken with f descending are already the reduced echelon basis.
+    """
+    basis, piv = rref([row[::-1] for row in rows], field)
     pivset = set(piv)
-    free = [c for c in range(ncols) if c not in pivset]
-    if not free:
-        return []
     zero, one = field.zero(), field.one()
     vecs = []
-    for f in free:
+    for f in range(ncols - 1, -1, -1):
+        if f in pivset:
+            continue
         v = [zero] * ncols
-        v[f] = one
-        for i, pc in enumerate(piv):
-            v[pc] = field.neg(basis[i][f])
-        vecs.append(v)
-    canon, _ = rref(vecs, field)
-    return canon
+        v[ncols - 1 - f] = one
+        for row, pc in zip(basis, piv):
+            if pc > f:
+                break
+            v[ncols - 1 - pc] = field.neg(row[f])
+        vecs.append(tuple(v))
+    return vecs
 
 
 def transpose(rows):
@@ -169,22 +178,14 @@ def in_row_space(vec, basis, piv_cols, field: FieldSpec) -> bool:
 
 def combine(coeffs, rows, field: FieldSpec):
     """The linear combination sum(c * row) of equal-length rows."""
+    zero = field.zero()
+    out = [sum(map(mul, coeffs, col), zero) for col in zip(*rows)]
     if field.kind == PRIME:
         p = field.p
-        return [sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*rows)]
-    out = [field.zero()] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c != 0:
-            for j, x in enumerate(row):
-                out[j] = field.add(out[j], field.mul(c, x))
+        return [x % p for x in out]
     return out
 
 
 def dot(u, v, field: FieldSpec):
-    if field.kind == PRIME:
-        return sum(a * b for a, b in zip(u, v)) % field.p
-    acc = field.zero()
-    for a, b in zip(u, v):
-        if a != 0 and b != 0:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+    acc = sum(map(mul, u, v), field.zero())
+    return acc % field.p if field.kind == PRIME else acc

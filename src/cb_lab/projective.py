@@ -313,8 +313,8 @@ def merge_intersecting(cfg: PlaneConfiguration) -> PlaneConfiguration:
         changed = False
         for i in range(len(planes)):
             for j in range(i + 1, len(planes)):
-                if intersect(planes[i], planes[j]) is not None:
-                    merged = span([planes[i], planes[j]])
+                merged = span([planes[i], planes[j]])
+                if merged.dim < planes[i].dim + planes[j].dim + 1:
                     del planes[j]
                     planes[i] = merged
                     changed = True

@@ -82,6 +82,23 @@ def fraction_ge_rref(rows):
     return [tuple(r) for r in m[:pr]], piv_cols
 
 
+def two_rref_kernel(rows, ncols, field):
+    """The kernel built from the rref's free columns and then row-reduced a
+    second time (oracle for the single-rref linalg.kernel)."""
+    basis, piv = rref(rows, field)
+    free = [c for c in range(ncols) if c not in piv]
+    if not free:
+        return []
+    vecs = []
+    for f in free:
+        v = [field.zero()] * ncols
+        v[f] = field.one()
+        for i, pc in enumerate(piv):
+            v[pc] = field.neg(basis[i][f])
+        vecs.append(v)
+    return rref(vecs, field)[0]
+
+
 def is_cb_by_definition(gamma: PointSet, r: int) -> bool:
     """The definitional rank characterization, one elimination per point."""
     if len(gamma) == 0 or r == 0:

@@ -72,6 +72,22 @@ def test_tightness_campaign(gf101):
         assert rec["cb"] and not rec["cover_found"]
 
 
+def test_tightness_records_tiny_fields_per_trial():
+    # m = (d+1)r + 2 points on a rational normal curve need m <= p + 1: over
+    # GF(2) no trial fits, over GF(3) only d = r = 1 (m = 4) does
+    report = run_campaign(CampaignSpec("tightness", (2,), (2,), FieldSpec.prime(2), 4, 3))
+    assert len(report.records) == 4 and report.violations == []
+    for rec in report.records:
+        assert rec["status"] == "field_too_small" and rec["violation"] is False
+        assert rec["size"] == 8 and rec["genspec"]["params"] == {"k": 3, "m": 8}
+        assert "cb" not in rec
+    json.dumps(report.to_json())
+    report = run_campaign(CampaignSpec("tightness", (1, 2), (1,), FieldSpec.prime(3), 4, 3))
+    statuses = {(rec["d"], rec["status"]) for rec in report.records}
+    assert statuses == {(1, "ok"), (2, "field_too_small")}
+    assert report.summary["ok_records"] == 2
+
+
 def test_excision_campaign(gf101):
     spec = CampaignSpec(
         target="excision", d_values=(2,), r_values=(2, 3, 4),

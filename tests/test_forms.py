@@ -1,6 +1,7 @@
-"""Monomial bases, evaluation matrices, rank/kernel profiles."""
+"""Monomial bases, evaluation matrices, and their ranks and kernels."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,13 +12,11 @@ from cb_lab import (
     apply_matrix,
     eval_matrix,
     evaluate_form,
-    form_to_json,
     gen_plane_curve_ci,
     monomial_basis,
-    rank_kernel,
 )
 from cb_lab import linalg
-from cb_lab.forms import EvalMatrix, evaluation_row, form_from_json
+from cb_lab.forms import EvalMatrix, evaluation_row
 
 from helpers import random_invertible_matrix, random_point_set
 
@@ -44,8 +43,10 @@ def test_monomial_order_and_uniqueness():
 def test_eval_matrix_empty(gf101):
     m = eval_matrix(PointSet(gf101, 2, ()), 2)
     assert m.nrows == 0 and m.ncols == 6
-    prof = rank_kernel(m)
-    assert prof.rank == 0 and prof.corank == 6
+    assert linalg.rank(m.rows, gf101) == 0
+    assert linalg.kernel(m.rows, m.ncols, gf101) == [
+        tuple(int(i == j) for j in range(6)) for i in range(6)
+    ]
 
 
 def test_eval_matrix_coordinate_point(gf101):
@@ -61,25 +62,27 @@ def test_five_generic_points_rank_three(gf101):
     while True:
         gamma = random_point_set(gf101, 2, 5, rng)
         m = eval_matrix(gamma, 1)
-        if rank_kernel(m).rank == 3:
+        if linalg.rank(m.rows, gf101) == 3:
             break
-    assert rank_kernel(m).rank == 3  # 5 rows, 3 columns, generic
+    assert linalg.rank(m.rows, gf101) == 3  # 5 rows, 3 columns, generic
 
 
 def test_coordinate_simplex_rank(gf101):
     gamma = PointSet.from_coords(
         gf101, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
-    prof = rank_kernel(eval_matrix(gamma, 1))
-    assert prof.rank == 4 and prof.kernel_basis == ()
+    m = eval_matrix(gamma, 1)
+    assert linalg.rank(m.rows, gf101) == 4
+    assert linalg.kernel(m.rows, m.ncols, gf101) == []
 
 
 def test_nine_point_kernel_contains_two_cubics(gf101):
     gamma = gen_plane_curve_ci(3, 3, gf101, seed=9)
-    prof = rank_kernel(eval_matrix(gamma, 3))
-    assert prof.corank >= 2
+    m = eval_matrix(gamma, 3)
+    ker = linalg.kernel(m.rows, m.ncols, gf101)
+    assert len(ker) >= 2
     basis = monomial_basis(2, 3)
-    for vec in prof.kernel_basis:
+    for vec in ker:
         for pt in gamma:
             assert evaluate_form(vec, basis, pt) == 0
 
@@ -87,7 +90,7 @@ def test_nine_point_kernel_contains_two_cubics(gf101):
 def test_zero_matrix_rank():
     gf = FieldSpec.prime(7)
     m = EvalMatrix(gf, monomial_basis(2, 1), ((0, 0, 0), (0, 0, 0)))
-    assert rank_kernel(m).rank == 0
+    assert linalg.rank(m.rows, gf) == 0
 
 
 def test_rank_bounded(gf101):
@@ -98,7 +101,7 @@ def test_rank_bounded(gf101):
         count = rng.randint(1, 6)
         gamma = random_point_set(gf101, n, count, rng)
         m = eval_matrix(gamma, r)
-        assert rank_kernel(m).rank <= min(count, m.ncols)
+        assert linalg.rank(m.rows, gf101) <= min(count, m.ncols)
 
 
 def test_kernel_vanishes_on_points_fuzz(gf101):
@@ -106,9 +109,9 @@ def test_kernel_vanishes_on_points_fuzz(gf101):
     for _ in range(25):
         gamma = random_point_set(gf101, 2, rng.randint(2, 7), rng)
         r = rng.randint(1, 3)
-        prof = rank_kernel(eval_matrix(gamma, r))
+        m = eval_matrix(gamma, r)
         basis = monomial_basis(2, r)
-        for vec in prof.kernel_basis:
+        for vec in linalg.kernel(m.rows, m.ncols, gf101):
             assert all(evaluate_form(vec, basis, pt) == 0 for pt in gamma)
 
 
@@ -117,34 +120,25 @@ def test_rank_invariant_under_reorder_and_transform(gf101):
     for _ in range(15):
         gamma = random_point_set(gf101, 3, 6, rng)
         r = rng.randint(1, 2)
-        base = rank_kernel(eval_matrix(gamma, r)).rank
+        base = linalg.rank(eval_matrix(gamma, r).rows, gf101)
         order = list(range(len(gamma)))
         rng.shuffle(order)
-        assert rank_kernel(eval_matrix(gamma.subset(order), r)).rank == base
+        assert linalg.rank(eval_matrix(gamma.subset(order), r).rows, gf101) == base
         mat = random_invertible_matrix(gf101, 3, rng)
         moved = apply_matrix(gamma, mat)
-        assert rank_kernel(eval_matrix(moved, r)).rank == base
+        assert linalg.rank(eval_matrix(moved, r).rows, gf101) == base
 
 
 def test_deterministic_profiles(gf101):
     gamma = random_point_set(gf101, 2, 6, random.Random(77))
-    a = rank_kernel(eval_matrix(gamma, 2))
-    b = rank_kernel(eval_matrix(gamma, 2))
+    a = eval_matrix(gamma, 2)
+    b = eval_matrix(gamma, 2)
     assert a == b
-
-
-def test_form_json_round_trip(gf101):
-    gamma = gen_plane_curve_ci(2, 2, gf101, seed=3)
-    prof = rank_kernel(eval_matrix(gamma, 2))
-    basis = monomial_basis(2, 2)
-    vec = prof.kernel_basis[0]
-    blob = form_to_json(vec, basis, gf101)
-    assert all(set(term) == {"exponents", "coeff"} for term in blob)
-    assert form_from_json(blob, basis, gf101) == vec
+    assert linalg.kernel(a.rows, a.ncols, gf101) == linalg.kernel(b.rows, b.ncols, gf101)
 
 
 # Reference results built from the FieldSpec element ops alone, to check the
-# int-residue kernels of evaluation_row, dot and combine against.
+# native arithmetic of evaluation_row, dot and combine against.
 def _ops_evaluation_row(coords, basis, field):
     row = []
     for expo in basis.monomials:
@@ -187,3 +181,33 @@ def test_prime_kernels_match_field_ops(p):
         rows = [[rng.randint(-p, 2 * p) for _ in range(n + 1)] for _ in range(rng.randint(1, 4))]
         weights = [rng.choice((0, p, rng.randrange(p))) for _ in rows]
         assert linalg.combine(weights, rows, field) == _ops_combine(weights, rows, field)
+
+
+def test_rational_kernels_match_field_ops():
+    q = FieldSpec.rational()
+    rng = random.Random(5)
+
+    def rand_q():
+        # large and mixed denominators, integers and zero among them
+        return rng.choice((
+            Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)),
+            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10**6 + 3))),
+            Fraction(rng.randint(-5, 5)),
+            Fraction(0),
+        ))
+
+    for r in range(5):
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            coords = [rand_q() for _ in range(n + 1)]
+            basis = monomial_basis(n, r)
+            row = evaluation_row(coords, basis, q)
+            assert row == _ops_evaluation_row(coords, basis, q)
+            coeffs = [rand_q() for _ in range(len(basis))]
+            value = linalg.dot(coeffs, row, q)
+            assert value == _ops_dot(coeffs, row, q)
+            rows = [[rand_q() for _ in range(n + 1)] for _ in range(rng.randint(1, 4))]
+            weights = [rand_q() for _ in rows]
+            out = linalg.combine(weights, rows, q)
+            assert out == _ops_combine(weights, rows, q)
+            assert all(type(x) is Fraction for x in (*row, value, *out))

@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cb_lab import FieldSpec
 from cb_lab.linalg import dot, in_row_space, kernel, rank, rref, transpose
 
-from helpers import fraction_ge_rref, rank_oracle
+from helpers import fraction_ge_rref, rank_oracle, two_rref_kernel
 
 
 def _random_rows(field, nrows, ncols, rng):
@@ -82,6 +84,40 @@ def test_kernel_vectors_annihilate():
             for vec in ker:
                 for row in rows:
                     assert dot(row, vec, field) == 0
+
+
+def _ranked_rows(field, nrows, ncols, k, rng):
+    """A random nrows x ncols product of rank at most k (the zero matrix at k = 0)."""
+    left = _random_rows(field, nrows, k, rng)
+    right = _random_rows(field, k, ncols, rng)
+    rows = [[sum((lr[t] * right[t][j] for t in range(k)), field.zero()) for j in range(ncols)]
+            for lr in left]
+    if field.is_prime_field:
+        return [[x % field.p for x in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "field", [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(101), FieldSpec.rational()],
+    ids=["gf2", "gf3", "gf101", "q"],
+)
+def test_kernel_matches_two_rref_oracle(field):
+    rng = random.Random(31)
+    cases = [([], ncols) for ncols in range(1, 5)]
+    cases += [([[field.zero()] * ncols] * rng.randint(1, 3), ncols) for ncols in range(1, 5)]
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        k = rng.randint(0, min(nrows, ncols))
+        cases.append((_ranked_rows(field, nrows, ncols, k, rng), ncols))
+    cases += [(_random_rows(field, n, n, rng), n) for n in range(1, 6)]
+    ranks = set()
+    for rows, ncols in cases:
+        ker = kernel(rows, ncols, field)
+        assert ker == two_rref_kernel(rows, ncols, field)
+        ranks.add((rank(rows, field), ncols))
+    assert any(r == 0 for r, _ in ranks)
+    assert any(r == n for r, n in ranks)  # full column rank: empty kernel
+    assert any(0 < r < n for r, n in ranks)
 
 
 def test_kernel_of_empty_matrix():
