@@ -529,20 +529,28 @@ def replay_record(record: dict) -> dict:
     set, CB(r) is recomputed and compared against "cb" when the record has
     one; with "d" set and a recorded "cover_found", a dimension-d cover search
     (default node budget) is compared against it.  No other recorded verdict
-    is rechecked.  Returns the recomputed verdicts and whether they match;
-    raises ValueError when "r" or "d" is present but not an integer.
+    is rechecked.  A "field_too_small" record matches when its genspec again
+    raises FieldTooSmallError, and not when it generates.  Returns the
+    recomputed verdicts and whether they match; raises ValueError when "r"
+    or "d" is present but not an integer.
     """
+    too_small = record.get("status") == "field_too_small"
     if "points" in record:
         gamma = PointSet.from_json(record["points"])
     elif "genspec" in record:
-        gamma, _ = generate(GenSpec.from_json(record["genspec"]))
+        try:
+            gamma, _ = generate(GenSpec.from_json(record["genspec"]))
+        except FieldTooSmallError:
+            if not too_small:
+                raise
+            return {"status": "field_too_small", "matches": True}
     else:
         raise ValueError("record carries neither points nor a genspec")
     r, d = record.get("r"), record.get("d")
     if any(v is not None and type(v) is not int for v in (r, d)):
         raise ValueError(f"record r and d must be integers, got r={r!r}, d={d!r}")
     out = {"size": len(gamma)}
-    matches = True
+    matches = not too_small
     if r is not None and r >= 0:
         out["cb"] = is_cb(gamma, r).verdict
         if "cb" in record:

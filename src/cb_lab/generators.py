@@ -13,15 +13,20 @@ Families:
   plane_curve_ci    the full transverse intersection of two plane curves
   elliptic_quartic  points on a quadric-pair intersection curve in P^3
   on_configuration  uniform sampler on the planes of a given configuration
+
+Plane-curve intersections are found by root finding over GF(p) (gfpoly), not
+by scanning the plane: a draw costs O(deg^4 log p) field operations for the
+degree-deg^2 resultant and its roots, against the p^2 + p + 1 points of
+P^2(GF(p)), so every p < 2^31 is practical.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 
-from . import linalg
+from . import gfpoly, linalg
 from .errors import (
     DegenerateConicError,
     FieldTooSmallError,
@@ -36,7 +41,6 @@ from .projective import (
     PointSet,
     ProjPoint,
     _prime_coeff_tuples,
-    enumerate_points,
     is_split,
     span,
 )
@@ -366,29 +370,107 @@ def gen_two_plane_conics(points_per_conic: int, field: FieldSpec, seed: int):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _plane_rows(field: FieldSpec, r: int):
-    """Degree-r evaluation rows for every point of P^2(GF(p)), cached."""
-    pts = enumerate_points(field, 2)
-    basis = monomial_basis(2, r)
-    return tuple(pts), tuple(evaluation_row(pt.coords, basis, field) for pt in pts)
+def _plane_point(i: int, p: int) -> tuple:
+    """The i-th point of P^2(GF(p)) in enumerate_points order."""
+    if i < p * p:
+        return (1, i // p, i % p)
+    if i < p * p + p:
+        return (0, 1, i - p * p)
+    return (0, 0, 1)
+
+
+def _slice_table(vec, deg: int):
+    """table[k][j]: the coefficient of x1^j x2^k in the degree-deg form with
+    coefficient vector vec over monomial_basis(2, deg); so f(1, a, y) has
+    y^k coefficient sum_j table[k][j] a^j, and f(0, 1, y) has table[k][deg-k]."""
+    table = [[0] * (deg - k + 1) for k in range(deg + 1)]
+    for c, (_, e1, e2) in zip(vec, monomial_basis(2, deg).monomials):
+        table[e2][e1] = c
+    return table
+
+
+def _det(m, p: int) -> int:
+    """Determinant of a square int matrix mod p."""
+    m = [list(row) for row in m]
+    n = len(m)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], p - 2, p)
+        for i in range(c + 1, n):
+            f = m[i][c] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
+    return det % p
+
+
+def _resultant(f, g, p: int) -> int:
+    """Res_y of two polynomials given at the same formal degree n (constant
+    term first, n+1 entries each): the Sylvester determinant."""
+    n = len(f) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    return _det(rows, p)
+
+
+def _common_zeros(f_vec, g_vec, deg: int, p: int):
+    """Coordinates of the common zeros in P^2(GF(p)) of two degree-deg forms,
+    in enumerate_points order, without visiting the plane.
+
+    The lines through (0:0:1) slice the plane: slice a holds the points
+    (1, a, y), then come the points (0, 1, y) and (0:0:1) itself.  The
+    common zeros on a slice are the roots in y of the gcd of the two
+    restrictions (every y when both vanish).  Only the slices at the roots
+    of R(a) = Res_y(f(1,a,y), g(1,a,y)) hold common zeros.  Taken at formal
+    degree deg, R has degree <= deg^2, so deg^2 + 1 values give it; R is
+    zero exactly when f and g share a component or both vanish at (0:0:1),
+    and then, as when p <= deg^2, every slice is visited.
+    """
+    f, g = _slice_table(f_vec, deg), _slice_table(g_vec, deg)
+
+    def restrict(a):
+        return ([gfpoly.evaluate(row, a, p) for row in f],
+                [gfpoly.evaluate(row, a, p) for row in g])
+
+    def common_roots(fy, gy):
+        h = gfpoly.gcd(fy, gy, p)
+        return gfpoly.roots(h, p) if h else range(p)
+
+    res = []
+    if p > deg * deg:
+        res = gfpoly.interpolate([_resultant(*restrict(a), p) for a in range(deg * deg + 1)], p)
+    for a in gfpoly.roots(res, p) if res else range(p):
+        for y in common_roots(*restrict(a)):
+            yield (1, a, y)
+    at_infinity = ([row[deg - k] for k, row in enumerate(f)],
+                   [row[deg - k] for k, row in enumerate(g)])
+    for y in common_roots(*at_infinity):
+        yield (0, 1, y)
+    if f[deg][0] == 0 and g[deg][0] == 0:
+        yield (0, 0, 1)
 
 
 def _pencil_ci(deg: int, field: FieldSpec, rng: random.Random):
-    """Common zeros of two members of the pencil through deg*deg - 1 base points."""
-    pts, rows = _plane_rows(field, deg)
-    nbase = deg * deg - 1
-    base_idx = rng.sample(range(len(pts)), nbase)
+    """Common zeros of two members of the pencil through deg*deg - 1 base points.
+
+    Stops after deg*deg + 1 zeros, which is enough to reject the draw.
+    """
+    p = field.p
+    need = deg * deg
+    base_idx = rng.sample(range(p * p + p + 1), need - 1)
     basis = monomial_basis(2, deg)
-    ker = linalg.kernel([rows[i] for i in base_idx], len(basis), field)
+    rows = [evaluation_row(_plane_point(i, p), basis, field) for i in base_idx]
+    ker = linalg.kernel(rows, len(basis), field)
     if len(ker) < 2:
         return None
-    f_vec, g_vec = ker[0], ker[1]
-    zeros = []
-    for pt, row in zip(pts, rows):
-        if linalg.dot(f_vec, row, field) == 0 and linalg.dot(g_vec, row, field) == 0:
-            zeros.append(pt)
-    return zeros
+    zeros = islice(_common_zeros(ker[0], ker[1], deg, p), need + 1)
+    return [ProjPoint(field, coords) for coords in zeros]
 
 
 def _curve_then_points(deg_lo: int, deg_hi: int, field: FieldSpec, rng: random.Random):
@@ -531,15 +613,52 @@ def _line_key(a, b, p: int) -> tuple:
     raise ValueError("a line needs two distinct points")
 
 
-def _has_three_collinear(pts, field: FieldSpec) -> bool:
-    counts = {}
+def _quadric_value(q, x, p: int) -> int:
+    alpha, beta, gamma = _split_quadric(q, *x[:3])
+    w = x[3]
+    return (w * (alpha * w + beta) + gamma) % p
+
+
+def _gradient(q, x, p: int) -> tuple:
+    """The gradient of the quadric q (monomial_basis(3, 2) order) at x."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = q
+    x0, x1, x2, x3 = x
+    return ((2 * c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3) % p,
+            (c1 * x0 + 2 * c4 * x1 + c5 * x2 + c6 * x3) % p,
+            (c2 * x0 + c5 * x1 + 2 * c7 * x2 + c8 * x3) % p,
+            (c3 * x0 + c6 * x1 + c8 * x2 + 2 * c9 * x3) % p)
+
+
+def _has_three_collinear(pts, q1, q2, field: FieldSpec) -> bool:
+    """Whether three of pts, all the rational points of q1 = q2 = 0, are collinear.
+
+    A line meeting a quadric in three points lies in it, so three collinear
+    points exist exactly when a rational line lies in both quadrics.  Such a
+    line through a point a of the curve lies in both tangent planes u.x = 0
+    and v.x = 0 (u, v the gradients at a), because q(a + t b) = q(a) +
+    t (grad q(a) . b) + t^2 q(b).  When u and v are independent those planes
+    meet in the only candidate line, which holds a (Euler: u.a = 2 q1(a) = 0)
+    and lies in both quadrics iff both vanish at one more of its points b.
+    Where u and v are dependent, the lines through a and the other points
+    are compared instead.  Each test is O(1) per point outside that case.
+    """
+    p = field.p
     coords = [pt.coords for pt in pts]
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            key = _line_key(coords[i], coords[j], field.p)
-            counts[key] = counts.get(key, 0) + 1
-            if counts[key] >= 3:  # C(3,2) pairs on one line
+    for a in coords:
+        ker = linalg.kernel([_gradient(q1, a, p), _gradient(q2, a, p)], 4, field)
+        if len(ker) == 2:
+            # Kernel vectors and points both lead with 1: proportional means equal.
+            b = ker[1] if ker[0] == a else ker[0]
+            if _quadric_value(q1, b, p) == 0 and _quadric_value(q2, b, p) == 0:
                 return True
+            continue
+        seen = set()
+        for c in coords:
+            if c != a:
+                key = _line_key(a, c, p)
+                if key in seen:
+                    return True
+                seen.add(key)
     return False
 
 
@@ -562,15 +681,11 @@ def gen_elliptic_quartic(m: int, field: FieldSpec, seed: int) -> PointSet:
         q2 = tuple(rng.randrange(field.p) for _ in range(nmono))
         if all(c == 0 for c in q1) or all(c == 0 for c in q2):
             continue
-        curve = []
-        for coords in _quadric_points(q1, field, sqrts):
-            alpha, beta, gamma = _split_quadric(q2, *coords[:3])
-            w = coords[3]
-            if (w * (alpha * w + beta) + gamma) % field.p == 0:
-                curve.append(ProjPoint(field, coords))
+        curve = [ProjPoint(field, x) for x in _quadric_points(q1, field, sqrts)
+                 if _quadric_value(q2, x, field.p) == 0]
         if len(curve) < m:
             continue
-        if _has_three_collinear(curve, field):
+        if _has_three_collinear(curve, q1, q2, field):
             continue
         chosen = rng.sample(curve, m)
         return PointSet(field, 3, tuple(chosen))

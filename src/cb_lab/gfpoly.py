@@ -1,0 +1,137 @@
+"""Univariate polynomials over GF(p) and their roots in GF(p).
+
+A polynomial is a list of int residues, constant term first, with no
+trailing zeros; [] is the zero polynomial.  roots finds the distinct roots
+without scanning the field: the gcd with t^p - t keeps one linear factor
+per root, and the factors are split apart with (t + a)^((p-1)/2) - 1 for
+a = 0, 1, 2, ... (Cantor-Zassenhaus equal-degree splitting with a counter
+in place of the random shift, so no random draw is consumed).  A degree-n
+polynomial costs O(n^2 log p) field operations.
+"""
+
+from __future__ import annotations
+
+
+def trim(f, p: int) -> list:
+    """f reduced mod p with its trailing zeros dropped."""
+    out = [c % p for c in f]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _add(f, g, p: int) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    return trim([c + (g[i] if i < len(g) else 0) for i, c in enumerate(f)], p)
+
+
+def mul(f, g, p: int) -> list:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return trim(out, p)
+
+
+def quo_rem(f, g, p: int) -> tuple:
+    """(q, r) with f = q*g + r and deg r < deg g; g must be nonzero."""
+    r = trim(f, p)
+    n = len(g) - 1
+    inv = pow(g[n], p - 2, p)
+    q = [0] * max(len(r) - n, 0)
+    while len(r) > n:
+        shift = len(r) - 1 - n
+        c = r[-1] * inv % p
+        q[shift] = c
+        for j in range(n):
+            r[shift + j] = (r[shift + j] - c * g[j]) % p
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def mod(f, g, p: int) -> list:
+    return quo_rem(f, g, p)[1]
+
+
+def gcd(f, g, p: int) -> list:
+    """The monic gcd; gcd([], []) is []."""
+    f, g = trim(f, p), trim(g, p)
+    while g:
+        f, g = g, mod(f, g, p)
+    if not f:
+        return f
+    inv = pow(f[-1], p - 2, p)
+    return [c * inv % p for c in f]
+
+
+def powmod(f, e: int, m, p: int) -> list:
+    """f^e mod m, by repeated squaring."""
+    result, base = mod([1], m, p), mod(f, m, p)
+    while e:
+        if e & 1:
+            result = mod(mul(result, base, p), m, p)
+        e >>= 1
+        if e:
+            base = mod(mul(base, base, p), m, p)
+    return result
+
+
+def evaluate(f, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def interpolate(values, p: int) -> list:
+    """The polynomial of degree < len(values) taking values[i] at t = i;
+    needs len(values) <= p."""
+    n = len(values)
+    full = [1]
+    for j in range(n):
+        full = mul(full, [-j, 1], p)
+    out = []
+    for i, v in enumerate(values):
+        if v % p:
+            q = quo_rem(full, [-i, 1], p)[0]  # prod over j != i of (t - j)
+            out = _add(out, mul(q, [v * pow(evaluate(q, i, p), p - 2, p)], p), p)
+    return out
+
+
+def roots(f, p: int) -> list:
+    """The distinct roots in GF(p) of a nonzero polynomial, ascending."""
+    f = trim(f, p)
+    if not f:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    if p == 2:
+        return [x for x in (0, 1) if evaluate(f, x, p) == 0]
+    if len(f) < 3:
+        return [-f[0] * pow(f[1], p - 2, p) % p] if len(f) == 2 else []
+    found = []
+    _split(gcd(f, _add(powmod([0, 1], p, f, p), [0, -1], p), p), p, found, 0)
+    return sorted(found)
+
+
+def _split(g, p: int, found: list, start: int) -> None:
+    """Append the roots of a monic product of distinct linear factors (odd p),
+    trying the shifts from start on, cyclically."""
+    if len(g) < 2:
+        return
+    if len(g) == 2:
+        found.append(-g[0] % p)
+        return
+    # Two roots r != s fall on opposite sides for about half of all shifts a
+    # (quadratic character of r + a versus s + a), so p shifts always split.
+    for a in range(start, start + p):
+        d = gcd(g, _add(powmod([a % p, 1], (p - 1) // 2, g, p), [-1], p), p)
+        if 1 < len(d) < len(g):
+            _split(d, p, found, a + 1)
+            _split(quo_rem(g, d, p)[0], p, found, a + 1)
+            return
+    raise AssertionError("unreachable: no shift splits distinct roots")

@@ -43,7 +43,8 @@ def _mask_of(subset) -> int:
 
 class Matroid:
     """Ground set {0..size-1} with a memoized exact rank oracle; rank_fn is trusted
-    (only from_flat_list spot-checks).  points is set by from_points."""
+    (only from_flat_list spot-checks).  points is set by from_points.  The
+    flat lattice of the highest rank asked for so far is kept as well."""
 
     def __init__(self, size: int, rank_fn, label: str = "matroid", points=None):
         if size < 1:
@@ -53,6 +54,7 @@ class Matroid:
         self.points = points
         self._rank_fn = rank_fn
         self._cache = {}
+        self._lattice = None  # (max_rank, FlatLattice) built by flats()
 
     # -- construction ------------------------------------------------------
 
@@ -177,9 +179,25 @@ class FlatLattice:
 def flats(m: Matroid, max_rank: int) -> FlatLattice:
     """All flats of rank <= max_rank: from candidate_flats for a point
     matroid, else grown by closing one-element extensions.  Raises
-    GroundTooLargeError above GROUND_CAP elements."""
+    GroundTooLargeError above GROUND_CAP elements.
+
+    The matroid keeps the lattice it builds, and later calls filter it.  The
+    ground set is the only flat of full rank, so a lattice up to rank
+    full_rank - 1 answers every request.
+    """
     if m.size > GROUND_CAP:
         raise GroundTooLargeError(f"ground set of {m.size} exceeds the cap {GROUND_CAP}")
+    top = m.full_rank
+    if m._lattice is None or m._lattice[0] < min(max_rank, top - 1):
+        m._lattice = (max_rank, _build_flats(m, max_rank))
+    keep = max(max_rank, 0)
+    by_rank = {rk: ms for rk, ms in m._lattice[1].by_rank.items() if rk <= keep}
+    if max_rank >= top:
+        by_rank[top] = ((1 << m.size) - 1,)
+    return FlatLattice(m.size, by_rank)
+
+
+def _build_flats(m: Matroid, max_rank: int) -> FlatLattice:
     if m.points is not None:
         # Points are distinct and nonzero: the empty set and the singletons
         # are closed, and each span holds the points of gamma it contains.

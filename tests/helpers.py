@@ -7,6 +7,7 @@ combinations, intersections via the direct common-cone linear system.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -20,9 +21,14 @@ from cb_lab import (
 )
 from cb_lab.errors import DegenerateConicError, ResampleBudgetExceededError
 from cb_lab.forms import evaluation_row
-from cb_lab.generators import RESAMPLE_BUDGET, _conic_through_origin_point, _rand_element
+from cb_lab.generators import (
+    RESAMPLE_BUDGET,
+    _conic_through_origin_point,
+    _line_key,
+    _rand_element,
+)
 from cb_lab.linalg import combine, dot, in_row_space, kernel, rref
-from cb_lab.projective import _prime_coeff_tuples
+from cb_lab.projective import _prime_coeff_tuples, enumerate_points
 
 
 def det_oracle(rows, field):
@@ -178,6 +184,50 @@ def candidate_flats_oracle(gamma: PointSet, max_dim: int):
     return sorted(found.values(), key=lambda t: (t[0], t[1]))
 
 
+@functools.lru_cache(maxsize=16)
+def _plane_rows(field, deg):
+    """Every point of P^2(GF(p)) and its degree-deg evaluation row, cached."""
+    pts = enumerate_points(field, 2)
+    basis = monomial_basis(2, deg)
+    return tuple(pts), tuple(evaluation_row(pt.coords, basis, field) for pt in pts)
+
+
+def pencil_ci_by_scan(deg, field, rng):
+    """One draw of the equal-degree plane-curve sampler by a whole-plane scan:
+    deg*deg - 1 base points sampled by index from all of P^2(GF(p)), the first
+    two kernel forms through them, and all of their common zeros, in
+    enumeration order (reference for the slice-by-slice root finder)."""
+    pts, rows = _plane_rows(field, deg)
+    base_idx = rng.sample(range(len(pts)), deg * deg - 1)
+    ker = kernel([rows[i] for i in base_idx], len(rows[0]), field)
+    if len(ker) < 2:
+        return None
+    return common_zeros_by_scan(ker[0], ker[1], deg, field)
+
+
+def common_zeros_by_scan(f, g, deg, field):
+    """The points of P^2(GF(p)) where two degree-deg forms both vanish, in
+    enumeration order, by evaluating them at every point."""
+    pts, rows = _plane_rows(field, deg)
+    return [pt for pt, row in zip(pts, rows)
+            if dot(f, row, field) == 0 and dot(g, row, field) == 0]
+
+
+def has_three_collinear_by_pairs(pts, field):
+    """Whether three of the points of P^3(GF(p)) are collinear, by counting
+    the Pluecker key of the line through every pair (reference for the
+    gradient test of the elliptic-quartic generator)."""
+    counts = {}
+    coords = [pt.coords for pt in pts]
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            key = _line_key(coords[i], coords[j], field.p)
+            counts[key] = counts.get(key, 0) + 1
+            if counts[key] >= 3:  # C(3,2) pairs on one line
+                return True
+    return False
+
+
 def _whole_curve_zeros(deg_lo, deg_hi, field, rng):
     """One draw of the unequal-degree plane-curve sampler by a whole-curve scan:
     list all p+1 points of the line or conic, sample deg_lo*deg_hi of them,
@@ -210,12 +260,15 @@ def _whole_curve_zeros(deg_lo, deg_hi, field, rng):
 
 
 def plane_curve_ci_by_scan(deg_d: int, deg_e: int, field: FieldSpec, seed: int) -> PointSet:
-    """gen_plane_curve_ci for an unequal degree pair over GF(p), by the
-    whole-curve scan (reference for the sample-only generator)."""
+    """gen_plane_curve_ci over GF(p) by whole-curve and whole-plane scans
+    (reference for the generator, which visits neither)."""
     lo, hi = sorted((deg_d, deg_e))
     rng = random.Random(seed)
     for _ in range(RESAMPLE_BUDGET):
-        zeros = _whole_curve_zeros(lo, hi, field, rng)
+        if lo == hi:
+            zeros = pencil_ci_by_scan(lo, field, rng)
+        else:
+            zeros = _whole_curve_zeros(lo, hi, field, rng)
         if zeros is not None and len(zeros) == lo * hi:
             return PointSet(field, 2, tuple(zeros))
     raise ResampleBudgetExceededError(

@@ -6,6 +6,8 @@ import time
 import pytest
 
 from cb_lab import (
+    CampaignSpec,
+    FieldSpec,
     Matroid,
     PointSet,
     exists_cover,
@@ -13,6 +15,7 @@ from cb_lab import (
     gen_skew_lines,
     is_cb,
     is_mcb,
+    run_campaign,
 )
 from cb_lab.cli import main
 
@@ -97,6 +100,28 @@ def test_verify_conjecture_and_replay(tmp_path, capsys):
     code, out = _run(capsys, "verify-conjecture", "--replay", str(rec_path), "--json")
     assert code == 0
     assert json.loads(out)["matches"] is True
+
+
+def test_replay_field_too_small_record(tmp_path, capsys):
+    report = run_campaign(CampaignSpec("tightness", (2,), (2,), FieldSpec.prime(2), 1, 3))
+    record = report.records[0]
+    assert record["status"] == "field_too_small"
+    path = tmp_path / "record.json"
+
+    def replay(rec):
+        path.write_text(json.dumps(rec))
+        code = main(["verify-conjecture", "--replay", str(path), "--json"])
+        return code, capsys.readouterr()
+
+    code, got = replay(record)
+    assert code == 0 and json.loads(got.out) == {"status": "field_too_small", "matches": True}
+    # the same draw over GF(101) fits, so the recorded outcome no longer holds
+    gf101 = {"kind": "prime", "p": 101}
+    code, got = replay({**record, "genspec": {**record["genspec"], "field": gf101}})
+    assert code == 1 and json.loads(got.out)["matches"] is False
+    # a record that did not expect the error still reports it
+    code, got = replay({**record, "status": "ok"})
+    assert code == 2 and got.err.startswith("error: ")
 
 
 def test_matroid_subcommand(tmp_path, capsys, gf101):

@@ -37,15 +37,28 @@ from cb_lab.errors import (
     FieldTooSmallError,
     InvalidFieldError,
 )
+from cb_lab.forms import evaluation_row
 from cb_lab.generators import (
+    _common_zeros,
     _conic_through_origin_point,
+    _has_three_collinear,
     _line_key,
+    _pencil_ci,
     _quadric_points,
+    _quadric_value,
+    _slice_table,
     _sqrt_table,
 )
 from cb_lab.linalg import combine, kernel, rank, rref
+from cb_lab.projective import _prime_coeff_tuples
 
-from helpers import plane_curve_ci_by_scan, rank_oracle
+from helpers import (
+    common_zeros_by_scan,
+    has_three_collinear_by_pairs,
+    pencil_ci_by_scan,
+    plane_curve_ci_by_scan,
+    rank_oracle,
+)
 
 
 def _pointset_bytes(ps: PointSet) -> str:
@@ -169,11 +182,14 @@ def _outcome(make):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 2), (3, 3)])
 def test_plane_curve_ci_matches_whole_curve_scan(pair):
     # p = 2 has no smooth conics, p + 1 < lo*hi rejects before the draw, and
     # (1,4) at p = 3 and (2,4) at p = 7 have p + 1 == lo*hi: draw, then reject.
+    # (3,3) over GF(2) fails its size check before any draw (test_plane_curve_ci_rejects).
     for p in (2, 3, 5, 7, 11, 13, 101):
+        if pair == (3, 3) and p == 2:
+            continue
         field = FieldSpec.prime(p)
         for seed in range(50):
             got = _outcome(lambda: gen_plane_curve_ci(*pair, field, seed))
@@ -194,6 +210,76 @@ def test_plane_curve_ci_large_prime_is_fast(pair):
     ps = gen_plane_curve_ci(*pair, FieldSpec.prime(100003), seed=1)
     assert time.perf_counter() - start < 0.5
     assert hashlib.sha256(_pointset_bytes(ps).encode()).hexdigest() == _LARGE_PRIME_CI[pair]
+
+
+def test_cubic_pencil_large_prime_is_fast():
+    start = time.perf_counter()
+    ps = gen_plane_curve_ci(3, 3, FieldSpec.prime(100003), seed=1)
+    assert time.perf_counter() - start < 0.5
+    assert len(ps) == 9 and is_cb(ps, 3).verdict
+
+
+_PENCIL_SEEDS = {2: 150, 3: 150, 5: 150, 7: 150, 11: 150, 13: 150, 101: 30}
+
+
+@pytest.mark.parametrize("deg", [2, 3])
+def test_pencil_draws_match_whole_plane_scan(deg):
+    # _pencil_ci stops after deg*deg + 1 zeros, enough to reject the draw.
+    for p, seeds in _PENCIL_SEEDS.items():
+        if deg == 3 and p == 2:
+            continue
+        field = FieldSpec.prime(p)
+        for seed in range(seeds):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                got = _pencil_ci(deg, field, got_rng)
+                want = pencil_ci_by_scan(deg, field, want_rng)
+                if want is None:
+                    assert got is None, (p, deg, seed)
+                else:
+                    assert got == want[: deg * deg + 1], (p, deg, seed)
+                assert got_rng.getstate() == want_rng.getstate()
+
+
+def _forms_through(coords, deg, field, rng):
+    """Two random independent degree-deg forms vanishing at every listed point."""
+    basis = monomial_basis(2, deg)
+    ker = kernel([evaluation_row(c, basis, field) for c in coords], len(basis), field)
+    assert len(ker) >= 2
+    while True:
+        f, g = (combine([rng.randrange(field.p) for _ in ker], ker, field) for _ in range(2))
+        if rank([f, g], field) == 2:
+            return f, g
+
+
+def _points_of_line(a, b, field):
+    return [combine(c, [a, b], field) for c in _prime_coeff_tuples(field.p, 2)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101])
+@pytest.mark.parametrize("deg", [2, 3])
+def test_common_zeros_forced_cases(p, deg):
+    field = FieldSpec.prime(p)
+    rng = random.Random(p * 10 + deg)
+    cases = {
+        # both curves through (0:0:1): R is identically zero
+        "through-001": [(0, 0, 1), (1, 2, 3)],
+        # a shared line, one not through (0:0:1) and one through it (the
+        # slice x1 = 3 x0 is then zero on both curves)
+        "shared-line": _points_of_line((1, 0, 4), (0, 1, 2), field),
+        "shared-slice": _points_of_line((1, 3, 0), (0, 0, 1), field),
+        # two common zeros on slice 3: the gcd there has degree two
+        "two-on-a-slice": [(1, 3, 1), (1, 3, 4), (1, 4, 2)],
+    }
+    for name, coords in cases.items():
+        for _ in range(3):
+            f, g = _forms_through(coords, deg, field, rng)
+            got = list(_common_zeros(f, g, deg, p))
+            want = [pt.coords for pt in common_zeros_by_scan(f, g, deg, field)]
+            assert got == want, (name, f, g)
+            assert {tuple(c) for c in coords} <= set(got)
+            if name == "through-001":
+                assert _slice_table(f, deg)[deg][0] == _slice_table(g, deg)[deg][0] == 0
 
 
 def test_elliptic_quartic(gf101):
@@ -271,6 +357,28 @@ def test_quadric_points_closed_form_matches_brute_force(p):
         pts = _quadric_points(q, field, sqrts)
         assert len(pts) == len(set(pts))
         assert set(pts) == _brute_quadric_points(q, field), q
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_three_collinear_matches_pair_scan(p):
+    field = FieldSpec.prime(p)
+    sqrts = _sqrt_table(p)
+    rng = random.Random(p)
+    outcomes = set()
+    for i in range(120):
+        q1, q2 = (tuple(rng.randrange(p) for _ in range(10)) for _ in range(2))
+        if i % 3 == 0:  # no x0^2, x0x1, x1^2 terms: both contain the line x2 = x3 = 0
+            q1, q2 = ((0, 0) + q[2:4] + (0,) + q[5:] for q in (q1, q2))
+        elif i % 3 == 1:  # no x3 terms in q1: a cone with vertex (0:0:0:1)
+            q1 = q1[:3] + (0,) + q1[4:6] + (0,) + q1[7:8] + (0, 0)
+        if not any(q1) or not any(q2):
+            continue
+        curve = [ProjPoint(field, x) for x in _quadric_points(q1, field, sqrts)
+                 if _quadric_value(q2, x, p) == 0]
+        got = _has_three_collinear(curve, q1, q2, field)
+        assert got == has_three_collinear_by_pairs(curve, field), (q1, q2)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_line_key_matches_rref_key():

@@ -1,0 +1,80 @@
+"""Polynomials over GF(p): arithmetic identities and roots against brute force."""
+
+import random
+from itertools import zip_longest
+
+import pytest
+
+from cb_lab import gfpoly
+
+
+def _brute_roots(f, p):
+    return [x for x in range(p) if gfpoly.evaluate(f, x, p) == 0]
+
+
+def _irreducibles(p, rng):
+    """Monic quadratics and cubics with no root in GF(p), hence irreducible."""
+    out = []
+    while len(out) < 6:
+        f = [rng.randrange(p) for _ in range(len(out) % 2 + 2)] + [1]
+        if not _brute_roots(f, p):
+            out.append(f)
+    return out
+
+
+def _product(factors, p):
+    f = [1]
+    for g in factors:
+        f = gfpoly.mul(f, g, p)
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_roots_match_brute_force(p):
+    rng = random.Random(p)
+    irreducible = _irreducibles(p, rng)
+    for _ in range(150):
+        # linear factors with repeats, irreducible factors and a unit
+        linear = [[-rng.randrange(p), 1] for _ in range(rng.randrange(6))]
+        linear += linear[: rng.randrange(3)]
+        other = rng.sample(irreducible, rng.randrange(3))
+        f = _product(linear + other + [[rng.randrange(1, p)]], p)
+        assert gfpoly.roots(f, p) == _brute_roots(f, p) == sorted({-g[0] % p for g in linear})
+        g = gfpoly.trim([rng.randrange(p) for _ in range(rng.randrange(1, 12))], p)
+        if g:
+            assert gfpoly.roots(g, p) == _brute_roots(g, p)
+    with pytest.raises(ValueError):
+        gfpoly.roots([0, p], p)
+
+
+def test_roots_of_every_split_polynomial_over_gf5():
+    # all products of distinct linear factors: every splitting path is taken
+    p = 5
+    for mask in range(1, 1 << p):
+        rts = [x for x in range(p) if mask >> x & 1]
+        assert gfpoly.roots(_product([[-x, 1] for x in rts], p), p) == rts
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 100003])
+def test_arithmetic_identities(p):
+    rng = random.Random(p)
+    for _ in range(100):
+        f, g = (gfpoly.trim([rng.randrange(p) for _ in range(rng.randrange(9))], p)
+                for _ in range(2))
+        if not g:
+            continue
+        q, r = gfpoly.quo_rem(f, g, p)
+        assert len(r) < len(g)
+        qg = gfpoly.mul(q, g, p)
+        assert gfpoly.trim([a - b - c for a, b, c in zip_longest(f, qg, r, fillvalue=0)], p) == []
+        h = gfpoly.gcd(f, g, p)
+        assert h[-1] == 1 and not gfpoly.mod(f, h, p) and not gfpoly.mod(g, h, p)
+        e = rng.randrange(50)
+        want = gfpoly.mod([1], g, p)
+        for _ in range(e):
+            want = gfpoly.mod(gfpoly.mul(want, f, p), g, p)
+        assert gfpoly.powmod(f, e, g, p) == want
+    values = [rng.randrange(p) for _ in range(min(p, 10))]
+    poly = gfpoly.interpolate(values, p)
+    assert len(poly) <= len(values)
+    assert [gfpoly.evaluate(poly, x, p) for x in range(len(values))] == values

@@ -9,6 +9,7 @@ from cb_lab import (
     FieldSpec,
     Matroid,
     PointSet,
+    candidate_flats,
     enumerate_points,
     exists_flat_cover,
     flats,
@@ -95,6 +96,36 @@ def test_point_flats_match_closure_enumeration(sets):
         for max_rank in range(m.full_rank + 2):
             got = flats(m, max_rank).by_rank
             assert list(got.items()) == list(flats(sourceless, max_rank).by_rank.items())
+
+
+@pytest.mark.parametrize(
+    "sets", [c[1] for c in _FLAT_ENGINE_CASES], ids=[c[0] for c in _FLAT_ENGINE_CASES]
+)
+def test_kept_lattice_matches_fresh_builds(sets):
+    rng = random.Random(len(sets))
+    for gamma in sets:
+        top = Matroid.from_points(gamma).full_rank
+        ranks = list(range(-1, top + 3))
+        fresh = {rk: flats(Matroid.from_points(gamma), rk) for rk in ranks}
+        for order in (ranks, ranks[::-1], rng.sample(ranks, len(ranks))):
+            m = Matroid.from_points(gamma)
+            sourceless = Matroid(len(gamma), m.rank)
+            for rk in order:
+                assert list(flats(m, rk).by_rank.items()) == list(fresh[rk].by_rank.items())
+                assert flats(sourceless, rk) == fresh[rk]
+
+
+def test_mcb_then_flat_cover_builds_the_lattice_once(gf101, monkeypatch):
+    import cb_lab.matroid
+
+    calls = []
+    monkeypatch.setattr(cb_lab.matroid, "candidate_flats",
+                        lambda *args: calls.append(args) or candidate_flats(*args))
+    m = Matroid.from_points(gen_rnc(3, 7, gf101, seed=5))
+    is_mcb(m, 2)
+    assert exists_flat_cover(m, [3]) is not None  # the span of everything, at full rank
+    exists_flat_cover(m, [1, 1])
+    assert len(calls) == 1
 
 
 def test_flats_uniform():

@@ -10,8 +10,8 @@ sides run the same benchmark.  For every workload that ``BENCHMARK.json``
 lists, at seeds 1 and 2, ``perfbench/run.py --trace 0`` runs ``PAIRS`` times
 on each side for ``BENCHMARK.json``'s ``run_seconds``; within a pair the two
 sides run back to back, and the side that goes first alternates from pair to
-pair.  Then one ``--trace 1`` conics_cover pass per side gives the layer
-split.  The record holds every run's metrics, attempted and failed counts,
+pair.  Then one ``--trace 1`` pass per side of every workload gives its
+layer split.  The record holds every run's metrics, attempted and failed counts,
 the per-metric medians and the number of pairs the working tree won.
 Nothing is written if any run reports ``correct: false`` or a failed item.
 """
@@ -36,7 +36,9 @@ SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 SEEDS = (1, 2)
 LOWER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == "lower"}
-LAYER_SPLIT = ("linalg.reduce_against.calls", "cover.candidate_flats.self_s", "trace.traced_s")
+LAYER_SPLIT = ("linalg.reduce_against.calls", "linalg.dot.calls", "cover.candidate_flats.self_s",
+               "generators.gen_plane_curve_ci.self_s", "generators.gen_elliptic_quartic.self_s",
+               "trace.traced_s")
 
 
 def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -108,12 +110,14 @@ def main(argv=None) -> int:
                           f"{runs['change'][-1]['metrics']['items_per_s']:.4g}", flush=True)
                 record["trace0"].setdefault(workload, {})[str(seed)] = {
                     "summary": summarise(runs["base"], runs["change"]), **runs}
-        layers = {side: bench(path, "conics_cover", SEEDS[0], 1) for side, path in sides.items()}
-    record["trace1_conics_cover"] = {
-        "split": {name: {side: layers[side]["metrics"][name] for side in sides}
-                  for name in LAYER_SPLIT},
-        **layers,
-    }
+        record["trace1"] = {}
+        for workload in WORKLOADS:
+            layers = {side: bench(path, workload, SEEDS[0], 1) for side, path in sides.items()}
+            record["trace1"][workload] = {
+                "split": {name: {side: layers[side]["metrics"][name] for side in sides}
+                          for name in LAYER_SPLIT},
+                **layers,
+            }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0
