@@ -17,14 +17,18 @@ Families:
 Plane-curve intersections are found by root finding over GF(p) (gfpoly), not
 by scanning the plane: a draw costs O(deg^4 log p) field operations for the
 degree-deg^2 resultant and its roots, against the p^2 + p + 1 points of
-P^2(GF(p)), so every p < 2^31 is practical.
+P^2(GF(p)), so every p < 2^31 is practical.  An elliptic-quartic draw
+projects the curve from (0:0:0:1) and finds the zeros of the plane quartic
+Res_w(q1, q2) slice by slice: p + 1 root findings on a quartic, O(p log p)
+field operations, not a solve at each of the p^2 + p + 1 prefixes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
+from math import comb
 
 from . import gfpoly, linalg
 from .errors import (
@@ -40,7 +44,6 @@ from .projective import (
     PlaneConfiguration,
     PointSet,
     ProjPoint,
-    _prime_coeff_tuples,
     is_split,
     span,
 )
@@ -419,34 +422,54 @@ def _resultant(f, g, p: int) -> int:
     return _det(rows, p)
 
 
-def _common_zeros(f_vec, g_vec, deg: int, p: int):
-    """Coordinates of the common zeros in P^2(GF(p)) of two degree-deg forms,
-    in enumerate_points order, without visiting the plane.
+def _plane_index(coords, p: int) -> int:
+    """The index of a normalised point of P^2(GF(p)) in enumerate_points order."""
+    x0, x1, x2 = coords
+    return x1 * p + x2 if x0 else p * p + (x2 if x1 else p)
 
-    The lines through (0:0:1) slice the plane: slice a holds the points
-    (1, a, y), then come the points (0, 1, y) and (0:0:1) itself.  The
-    common zeros on a slice are the roots in y of the gcd of the two
-    restrictions (every y when both vanish).  Only the slices at the roots
-    of R(a) = Res_y(f(1,a,y), g(1,a,y)) hold common zeros.  Taken at formal
-    degree deg, R has degree <= deg^2, so deg^2 + 1 values give it; R is
-    zero exactly when f and g share a component or both vanish at (0:0:1),
-    and then, as when p <= deg^2, every slice is visited.
-    """
-    f, g = _slice_table(f_vec, deg), _slice_table(g_vec, deg)
 
-    def restrict(a):
-        return ([gfpoly.evaluate(row, a, p) for row in f],
-                [gfpoly.evaluate(row, a, p) for row in g])
+def _shear(table, c0: int, c1: int, p: int):
+    """The slice table of f(x0 + c0 x2, x1 + c1 x2, x2) for the degree-deg form f
+    with the given table: the map takes (0:0:1) to (c0:c1:1) and fixes the
+    line x2 = 0."""
+    deg = len(table) - 1
+    out = [[0] * (deg - k + 1) for k in range(deg + 1)]
+    for k, row in enumerate(table):
+        for j, c in enumerate(row):
+            i = deg - j - k  # the power of x0
+            for u in range(i + 1):
+                for v in range(j + 1):
+                    out[k + i - u + j - v][v] += (
+                        c * comb(i, u) * c0 ** (i - u) * comb(j, v) * c1 ** (j - v)
+                    )
+    return [[c % p for c in row] for row in out]
+
+
+def _slice_resultant(f, g, deg: int, p: int) -> list:
+    """R(a) = Res_y(f(1,a,y), g(1,a,y)) at formal degree deg, from its values
+    at a = 0..deg^2; [] when R is zero or p <= deg^2 leaves it unknown."""
+    if p <= deg * deg:
+        return []
+    return gfpoly.interpolate([_resultant(*_restrict(f, g, a, p), p)
+                               for a in range(deg * deg + 1)], p)
+
+
+def _restrict(f, g, a: int, p: int):
+    return ([gfpoly.evaluate(row, a, p) for row in f],
+            [gfpoly.evaluate(row, a, p) for row in g])
+
+
+def _sliced_common_zeros(f, g, deg: int, p: int, res):
+    """The common zeros of two slice tables through (0:0:1), in
+    enumerate_points order: slice a at the roots of res only (every slice
+    when res is [])."""
 
     def common_roots(fy, gy):
         h = gfpoly.gcd(fy, gy, p)
         return gfpoly.roots(h, p) if h else range(p)
 
-    res = []
-    if p > deg * deg:
-        res = gfpoly.interpolate([_resultant(*restrict(a), p) for a in range(deg * deg + 1)], p)
     for a in gfpoly.roots(res, p) if res else range(p):
-        for y in common_roots(*restrict(a)):
+        for y in common_roots(*_restrict(f, g, a, p)):
             yield (1, a, y)
     at_infinity = ([row[deg - k] for k, row in enumerate(f)],
                    [row[deg - k] for k, row in enumerate(g)])
@@ -454,6 +477,41 @@ def _common_zeros(f_vec, g_vec, deg: int, p: int):
         yield (0, 1, y)
     if f[deg][0] == 0 and g[deg][0] == 0:
         yield (0, 0, 1)
+
+
+def _common_zeros(f_vec, g_vec, deg: int, p: int):
+    """Coordinates of the common zeros in P^2(GF(p)) of two degree-deg forms,
+    in enumerate_points order, without visiting the plane.
+
+    The lines through a centre slice the plane.  With centre (0:0:1), slice a
+    holds the points (1, a, y), then come the points (0, 1, y) and (0:0:1)
+    itself.  The common zeros on a slice are the roots in y of the gcd of the
+    two restrictions (every y when both vanish).  Only the slices at the roots
+    of R(a) = Res_y(f(1,a,y), g(1,a,y)) hold common zeros.  Taken at formal
+    degree deg, R has degree <= deg^2, so deg^2 + 1 values give it.  R is zero
+    exactly when f and g share a component or both vanish at the centre.  In
+    the second case the plane is sheared so that the centre moves to the first
+    (c0:c1:1), 0 <= c0, c1 <= deg, that is not a common zero (two curves with
+    no shared component have at most deg^2 common zeros), and the zeros found
+    there are mapped back and sorted.  With a shared component, or p <= deg^2,
+    every slice through (0:0:1) is visited.
+    """
+    f, g = _slice_table(f_vec, deg), _slice_table(g_vec, deg)
+    res = _slice_resultant(f, g, deg, p)
+    if not res and p > deg * deg and f[deg][0] == g[deg][0] == 0:
+        for c0, c1 in product(range(deg + 1), repeat=2):
+            fs, gs = _shear(f, c0, c1, p), _shear(g, c0, c1, p)
+            if fs[deg][0] or gs[deg][0]:
+                res = _slice_resultant(fs, gs, deg, p)
+                if res:
+                    zeros = []
+                    for x0, x1, x2 in _sliced_common_zeros(fs, gs, deg, p, res):
+                        z = (x0 + c0 * x2, x1 + c1 * x2, x2)
+                        inv = pow(next(c for c in z if c % p), p - 2, p)
+                        zeros.append(tuple(c * inv % p for c in z))
+                    return sorted(zeros, key=lambda z: _plane_index(z, p))
+                break
+    return _sliced_common_zeros(f, g, deg, p, res)
 
 
 def _pencil_ci(deg: int, field: FieldSpec, rng: random.Random):
@@ -564,37 +622,98 @@ def _split_quadric(q, x0, x1, x2):
     return c9, beta, gamma
 
 
-def _quadric_points(q_vec, field: FieldSpec, sqrts: dict):
-    """Rational points of one quadric in P^3, by solving for the last coordinate.
-
-    Each prefix (x0:x1:x2) of P^2(GF(p)) gives the quadratic
-    alpha*w^2 + beta*w + gamma in w; needs odd p.
-    """
-    p = field.p
-    inv2 = (p + 1) // 2
-    alpha = q_vec[-1]
-    pts = []
-    for pre in _prime_coeff_tuples(p, 3):
-        _, beta, gamma = _split_quadric(q_vec, *pre)
-        beta, gamma = beta % p, gamma % p
-        if alpha == 0:
-            if beta == 0:
-                roots = range(p) if gamma == 0 else ()
-            else:
-                roots = ((-gamma * pow(beta, p - 2, p)) % p,)
-        else:
-            disc = (beta * beta - 4 * alpha * gamma) % p
-            if disc == 0:
-                roots = ((-beta * inv2 * pow(alpha, p - 2, p)) % p,)
-            elif disc in sqrts:
-                rt = sqrts[disc]
-                denom = inv2 * pow(alpha, p - 2, p)
-                roots = (((-beta + rt) * denom) % p, ((-beta - rt) * denom) % p)
-            else:
-                roots = ()
-        for w in roots:
-            pts.append(pre + (w,))
+def _w_roots(q, pre, p: int, sqrts: dict):
+    """The roots w of q(pre, w) = alpha*w^2 + beta*w + gamma, in quadratic-formula
+    order (every w when q vanishes on the line through pre and (0:0:0:1)); odd p."""
+    alpha, beta, gamma = _split_quadric(q, *pre)
+    beta, gamma = beta % p, gamma % p
     if alpha == 0:
+        if beta == 0:
+            return range(p) if gamma == 0 else ()
+        return ((-gamma * pow(beta, p - 2, p)) % p,)
+    inv2 = (p + 1) // 2
+    disc = (beta * beta - 4 * alpha * gamma) % p
+    if disc == 0:
+        return ((-beta * inv2 * pow(alpha, p - 2, p)) % p,)
+    if disc not in sqrts:
+        return ()
+    rt = sqrts[disc]
+    denom = inv2 * pow(alpha, p - 2, p)
+    return (((-beta + rt) * denom) % p, ((-beta - rt) * denom) % p)
+
+
+def _form_mul(s, t):
+    """The product of two ternary forms given as slice tables (see _slice_table)."""
+    deg = len(s) + len(t) - 2
+    out = [[0] * (deg - k + 1) for k in range(deg + 1)]
+    for k1, row1 in enumerate(s):
+        for j1, c1 in enumerate(row1):
+            for k2, row2 in enumerate(t):
+                for j2, c2 in enumerate(row2):
+                    out[k1 + k2][j1 + j2] += c1 * c2
+    return out
+
+
+def _form_sub(s, t):
+    return [[x - y for x, y in zip(row1, row2)] for row1, row2 in zip(s, t)]
+
+
+def _w_resultant(q1, q2, p: int):
+    """The slice table of Res_w(q1, q2) as a form in (x0, x1, x2).
+
+    With q_i = alpha_i w^2 + beta_i w + gamma_i it is the plane quartic
+    (a1 g2 - a2 g1)^2 - (a1 b2 - a2 b1)(b1 g2 - b2 g1), the resultant at formal
+    degree 2; when alpha_1 = alpha_2 = 0 that is zero, and the formal-degree-1
+    resultant b1 g2 - b2 g1 (a cubic) is taken instead.  Either way it vanishes
+    at every prefix (x0:x1:x2) over which the two quadrics share a root w.
+    """
+    a1, a2 = q1[9], q2[9]
+    (b1, g1), (b2, g2) = (
+        ([[q[3], q[6]], [q[8]]], [[q[0], q[1], q[4]], [q[2], q[5]], [q[7]]]) for q in (q1, q2)
+    )
+    res = _form_sub(_form_mul(b1, g2), _form_mul(b2, g1))
+    if a1 or a2:
+        lin = [[a1 * x - a2 * y for x, y in zip(r2, r1)] for r1, r2 in zip(b1, b2)]
+        quad = [[a1 * x - a2 * y for x, y in zip(r2, r1)] for r1, r2 in zip(g1, g2)]
+        res = _form_sub(_form_mul(quad, quad), _form_mul(lin, res))
+    return [[c % p for c in row] for row in res]
+
+
+def _plane_zeros(table, p: int):
+    """The zeros in P^2(GF(p)) of the form with the given slice table, in
+    enumerate_points order: the roots in y on each slice (1, a, y), then on
+    (0, 1, y), then (0:0:1); every y on a slice where the form vanishes."""
+    deg = len(table) - 1
+
+    def on_slice(coeffs):
+        f = gfpoly.trim(coeffs, p)
+        return gfpoly.roots(f, p) if f else range(p)
+
+    for a in range(p):
+        for y in on_slice([gfpoly.evaluate(row, a, p) for row in table]):
+            yield (1, a, y)
+    for y in on_slice([row[deg - k] for k, row in enumerate(table)]):
+        yield (0, 1, y)
+    if table[deg][0] == 0:
+        yield (0, 0, 1)
+
+
+def _quadric_curve(q1, q2, p: int, sqrts: dict) -> list:
+    """The rational points of q1 = q2 = 0 in P^3 (odd p), by projection from
+    (0:0:0:1).
+
+    Only the prefixes (x0:x1:x2) where the resultant in w vanishes can carry a
+    point; they are visited in enumerate_points order, each is solved for w on
+    q1 in _w_roots order, and the points on q2 are kept.  (0:0:0:1) comes last,
+    when it lies on both quadrics.  That is the order of a scan of every prefix,
+    at p + 1 root findings on a quartic instead of p^2 + p + 1 solves.
+    """
+    pts = []
+    for pre in _plane_zeros(_w_resultant(q1, q2, p), p):
+        for w in _w_roots(q1, pre, p, sqrts):
+            if _quadric_value(q2, pre + (w,), p) == 0:
+                pts.append(pre + (w,))
+    if q1[9] == q2[9] == 0:
         pts.append((0, 0, 0, 1))
     return pts
 
@@ -662,6 +781,21 @@ def _has_three_collinear(pts, q1, q2, field: FieldSpec) -> bool:
     return False
 
 
+def _quartic_draw(m: int, field: FieldSpec, rng: random.Random, sqrts: dict):
+    """One draw: m points sampled from the curve of two random quadrics, or
+    None when the draw is rejected."""
+    p = field.p
+    nmono = len(monomial_basis(3, 2))
+    q1 = tuple(rng.randrange(p) for _ in range(nmono))
+    q2 = tuple(rng.randrange(p) for _ in range(nmono))
+    if not any(q1) or not any(q2):
+        return None
+    curve = [ProjPoint(field, x) for x in _quadric_curve(q1, q2, p, sqrts)]
+    if len(curve) < m or _has_three_collinear(curve, q1, q2, field):
+        return None
+    return rng.sample(curve, m)
+
+
 def gen_elliptic_quartic(m: int, field: FieldSpec, seed: int) -> PointSet:
     """m points on the intersection curve of two random quadrics in P^3.
 
@@ -675,20 +809,10 @@ def gen_elliptic_quartic(m: int, field: FieldSpec, seed: int) -> PointSet:
         raise InvalidFieldError("elliptic-quartic sampling needs an odd prime field")
     rng = random.Random(seed)
     sqrts = _sqrt_table(field.p)
-    nmono = len(monomial_basis(3, 2))
     for _ in range(RESAMPLE_BUDGET):
-        q1 = tuple(rng.randrange(field.p) for _ in range(nmono))
-        q2 = tuple(rng.randrange(field.p) for _ in range(nmono))
-        if all(c == 0 for c in q1) or all(c == 0 for c in q2):
-            continue
-        curve = [ProjPoint(field, x) for x in _quadric_points(q1, field, sqrts)
-                 if _quadric_value(q2, x, field.p) == 0]
-        if len(curve) < m:
-            continue
-        if _has_three_collinear(curve, q1, q2, field):
-            continue
-        chosen = rng.sample(curve, m)
-        return PointSet(field, 3, tuple(chosen))
+        chosen = _quartic_draw(m, field, rng, sqrts)
+        if chosen is not None:
+            return PointSet(field, 3, tuple(chosen))
     raise ResampleBudgetExceededError("no usable quadric-pair curve within budget")
 
 

@@ -5,8 +5,13 @@ trailing zeros; [] is the zero polynomial.  roots finds the distinct roots
 without scanning the field: the gcd with t^p - t keeps one linear factor
 per root, and the factors are split apart with (t + a)^((p-1)/2) - 1 for
 a = 0, 1, 2, ... (Cantor-Zassenhaus equal-degree splitting with a counter
-in place of the random shift, so no random draw is consumed).  A degree-n
-polynomial costs O(n^2 log p) field operations.
+in place of the random shift, so no random draw is consumed).  Both powers
+come from one square-and-shift loop over the bits of the exponent: each step
+squares the residue, multiplies it by t + a (a shift, plus a times the
+residue) when the bit is set, and folds the top coefficients back with
+t^n = -(f_0 + ... + f_(n-1) t^(n-1)) for the monic f of degree n, taking one
+% p per coefficient.  A degree-n polynomial costs O(n^2 log p) field
+operations.
 """
 
 from __future__ import annotations
@@ -70,18 +75,6 @@ def gcd(f, g, p: int) -> list:
     return [c * inv % p for c in f]
 
 
-def powmod(f, e: int, m, p: int) -> list:
-    """f^e mod m, by repeated squaring."""
-    result, base = mod([1], m, p), mod(f, m, p)
-    while e:
-        if e & 1:
-            result = mod(mul(result, base, p), m, p)
-        e >>= 1
-        if e:
-            base = mod(mul(base, base, p), m, p)
-    return result
-
-
 def evaluate(f, x: int, p: int) -> int:
     acc = 0
     for c in reversed(f):
@@ -114,8 +107,34 @@ def roots(f, p: int) -> list:
     if len(f) < 3:
         return [-f[0] * pow(f[1], p - 2, p) % p] if len(f) == 2 else []
     found = []
-    _split(gcd(f, _add(powmod([0, 1], p, f, p), [0, -1], p), p), p, found, 0)
+    _split(gcd(f, _add(_linear_power(0, p, f, p), [0, -1], p), p), p, found, 0)
     return sorted(found)
+
+
+def _linear_power(a: int, e: int, f, p: int) -> list:
+    """(t + a)^e mod f for a trimmed f of degree n >= 1, by square-and-shift."""
+    n = len(f) - 1
+    inv = pow(f[-1], p - 2, p)
+    tail = [-c * inv % p for c in f[:n]]  # t^n mod f
+    r = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * n - 1)
+        for i, x in enumerate(r):
+            if x:
+                for j, y in enumerate(r, i):
+                    sq[j] += x * y
+        if bit == "1":
+            sq.insert(0, 0)
+            if a:
+                for j in range(len(sq) - 1):
+                    sq[j] += a * sq[j + 1]
+        for top in range(len(sq) - 1, n - 1, -1):
+            c = sq.pop() % p
+            if c:
+                for j, t in enumerate(tail, top - n):
+                    sq[j] += c * t
+        r = [c % p for c in sq]
+    return trim(r, p)
 
 
 def _split(g, p: int, found: list, start: int) -> None:
@@ -129,7 +148,7 @@ def _split(g, p: int, found: list, start: int) -> None:
     # Two roots r != s fall on opposite sides for about half of all shifts a
     # (quadratic character of r + a versus s + a), so p shifts always split.
     for a in range(start, start + p):
-        d = gcd(g, _add(powmod([a % p, 1], (p - 1) // 2, g, p), [-1], p), p)
+        d = gcd(g, _add(_linear_power(a % p, (p - 1) // 2, g, p), [-1], p), p)
         if 1 < len(d) < len(g):
             _split(d, p, found, a + 1)
             _split(quo_rem(g, d, p)[0], p, found, a + 1)

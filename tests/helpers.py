@@ -24,8 +24,12 @@ from cb_lab.forms import evaluation_row
 from cb_lab.generators import (
     RESAMPLE_BUDGET,
     _conic_through_origin_point,
+    _has_three_collinear,
     _line_key,
+    _quadric_value,
     _rand_element,
+    _split_quadric,
+    _sqrt_table,
 )
 from cb_lab.linalg import combine, dot, in_row_space, kernel, rref
 from cb_lab.projective import _prime_coeff_tuples, enumerate_points
@@ -274,6 +278,69 @@ def plane_curve_ci_by_scan(deg_d: int, deg_e: int, field: FieldSpec, seed: int) 
     raise ResampleBudgetExceededError(
         f"no transverse ({deg_d},{deg_e}) intersection within budget"
     )
+
+
+def quadric_points_by_scan(q_vec, field):
+    """Rational points of one quadric in P^3 (odd p), by solving for the last
+    coordinate over every prefix (x0:x1:x2) of P^2(GF(p)) in enumeration order:
+    alpha*w^2 + beta*w + gamma in w, roots in quadratic-formula order, and
+    (0:0:0:1) last when alpha = 0."""
+    p = field.p
+    sqrts = _sqrt_table(p)
+    inv2 = (p + 1) // 2
+    alpha = q_vec[-1]
+    pts = []
+    for pre in _prime_coeff_tuples(p, 3):
+        _, beta, gamma = _split_quadric(q_vec, *pre)
+        beta, gamma = beta % p, gamma % p
+        if alpha == 0:
+            if beta == 0:
+                roots = range(p) if gamma == 0 else ()
+            else:
+                roots = ((-gamma * pow(beta, p - 2, p)) % p,)
+        else:
+            disc = (beta * beta - 4 * alpha * gamma) % p
+            if disc == 0:
+                roots = ((-beta * inv2 * pow(alpha, p - 2, p)) % p,)
+            elif disc in sqrts:
+                rt = sqrts[disc]
+                denom = inv2 * pow(alpha, p - 2, p)
+                roots = (((-beta + rt) * denom) % p, ((-beta - rt) * denom) % p)
+            else:
+                roots = ()
+        for w in roots:
+            pts.append(pre + (w,))
+    if alpha == 0:
+        pts.append((0, 0, 0, 1))
+    return pts
+
+
+def quadric_curve_by_scan(q1, q2, field):
+    """The points of q1 = q2 = 0 in P^3: every point of q1 from the prefix scan
+    that lies on q2 (reference for the slice-by-slice root finder)."""
+    return [x for x in quadric_points_by_scan(q1, field) if _quadric_value(q2, x, field.p) == 0]
+
+
+def quartic_draw_by_scan(m, field, rng):
+    """One draw of the elliptic-quartic sampler with the curve from the prefix
+    scan: m sampled points, or None when the draw is rejected."""
+    q1 = tuple(rng.randrange(field.p) for _ in range(10))
+    q2 = tuple(rng.randrange(field.p) for _ in range(10))
+    if not any(q1) or not any(q2):
+        return None
+    curve = [ProjPoint(field, x) for x in quadric_curve_by_scan(q1, q2, field)]
+    if len(curve) < m or _has_three_collinear(curve, q1, q2, field):
+        return None
+    return rng.sample(curve, m)
+
+
+def elliptic_quartic_by_scan(m, field, rng):
+    """gen_elliptic_quartic drawing from rng, with the curve from the prefix scan."""
+    for _ in range(RESAMPLE_BUDGET):
+        chosen = quartic_draw_by_scan(m, field, rng)
+        if chosen is not None:
+            return PointSet(field, 3, tuple(chosen))
+    raise ResampleBudgetExceededError("no usable quadric-pair curve within budget")
 
 
 def random_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -> PointSet:

@@ -180,7 +180,10 @@ def test_prime_kernels_match_field_ops(p):
         assert linalg.dot(coeffs, row, field) == _ops_dot(coeffs, row, field)
         rows = [[rng.randint(-p, 2 * p) for _ in range(n + 1)] for _ in range(rng.randint(1, 4))]
         weights = [rng.choice((0, p, rng.randrange(p))) for _ in rows]
-        assert linalg.combine(weights, rows, field) == _ops_combine(weights, rows, field)
+        # as drawn, with a zero first coefficient, and all zero
+        for w in (weights, [0] + weights[1:], [0] * len(rows)):
+            out = linalg.combine(w, rows, field)
+            assert out == _ops_combine(w, rows, field) and len(out) == n + 1
 
 
 def test_rational_kernels_match_field_ops():
@@ -211,3 +214,8 @@ def test_rational_kernels_match_field_ops():
             out = linalg.combine(weights, rows, q)
             assert out == _ops_combine(weights, rows, q)
             assert all(type(x) is Fraction for x in (*row, value, *out))
+            # with a zero first coefficient, and all zero: same width and type
+            for w in ([Fraction(0)] + weights[1:], [Fraction(0)] * len(rows)):
+                out = linalg.combine(w, rows, q)
+                assert out == _ops_combine(w, rows, q) and len(out) == n + 1
+                assert all(type(x) is Fraction for x in out)

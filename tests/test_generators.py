@@ -39,13 +39,14 @@ from cb_lab.errors import (
 )
 from cb_lab.forms import evaluation_row
 from cb_lab.generators import (
+    RESAMPLE_BUDGET,
     _common_zeros,
     _conic_through_origin_point,
     _has_three_collinear,
     _line_key,
     _pencil_ci,
-    _quadric_points,
-    _quadric_value,
+    _quadric_curve,
+    _quartic_draw,
     _slice_table,
     _sqrt_table,
 )
@@ -54,9 +55,12 @@ from cb_lab.projective import _prime_coeff_tuples
 
 from helpers import (
     common_zeros_by_scan,
+    elliptic_quartic_by_scan,
     has_three_collinear_by_pairs,
     pencil_ci_by_scan,
     plane_curve_ci_by_scan,
+    quadric_curve_by_scan,
+    quadric_points_by_scan,
     rank_oracle,
 )
 
@@ -282,6 +286,42 @@ def test_common_zeros_forced_cases(p, deg):
                 assert _slice_table(f, deg)[deg][0] == _slice_table(g, deg)[deg][0] == 0
 
 
+@pytest.mark.parametrize("p", [11, 101])
+@pytest.mark.parametrize("deg", [2, 3])
+def test_common_zeros_centre_skips_common_zeros(p, deg):
+    # both curves through (0:0:1) and the next deg - 1 candidate centres
+    # (0:c1:1), but through no line: the slices are taken from (0:deg:1)
+    field = FieldSpec.prime(p)
+    rng = random.Random(p + deg)
+    for _ in range(4):
+        coords = [(0, c1, 1) for c1 in range(deg)] + [(1, rng.randrange(p), rng.randrange(p))]
+        f, g = _forms_through(coords, deg, field, rng)
+        got = list(_common_zeros(f, g, deg, p))
+        assert got == [pt.coords for pt in common_zeros_by_scan(f, g, deg, field)], (f, g)
+        assert {ProjPoint(field, c).coords for c in coords} <= set(got)
+
+
+def test_cubic_pencil_through_001_large_prime_is_fast():
+    # (0:0:1) is a common zero, so R vanishes there and the slices are taken
+    # from another centre
+    p = 100003
+    field = FieldSpec.prime(p)
+    rng = random.Random(7)
+    coords = [(0, 0, 1)] + [(1, rng.randrange(p), rng.randrange(p)) for _ in range(7)]
+    f, g = _forms_through(coords, 3, field, rng)
+    start = time.perf_counter()
+    got = list(_common_zeros(f, g, 3, p))
+    assert time.perf_counter() - start < 0.5
+    basis = monomial_basis(2, 3)
+    for z in got:
+        pt = ProjPoint(field, z)
+        assert pt.coords == z
+        assert evaluate_form(f, basis, pt) == evaluate_form(g, basis, pt) == 0
+    index = [z[1] * p + z[2] if z[0] else p * p + (z[2] if z[1] else p) for z in got]
+    assert index == sorted(set(index))
+    assert set(coords) <= set(got) and len(got) <= 9
+
+
 def test_elliptic_quartic(gf101):
     ps = gen_elliptic_quartic(9, gf101, seed=2)
     assert len(ps) == 9 and ps.ambient_dim == 3
@@ -352,11 +392,92 @@ def test_quadric_points_closed_form_matches_brute_force(p):
     quadrics += [q[:9] + (0,) for q in quadrics[:3]]
     quadrics += [q[:3] + (0,) + q[4:6] + (0,) + q[7:8] + (0,) + q[9:] for q in quadrics[:3]]
     quadrics += [(0, 1, 0, 0, 0, 0, 0, 1, 0, 0), (0,) * 9 + (1,), (0, 0, 0, 1) + (0,) * 6]
-    sqrts = _sqrt_table(p)
     for q in quadrics:
-        pts = _quadric_points(q, field, sqrts)
+        pts = quadric_points_by_scan(q, field)
         assert len(pts) == len(set(pts))
         assert set(pts) == _brute_quadric_points(q, field), q
+
+
+def _product_quadric(u, v):
+    """The coefficients of the quadric u.x * v.x in monomial_basis(3, 2) order."""
+    return tuple(u[i] * v[j] + (u[j] * v[i] if i != j else 0)
+                 for i, j in itertools.combinations_with_replacement(range(4), 2))
+
+
+def _no_beta(q):
+    """q without its x0x3, x1x3, x2x3 terms (beta = 0)."""
+    return q[:3] + (0,) + q[4:6] + (0,) + q[7:8] + (0,) + q[9:]
+
+
+def _quadric_pair_cases(p, rng):
+    """Random quadric pairs, and pairs forced into each special case of the
+    resultant and of the solve for w."""
+    def rand():
+        return tuple(rng.randrange(p) for _ in range(10))
+
+    def lin():
+        return [rng.randrange(p) for _ in range(4)]
+
+    q, plane = rand(), lin()
+    return {
+        "random": (rand(), rand()),
+        "alpha1-zero": (rand()[:9] + (0,), rand()),
+        "alpha2-zero": (rand(), rand()[:9] + (0,)),
+        "both-alpha-zero": (rand()[:9] + (0,), rand()[:9] + (0,)),
+        "beta1-zero": (_no_beta(rand()), rand()),
+        "proportional": (q, tuple(c * 3 % p for c in q)),
+        "shared-plane": (_product_quadric(plane, lin()), _product_quadric(plane, lin())),
+        # cones with vertex (0:0:0:1) (no x3 terms) and (1:0:0:0) (no x0 terms)
+        "cone-0001": (_no_beta(rand()[:9] + (0,)), rand()),
+        "two-cones-0001": (_no_beta(rand()[:9] + (0,)), _no_beta(rand()[:9] + (0,))),
+        "cone-1000": ((0, 0, 0, 0) + rand()[4:], rand()),
+    }
+
+
+_QUADRIC_PAIRS = {3: 30, 5: 30, 7: 20, 11: 15, 13: 10, 31: 3, 101: 1}
+
+
+@pytest.mark.parametrize("p", list(_QUADRIC_PAIRS))
+def test_quadric_curve_matches_prefix_scan(p):
+    field = FieldSpec.prime(p)
+    sqrts = _sqrt_table(p)
+    rng = random.Random(p)
+    for _ in range(_QUADRIC_PAIRS[p]):
+        for name, (q1, q2) in _quadric_pair_cases(p, rng).items():
+            assert _quadric_curve(q1, q2, p, sqrts) == quadric_curve_by_scan(q1, q2, field), (
+                name, q1, q2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 101])
+def test_elliptic_quartic_matches_prefix_scan(p):
+    # the smallest fields have few curve points: m = 4 gets past the count
+    field = FieldSpec.prime(p)
+    sqrts = _sqrt_table(p)
+    m = 4 if p < 11 else 9
+    outcomes = set()
+    for seed in range(50):
+        want_rng = random.Random(seed)
+        want = _outcome(lambda: elliptic_quartic_by_scan(m, field, want_rng))
+        assert _outcome(lambda: gen_elliptic_quartic(m, field, seed)) == want, (p, seed)
+        # the generator's draws again, to read the state they leave
+        got_rng = random.Random(seed)
+        for _ in range(RESAMPLE_BUDGET):
+            if _quartic_draw(m, field, got_rng, sqrts) is not None:
+                break
+        assert got_rng.getstate() == want_rng.getstate(), (p, seed)
+        outcomes.add(type(want))
+    assert dict in outcomes
+
+
+# sha256 of the output bytes, recorded from the prefix scan (about 3 s each).
+_LARGE_PRIME_QUARTIC = "f24530241991f2e4ae23d89acc97c91febf97ca52c28b22183281be72ad28d4a"
+
+
+def test_elliptic_quartic_large_prime_is_fast():
+    start = time.perf_counter()
+    ps = gen_elliptic_quartic(9, FieldSpec.prime(1009), seed=1)
+    assert time.perf_counter() - start < 0.5
+    assert hashlib.sha256(_pointset_bytes(ps).encode()).hexdigest() == _LARGE_PRIME_QUARTIC
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -373,8 +494,7 @@ def test_three_collinear_matches_pair_scan(p):
             q1 = q1[:3] + (0,) + q1[4:6] + (0,) + q1[7:8] + (0, 0)
         if not any(q1) or not any(q2):
             continue
-        curve = [ProjPoint(field, x) for x in _quadric_points(q1, field, sqrts)
-                 if _quadric_value(q2, x, p) == 0]
+        curve = [ProjPoint(field, x) for x in _quadric_curve(q1, q2, p, sqrts)]
         got = _has_three_collinear(curve, q1, q2, field)
         assert got == has_three_collinear_by_pairs(curve, field), (q1, q2)
         outcomes.add(got)

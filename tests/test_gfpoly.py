@@ -47,6 +47,20 @@ def test_roots_match_brute_force(p):
         gfpoly.roots([0, p], p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_roots_of_non_monic_polynomials_up_to_degree_nine(p):
+    # degree 9 is the pencil resultant's; t^p mod f is taken on the monic f
+    rng = random.Random(p + 1)
+    for deg in range(1, 10):
+        for _ in range(20):
+            forced = rng.sample(range(p), rng.randrange(min(deg, p) + 1))
+            rest = [rng.randrange(p) for _ in range(deg - len(forced))] + [rng.randrange(1, p)]
+            f = _product([[-r, 1] for r in forced] + [rest], p)
+            assert len(f) == deg + 1
+            got = gfpoly.roots(f, p)
+            assert got == _brute_roots(f, p) and set(forced) <= set(got)
+
+
 def test_roots_of_every_split_polynomial_over_gf5():
     # all products of distinct linear factors: every splitting path is taken
     p = 5
@@ -69,11 +83,16 @@ def test_arithmetic_identities(p):
         assert gfpoly.trim([a - b - c for a, b, c in zip_longest(f, qg, r, fillvalue=0)], p) == []
         h = gfpoly.gcd(f, g, p)
         assert h[-1] == 1 and not gfpoly.mod(f, h, p) and not gfpoly.mod(g, h, p)
-        e = rng.randrange(50)
-        want = gfpoly.mod([1], g, p)
-        for _ in range(e):
-            want = gfpoly.mod(gfpoly.mul(want, f, p), g, p)
-        assert gfpoly.powmod(f, e, g, p) == want
+        if len(g) < 2:
+            continue
+        # the fused square-and-shift against square-and-multiply with mul and mod
+        a, e = rng.randrange(p), rng.choice((rng.randrange(50), (p - 1) // 2, p))
+        base, want = gfpoly.trim([a, 1], p), gfpoly.mod([1], g, p)
+        for bit in bin(e)[2:]:
+            want = gfpoly.mod(gfpoly.mul(want, want, p), g, p)
+            if bit == "1":
+                want = gfpoly.mod(gfpoly.mul(want, base, p), g, p)
+        assert gfpoly._linear_power(a, e, g, p) == want
     values = [rng.randrange(p) for _ in range(min(p, 10))]
     poly = gfpoly.interpolate(values, p)
     assert len(poly) <= len(values)
