@@ -17,18 +17,19 @@ Families:
 Plane-curve intersections are found by root finding over GF(p) (gfpoly), not
 by scanning the plane: a draw costs O(deg^4 log p) field operations for the
 degree-deg^2 resultant and its roots, against the p^2 + p + 1 points of
-P^2(GF(p)), so every p < 2^31 is practical.  An elliptic-quartic draw
-projects the curve from (0:0:0:1) and finds the zeros of the plane quartic
-Res_w(q1, q2) slice by slice: p + 1 root findings on a quartic, O(p log p)
-field operations, not a solve at each of the p^2 + p + 1 prefixes.
+P^2(GF(p)), so every p < 2^31 is practical (a draw whose two curves both
+pass through (0:0:1) or share a component still visits all p slices).  An
+elliptic-quartic draw projects the curve from (0:0:0:1) and finds the zeros
+of the plane quartic Res_w(q1, q2) slice by slice: p + 1 root findings on a
+quartic, O(p log p) field operations, not a solve at each of the
+p^2 + p + 1 prefixes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice, product
-from math import comb
+from itertools import islice
 
 from . import gfpoly, linalg
 from .errors import (
@@ -422,60 +423,35 @@ def _resultant(f, g, p: int) -> int:
     return _det(rows, p)
 
 
-def _plane_index(coords, p: int) -> int:
-    """The index of a normalised point of P^2(GF(p)) in enumerate_points order."""
-    x0, x1, x2 = coords
-    return x1 * p + x2 if x0 else p * p + (x2 if x1 else p)
+def _restrict(tables, a: int, p: int) -> list:
+    """The restrictions y -> f(1, a, y) of the forms with the given slice tables."""
+    return [[gfpoly.evaluate(row, a, p) for row in table] for table in tables]
 
 
-def _shear(table, c0: int, c1: int, p: int):
-    """The slice table of f(x0 + c0 x2, x1 + c1 x2, x2) for the degree-deg form f
-    with the given table: the map takes (0:0:1) to (c0:c1:1) and fixes the
-    line x2 = 0."""
-    deg = len(table) - 1
-    out = [[0] * (deg - k + 1) for k in range(deg + 1)]
-    for k, row in enumerate(table):
-        for j, c in enumerate(row):
-            i = deg - j - k  # the power of x0
-            for u in range(i + 1):
-                for v in range(j + 1):
-                    out[k + i - u + j - v][v] += (
-                        c * comb(i, u) * c0 ** (i - u) * comb(j, v) * c1 ** (j - v)
-                    )
-    return [[c % p for c in row] for row in out]
+def _sliced_zeros(tables, p: int, res=()):
+    """The common zeros in P^2(GF(p)) of forms of one degree, given by their
+    slice tables, in enumerate_points order.
 
+    The lines through (0:0:1) slice the plane: slice a holds the points
+    (1, a, y), then come the points (0, 1, y) and (0:0:1) itself.  The zeros
+    on a slice are the roots in y of the gcd of the restrictions (every y when
+    they all vanish).  Only the slices at the roots of res are visited, every
+    slice when res is empty.
+    """
+    deg = len(tables[0]) - 1
 
-def _slice_resultant(f, g, deg: int, p: int) -> list:
-    """R(a) = Res_y(f(1,a,y), g(1,a,y)) at formal degree deg, from its values
-    at a = 0..deg^2; [] when R is zero or p <= deg^2 leaves it unknown."""
-    if p <= deg * deg:
-        return []
-    return gfpoly.interpolate([_resultant(*_restrict(f, g, a, p), p)
-                               for a in range(deg * deg + 1)], p)
-
-
-def _restrict(f, g, a: int, p: int):
-    return ([gfpoly.evaluate(row, a, p) for row in f],
-            [gfpoly.evaluate(row, a, p) for row in g])
-
-
-def _sliced_common_zeros(f, g, deg: int, p: int, res):
-    """The common zeros of two slice tables through (0:0:1), in
-    enumerate_points order: slice a at the roots of res only (every slice
-    when res is [])."""
-
-    def common_roots(fy, gy):
-        h = gfpoly.gcd(fy, gy, p)
+    def common_roots(polys):
+        h = []
+        for f in polys:
+            h = gfpoly.gcd(h, f, p)
         return gfpoly.roots(h, p) if h else range(p)
 
     for a in gfpoly.roots(res, p) if res else range(p):
-        for y in common_roots(*_restrict(f, g, a, p)):
+        for y in common_roots(_restrict(tables, a, p)):
             yield (1, a, y)
-    at_infinity = ([row[deg - k] for k, row in enumerate(f)],
-                   [row[deg - k] for k, row in enumerate(g)])
-    for y in common_roots(*at_infinity):
+    for y in common_roots([[row[deg - k] for k, row in enumerate(t)] for t in tables]):
         yield (0, 1, y)
-    if f[deg][0] == 0 and g[deg][0] == 0:
+    if all(t[deg][0] == 0 for t in tables):
         yield (0, 0, 1)
 
 
@@ -483,35 +459,18 @@ def _common_zeros(f_vec, g_vec, deg: int, p: int):
     """Coordinates of the common zeros in P^2(GF(p)) of two degree-deg forms,
     in enumerate_points order, without visiting the plane.
 
-    The lines through a centre slice the plane.  With centre (0:0:1), slice a
-    holds the points (1, a, y), then come the points (0, 1, y) and (0:0:1)
-    itself.  The common zeros on a slice are the roots in y of the gcd of the
-    two restrictions (every y when both vanish).  Only the slices at the roots
-    of R(a) = Res_y(f(1,a,y), g(1,a,y)) hold common zeros.  Taken at formal
-    degree deg, R has degree <= deg^2, so deg^2 + 1 values give it.  R is zero
-    exactly when f and g share a component or both vanish at the centre.  In
-    the second case the plane is sheared so that the centre moves to the first
-    (c0:c1:1), 0 <= c0, c1 <= deg, that is not a common zero (two curves with
-    no shared component have at most deg^2 common zeros), and the zeros found
-    there are mapped back and sorted.  With a shared component, or p <= deg^2,
-    every slice through (0:0:1) is visited.
+    Only the slices through (0:0:1) (see _sliced_zeros) at the roots of
+    R(a) = Res_y(f(1,a,y), g(1,a,y)) hold common zeros.  Taken at formal
+    degree deg, R has degree <= deg^2, so deg^2 + 1 values give it; R is
+    zero exactly when f and g share a component or both vanish at (0:0:1),
+    and then, as when p <= deg^2, every slice is visited.
     """
-    f, g = _slice_table(f_vec, deg), _slice_table(g_vec, deg)
-    res = _slice_resultant(f, g, deg, p)
-    if not res and p > deg * deg and f[deg][0] == g[deg][0] == 0:
-        for c0, c1 in product(range(deg + 1), repeat=2):
-            fs, gs = _shear(f, c0, c1, p), _shear(g, c0, c1, p)
-            if fs[deg][0] or gs[deg][0]:
-                res = _slice_resultant(fs, gs, deg, p)
-                if res:
-                    zeros = []
-                    for x0, x1, x2 in _sliced_common_zeros(fs, gs, deg, p, res):
-                        z = (x0 + c0 * x2, x1 + c1 * x2, x2)
-                        inv = pow(next(c for c in z if c % p), p - 2, p)
-                        zeros.append(tuple(c * inv % p for c in z))
-                    return sorted(zeros, key=lambda z: _plane_index(z, p))
-                break
-    return _sliced_common_zeros(f, g, deg, p, res)
+    tables = [_slice_table(f_vec, deg), _slice_table(g_vec, deg)]
+    res = []
+    if p > deg * deg:
+        res = gfpoly.interpolate(
+            [_resultant(*_restrict(tables, a, p), p) for a in range(deg * deg + 1)], p)
+    return _sliced_zeros(tables, p, res)
 
 
 def _pencil_ci(deg: int, field: FieldSpec, rng: random.Random):
@@ -679,25 +638,6 @@ def _w_resultant(q1, q2, p: int):
     return [[c % p for c in row] for row in res]
 
 
-def _plane_zeros(table, p: int):
-    """The zeros in P^2(GF(p)) of the form with the given slice table, in
-    enumerate_points order: the roots in y on each slice (1, a, y), then on
-    (0, 1, y), then (0:0:1); every y on a slice where the form vanishes."""
-    deg = len(table) - 1
-
-    def on_slice(coeffs):
-        f = gfpoly.trim(coeffs, p)
-        return gfpoly.roots(f, p) if f else range(p)
-
-    for a in range(p):
-        for y in on_slice([gfpoly.evaluate(row, a, p) for row in table]):
-            yield (1, a, y)
-    for y in on_slice([row[deg - k] for k, row in enumerate(table)]):
-        yield (0, 1, y)
-    if table[deg][0] == 0:
-        yield (0, 0, 1)
-
-
 def _quadric_curve(q1, q2, p: int, sqrts: dict) -> list:
     """The rational points of q1 = q2 = 0 in P^3 (odd p), by projection from
     (0:0:0:1).
@@ -709,7 +649,7 @@ def _quadric_curve(q1, q2, p: int, sqrts: dict) -> list:
     at p + 1 root findings on a quartic instead of p^2 + p + 1 solves.
     """
     pts = []
-    for pre in _plane_zeros(_w_resultant(q1, q2, p), p):
+    for pre in _sliced_zeros([_w_resultant(q1, q2, p)], p):
         for w in _w_roots(q1, pre, p, sqrts):
             if _quadric_value(q2, pre + (w,), p) == 0:
                 pts.append(pre + (w,))

@@ -177,13 +177,8 @@ def in_row_space(vec, basis, piv_cols, field: FieldSpec) -> bool:
 
 
 def combine(coeffs, rows, field: FieldSpec):
-    """The linear combination sum(c * row) of equal-length rows; the rows with
-    a zero coefficient are dropped first."""
+    """The linear combination sum(c * row) of equal-length rows."""
     zero = field.zero()
-    kept = [(c, row) for c, row in zip(coeffs, rows) if c]
-    if not kept:
-        return [zero] * (len(rows[0]) if rows else 0)
-    coeffs, rows = zip(*kept)
     out = [sum(map(mul, coeffs, col), zero) for col in zip(*rows)]
     if field.kind == PRIME:
         p = field.p

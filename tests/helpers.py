@@ -24,7 +24,6 @@ from cb_lab.forms import evaluation_row
 from cb_lab.generators import (
     RESAMPLE_BUDGET,
     _conic_through_origin_point,
-    _has_three_collinear,
     _line_key,
     _quadric_value,
     _rand_element,
@@ -319,28 +318,6 @@ def quadric_curve_by_scan(q1, q2, field):
     """The points of q1 = q2 = 0 in P^3: every point of q1 from the prefix scan
     that lies on q2 (reference for the slice-by-slice root finder)."""
     return [x for x in quadric_points_by_scan(q1, field) if _quadric_value(q2, x, field.p) == 0]
-
-
-def quartic_draw_by_scan(m, field, rng):
-    """One draw of the elliptic-quartic sampler with the curve from the prefix
-    scan: m sampled points, or None when the draw is rejected."""
-    q1 = tuple(rng.randrange(field.p) for _ in range(10))
-    q2 = tuple(rng.randrange(field.p) for _ in range(10))
-    if not any(q1) or not any(q2):
-        return None
-    curve = [ProjPoint(field, x) for x in quadric_curve_by_scan(q1, q2, field)]
-    if len(curve) < m or _has_three_collinear(curve, q1, q2, field):
-        return None
-    return rng.sample(curve, m)
-
-
-def elliptic_quartic_by_scan(m, field, rng):
-    """gen_elliptic_quartic drawing from rng, with the curve from the prefix scan."""
-    for _ in range(RESAMPLE_BUDGET):
-        chosen = quartic_draw_by_scan(m, field, rng)
-        if chosen is not None:
-            return PointSet(field, 3, tuple(chosen))
-    raise ResampleBudgetExceededError("no usable quadric-pair curve within budget")
 
 
 def random_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -> PointSet:

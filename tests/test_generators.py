@@ -31,6 +31,7 @@ from cb_lab import (
     span,
     verify_cover,
 )
+from cb_lab import generators, gfpoly
 from cb_lab.errors import (
     CbLabError,
     DegenerateConicError,
@@ -39,14 +40,12 @@ from cb_lab.errors import (
 )
 from cb_lab.forms import evaluation_row
 from cb_lab.generators import (
-    RESAMPLE_BUDGET,
     _common_zeros,
     _conic_through_origin_point,
     _has_three_collinear,
     _line_key,
     _pencil_ci,
     _quadric_curve,
-    _quartic_draw,
     _slice_table,
     _sqrt_table,
 )
@@ -55,7 +54,6 @@ from cb_lab.projective import _prime_coeff_tuples
 
 from helpers import (
     common_zeros_by_scan,
-    elliptic_quartic_by_scan,
     has_three_collinear_by_pairs,
     pencil_ci_by_scan,
     plane_curve_ci_by_scan,
@@ -286,42 +284,6 @@ def test_common_zeros_forced_cases(p, deg):
                 assert _slice_table(f, deg)[deg][0] == _slice_table(g, deg)[deg][0] == 0
 
 
-@pytest.mark.parametrize("p", [11, 101])
-@pytest.mark.parametrize("deg", [2, 3])
-def test_common_zeros_centre_skips_common_zeros(p, deg):
-    # both curves through (0:0:1) and the next deg - 1 candidate centres
-    # (0:c1:1), but through no line: the slices are taken from (0:deg:1)
-    field = FieldSpec.prime(p)
-    rng = random.Random(p + deg)
-    for _ in range(4):
-        coords = [(0, c1, 1) for c1 in range(deg)] + [(1, rng.randrange(p), rng.randrange(p))]
-        f, g = _forms_through(coords, deg, field, rng)
-        got = list(_common_zeros(f, g, deg, p))
-        assert got == [pt.coords for pt in common_zeros_by_scan(f, g, deg, field)], (f, g)
-        assert {ProjPoint(field, c).coords for c in coords} <= set(got)
-
-
-def test_cubic_pencil_through_001_large_prime_is_fast():
-    # (0:0:1) is a common zero, so R vanishes there and the slices are taken
-    # from another centre
-    p = 100003
-    field = FieldSpec.prime(p)
-    rng = random.Random(7)
-    coords = [(0, 0, 1)] + [(1, rng.randrange(p), rng.randrange(p)) for _ in range(7)]
-    f, g = _forms_through(coords, 3, field, rng)
-    start = time.perf_counter()
-    got = list(_common_zeros(f, g, 3, p))
-    assert time.perf_counter() - start < 0.5
-    basis = monomial_basis(2, 3)
-    for z in got:
-        pt = ProjPoint(field, z)
-        assert pt.coords == z
-        assert evaluate_form(f, basis, pt) == evaluate_form(g, basis, pt) == 0
-    index = [z[1] * p + z[2] if z[0] else p * p + (z[2] if z[1] else p) for z in got]
-    assert index == sorted(set(index))
-    assert set(coords) <= set(got) and len(got) <= 9
-
-
 def test_elliptic_quartic(gf101):
     ps = gen_elliptic_quartic(9, gf101, seed=2)
     assert len(ps) == 9 and ps.ambient_dim == 3
@@ -448,35 +410,62 @@ def test_quadric_curve_matches_prefix_scan(p):
                 name, q1, q2)
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    """Count the calls of module.name in calls[name]; the last call's
+    arguments go to calls[name + "-args"]."""
+    real = getattr(module, name)
+    calls[name] = 0
+
+    def counted(*args):
+        calls[name] += 1
+        calls[name + "-args"] = args
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 101])
-def test_elliptic_quartic_matches_prefix_scan(p):
-    # the smallest fields have few curve points: m = 4 gets past the count
+def test_elliptic_quartic_matches_prefix_scan(p, monkeypatch):
+    # the generator as it is, then with its curve from the prefix scan: the
+    # same bytes (or error) and the same state of its rng after the draws.
+    # The smallest fields have few curve points: m = 4 gets past the count.
     field = FieldSpec.prime(p)
-    sqrts = _sqrt_table(p)
     m = 4 if p < 11 else 9
-    outcomes = set()
-    for seed in range(50):
-        want_rng = random.Random(seed)
-        want = _outcome(lambda: elliptic_quartic_by_scan(m, field, want_rng))
-        assert _outcome(lambda: gen_elliptic_quartic(m, field, seed)) == want, (p, seed)
-        # the generator's draws again, to read the state they leave
-        got_rng = random.Random(seed)
-        for _ in range(RESAMPLE_BUDGET):
-            if _quartic_draw(m, field, got_rng, sqrts) is not None:
-                break
-        assert got_rng.getstate() == want_rng.getstate(), (p, seed)
-        outcomes.add(type(want))
-    assert dict in outcomes
+    calls = {}
+    _count_calls(monkeypatch, generators, "_quartic_draw", calls)
+
+    def runs():
+        out = []
+        for seed in range(50):
+            result = _outcome(lambda: gen_elliptic_quartic(m, field, seed))
+            out.append((result, calls["_quartic_draw-args"][2].getstate()))
+        return out
+
+    got = runs()
+    monkeypatch.setattr(generators, "_quadric_curve",
+                        lambda q1, q2, p, sqrts: quadric_curve_by_scan(q1, q2, field))
+    for seed, (g, w) in enumerate(zip(got, runs())):
+        assert g == w, (p, seed)
+    assert dict in {type(result) for result, _ in got}
 
 
-# sha256 of the output bytes, recorded from the prefix scan (about 3 s each).
+# sha256 of the output bytes, recorded from the prefix scan.
 _LARGE_PRIME_QUARTIC = "f24530241991f2e4ae23d89acc97c91febf97ca52c28b22183281be72ad28d4a"
 
 
-def test_elliptic_quartic_large_prime_is_fast():
-    start = time.perf_counter()
-    ps = gen_elliptic_quartic(9, FieldSpec.prime(1009), seed=1)
-    assert time.perf_counter() - start < 0.5
+def test_elliptic_quartic_large_prime_is_fast(monkeypatch):
+    # a draw finds roots on the p + 1 slices of the plane quartic and solves
+    # for w over its zeros only (at most 4 a slice here), not over all
+    # p^2 + p + 1 prefixes
+    p = 1009
+    calls = {}
+    for module, name in ((generators, "_quadric_curve"), (generators, "_w_roots"),
+                         (gfpoly, "roots")):
+        _count_calls(monkeypatch, module, name, calls)
+    ps = gen_elliptic_quartic(9, FieldSpec.prime(p), seed=1)
+    draws = calls["_quadric_curve"]
+    assert calls["roots"] <= (p + 1) * draws
+    assert calls["_w_roots"] <= 4 * (p + 1) * draws
     assert hashlib.sha256(_pointset_bytes(ps).encode()).hexdigest() == _LARGE_PRIME_QUARTIC
 
 
