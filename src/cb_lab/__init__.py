@@ -44,7 +44,6 @@ from .generators import (
     generate,
 )
 from .matroid import (
-    FlatLattice,
     Matroid,
     McbReport,
     exists_flat_cover,

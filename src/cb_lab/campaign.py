@@ -403,10 +403,12 @@ def exhaustive_lower_bound(field: FieldSpec, n: int, r: int,
 
     The enumeration itself is the oracle.  The bound is asserted for r >= 1;
     r = 0 passes vacuously (CB(0) holds for every set by convention, and the
-    bound statement starts at r = 1).
+    bound statement starts at r = 1).  A negative r raises ValueError.
     """
     if n is None or n < 1:
         raise ValueError("ambient dimension n >= 1 required")
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
     spec_stub = dict(field=field, seed=0, node_budget=node_budget, ambient=n)
     t0 = time.perf_counter()
     records, violations = [], []
@@ -443,10 +445,12 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
     dimension-d cover; injected point sets are scanned first.
 
     Any hit is recorded with the small-field caveat: it is evidence, not a
-    refutation of the characteristic-zero statement.
+    refutation of the characteristic-zero statement.  size_cap < 0 raises ValueError.
     """
     if n is None or n < 1:
         raise ValueError("ambient dimension n >= 1 required")
+    if size_cap < 0:
+        raise ValueError(f"size_cap must be >= 0, got {size_cap}")
     budget = node_budget or node_budget_default()
     t0 = time.perf_counter()
     records, violations = [], []
@@ -531,9 +535,11 @@ def replay_record(record: dict) -> dict:
     (default node budget) is compared against it.  No other recorded verdict
     is rechecked.  A "field_too_small" record matches when its genspec again
     raises FieldTooSmallError, and not when it generates.  Returns the
-    recomputed verdicts and whether they match; raises ValueError when "r"
-    or "d" is present but not an integer.
+    recomputed verdicts and whether they match; raises ValueError when the
+    record is not a dict, or when "r" or "d" is present but not an integer.
     """
+    if not isinstance(record, dict):
+        raise ValueError(f"a record must be a JSON object, got {type(record).__name__}")
     too_small = record.get("status") == "field_too_small"
     if "points" in record:
         gamma = PointSet.from_json(record["points"])

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import linalg
 from .errors import BudgetExceededError
@@ -180,17 +180,15 @@ def verify_cover(gamma: PointSet, cfg: PlaneConfiguration | None) -> bool:
 
 
 def _single_point_line(gamma: PointSet) -> Flat | None:
+    """The line through gamma's one point and e_0, or e_1 when the point is e_0."""
     pt = gamma[0]
     fld = gamma.field
     n = gamma.ambient_dim
     if n < 1:
         return None
-    one, zero = fld.one(), fld.zero()
-    for j in range(n + 1):
-        unit = tuple(one if k == j else zero for k in range(n + 1))
-        if linalg.rank([list(pt.coords), list(unit)], fld) == 2:
-            return span([pt, Flat(fld, n, (unit,))])
-    return None
+    j = 0 if any(pt.coords[1:]) else 1
+    unit = tuple(fld.one() if k == j else fld.zero() for k in range(n + 1))
+    return span([pt, Flat(fld, n, (unit,))])
 
 
 class _CoverSearch:
@@ -304,20 +302,13 @@ def _point_search(gamma: PointSet, top: Flat, max_dim: int, node_budget: int) ->
 
 
 def _result_from_chosen(gamma: PointSet, chosen, nodes: int, minimal: bool) -> CoverResult:
-    planes = tuple(sorted((c.flat for c in chosen), key=lambda f: f.basis))
-    cfg = PlaneConfiguration(planes)
-    assignment = []
-    for pt in gamma:
-        assignment.append(next(i for i, pl in enumerate(planes) if pl.contains(pt)))
-    return CoverResult(
-        found=True,
-        config=cfg,
-        dim=cfg.dim,
-        length=cfg.length,
-        nodes_explored=nodes,
-        proof_of_minimality=minimal,
-        assignment=tuple(assignment),
+    """Planes sorted by basis; point i goes to the first whose mask has bit i set."""
+    chosen = sorted(chosen, key=lambda c: c.flat.basis)
+    cfg = PlaneConfiguration(tuple(c.flat for c in chosen))
+    assignment = tuple(
+        next(j for j, c in enumerate(chosen) if c.mask >> i & 1) for i in range(len(gamma))
     )
+    return CoverResult(True, cfg, cfg.dim, cfg.length, nodes, minimal, assignment)
 
 
 def exists_cover(
@@ -367,11 +358,7 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
     if node_budget is None:
         node_budget = node_budget_default()
     if len(gamma) == 1:
-        res = exists_cover(gamma, 1, 1, node_budget)
-        return CoverResult(
-            res.found, res.config, res.dim, res.length, res.nodes_explored,
-            True, res.assignment,
-        )
+        return replace(exists_cover(gamma, 1, 1, node_budget), proof_of_minimality=True)
     top = span(list(gamma))
     search = _point_search(gamma, top, top.dim, node_budget)
     total_nodes = 0

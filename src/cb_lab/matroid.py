@@ -2,9 +2,11 @@
 
 A matroid here is a ground set 0..n-1 with an exact rank oracle, backed by a
 representing point set, by a list of flats, or analytically (uniform
-matroids).  The flats of a point matroid are read from cover.candidate_flats:
-a rank-(k+1) flat is the point mask of a dim-k span of a subset.  Closure
-enumeration is used only for abstract matroids, which have no points to span.
+matroids).  Its flat lattice is a plain {rank: sorted tuple of masks} dict,
+built once per matroid.  The flats of a point matroid are read from
+cover.candidate_flats: a rank-(k+1) flat is the point mask of a dim-k span of
+a subset.  Closure enumeration is used only for abstract matroids, which have
+no points to span.
 
 Only from_flat_list (behind from_json's "flats") spot-checks the rank axioms,
 as its ranks come from an input family that may not be a flat lattice; matrix
@@ -44,7 +46,8 @@ def _mask_of(subset) -> int:
 class Matroid:
     """Ground set {0..size-1} with a memoized exact rank oracle; rank_fn is trusted
     (only from_flat_list spot-checks).  points is set by from_points.  The
-    flat lattice of the highest rank asked for so far is kept as well."""
+    rank -> masks dict of its flats up to rank full_rank - 1 is built once,
+    by the first flats() call, and kept."""
 
     def __init__(self, size: int, rank_fn, label: str = "matroid", points=None):
         if size < 1:
@@ -54,7 +57,7 @@ class Matroid:
         self.points = points
         self._rank_fn = rank_fn
         self._cache = {}
-        self._lattice = None  # (max_rank, FlatLattice) built by flats()
+        self._lattice = None  # {rank: masks} up to full_rank - 1, built by flats()
 
     # -- construction ------------------------------------------------------
 
@@ -154,10 +157,7 @@ class Matroid:
         if self.points is not None:
             return {"matrix": self.points.to_json()}
         lattice = flats(self, self.full_rank)
-        sets = [
-            _elements(m) for rk in sorted(lattice.by_rank) for m in lattice.by_rank[rk]
-        ]
-        return {"flats": sets}
+        return {"flats": [_elements(f) for masks in lattice.values() for f in masks]}
 
     @classmethod
     def from_json(cls, obj: dict) -> Matroid:
@@ -168,60 +168,41 @@ class Matroid:
         return cls.from_flat_list(size, sets)
 
 
-@dataclass(frozen=True)
-class FlatLattice:
-    """Closed sets grouped by rank: by_rank[r] is a sorted tuple of masks."""
+def flats(m: Matroid, max_rank: int) -> dict:
+    """All flats of rank <= max_rank (rank 0 at least) as {rank: sorted tuple
+    of masks}: from candidate_flats for a point matroid, else grown by closing
+    one-element extensions.  Raises GroundTooLargeError above GROUND_CAP
+    elements.
 
-    size: int
-    by_rank: dict
-
-
-def flats(m: Matroid, max_rank: int) -> FlatLattice:
-    """All flats of rank <= max_rank: from candidate_flats for a point
-    matroid, else grown by closing one-element extensions.  Raises
-    GroundTooLargeError above GROUND_CAP elements.
-
-    The matroid keeps the lattice it builds, and later calls filter it.  The
-    ground set is the only flat of full rank, so a lattice up to rank
-    full_rank - 1 answers every request.
+    The lattice is built once per matroid, up to rank full_rank - 1, and
+    later calls filter it: the ground set is the only flat of full rank.
     """
     if m.size > GROUND_CAP:
         raise GroundTooLargeError(f"ground set of {m.size} exceeds the cap {GROUND_CAP}")
     top = m.full_rank
-    if m._lattice is None or m._lattice[0] < min(max_rank, top - 1):
-        m._lattice = (max_rank, _build_flats(m, max_rank))
-    keep = max(max_rank, 0)
-    by_rank = {rk: ms for rk, ms in m._lattice[1].by_rank.items() if rk <= keep}
+    if m._lattice is None:
+        m._lattice = _build_flats(m, top - 1)
+    out = {rk: ms for rk, ms in m._lattice.items() if rk <= max(max_rank, 0)}
     if max_rank >= top:
-        by_rank[top] = ((1 << m.size) - 1,)
-    return FlatLattice(m.size, by_rank)
+        out[top] = ((1 << m.size) - 1,)
+    return out
 
 
-def _build_flats(m: Matroid, max_rank: int) -> FlatLattice:
+def _build_flats(m: Matroid, max_rank: int) -> dict:
     if m.points is not None:
         # Points are distinct and nonzero: the empty set and the singletons
         # are closed, and each span holds the points of gamma it contains.
         masks = {0: [0], 1: [1 << i for i in range(m.size)]}
         for c in candidate_flats(m.points, max_rank - 1) if max_rank >= 2 else ():
             masks.setdefault(c.flat.dim + 1, []).append(c.mask)
-        by_rank = {rk: tuple(sorted(ms)) for rk, ms in masks.items() if rk <= max(max_rank, 0)}
-        return FlatLattice(m.size, by_rank)
-    by_rank = {}
-    bottom = m.closure(0)
-    by_rank[0] = (bottom,)
-    current = [bottom]
-    rk = 0
-    while rk < max_rank and current:
-        nxt = set()
-        for f in current:
-            for e in range(m.size):
-                if not f >> e & 1:
-                    nxt.add(m.closure(f | (1 << e)))
-        rk += 1
-        current = sorted(nxt)
-        if current:
-            by_rank[rk] = tuple(current)
-    return FlatLattice(m.size, by_rank)
+        return {rk: tuple(sorted(ms)) for rk, ms in masks.items()}
+    # Every rank below the full rank has a proper flat to extend.
+    by_rank = {0: (m.closure(0),)}
+    for rk in range(max_rank):
+        by_rank[rk + 1] = tuple(sorted({
+            m.closure(f | 1 << e) for f in by_rank[rk] for e in range(m.size) if not f >> e & 1
+        }))
+    return by_rank
 
 
 @dataclass(frozen=True)
@@ -252,7 +233,7 @@ def is_mcb(m: Matroid, r: int) -> McbReport:
     if r < 1:
         raise ValueError("need r >= 1")
     full_rank = m.full_rank
-    hyperplanes = flats(m, max_rank=max(full_rank - 1, 0)).by_rank.get(full_rank - 1, ())
+    hyperplanes = flats(m, full_rank - 1).get(full_rank - 1, ())
     ground = (1 << m.size) - 1
     for x in range(m.size):
         candidates = [h for h in hyperplanes if not h >> x & 1]
@@ -275,8 +256,8 @@ def exists_flat_cover(m: Matroid, dims) -> list | None:
         raise ValueError("a flat cover needs at least one flat dimension")
     if any(rk < 1 for rk in ranks_needed):
         raise ValueError("flat cover dimensions must be >= 0")
-    lattice = flats(m, max_rank=max(ranks_needed))
-    pool = {rk: list(lattice.by_rank.get(rk, ())) for rk in set(ranks_needed)}
+    lattice = flats(m, max(ranks_needed))
+    pool = {rk: list(lattice.get(rk, ())) for rk in set(ranks_needed)}
     if any(not pool[rk] for rk in ranks_needed):
         return None
     ground = (1 << m.size) - 1

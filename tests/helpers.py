@@ -14,10 +14,12 @@ from fractions import Fraction
 
 from cb_lab import (
     FieldSpec,
+    Flat,
     PointSet,
     ProjPoint,
     eval_matrix,
     monomial_basis,
+    span,
 )
 from cb_lab.errors import DegenerateConicError, ResampleBudgetExceededError
 from cb_lab.forms import evaluation_row
@@ -167,6 +169,22 @@ def cover_oracle(gamma: PointSet, candidates, d: int, max_length: int) -> bool:
             if mask == full:
                 return True
     return False
+
+
+def first_containing_plane(gamma: PointSet, cfg):
+    """Per point of gamma, the index of the first plane of cfg containing it."""
+    return tuple(next(j for j, pl in enumerate(cfg.planes) if pl.contains(pt)) for pt in gamma)
+
+
+def single_point_line_by_rank_scan(gamma: PointSet):
+    """The line through gamma's one point and the first unit vector off it,
+    one rank test per unit vector; None in P^0."""
+    pt, fld, n = gamma[0], gamma.field, gamma.ambient_dim
+    for j in range(n + 1):
+        unit = tuple(fld.one() if k == j else fld.zero() for k in range(n + 1))
+        if rank_oracle([list(pt.coords), list(unit)], fld) == 2:
+            return span([pt, Flat(fld, n, (unit,))])
+    return None
 
 
 def candidate_flats_oracle(gamma: PointSet, max_dim: int):

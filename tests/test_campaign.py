@@ -152,6 +152,15 @@ def test_counterexample_search_vacuous():
     assert report.records == [] and report.violations == []
 
 
+def test_negative_scan_bounds_are_rejected():
+    # size_cap = 0 and r = 0 scan nothing on purpose; below 0 is an input error.
+    gf2 = FieldSpec.prime(2)
+    with pytest.raises(ValueError, match="size_cap"):
+        counterexample_search(gf2, 2, 1, 1, size_cap=-1)
+    with pytest.raises(ValueError, match="r must be"):
+        exhaustive_lower_bound(gf2, 2, -1)
+
+
 def test_counterexample_search_finds_injected_witnesses(gf101):
     # rnc sets one past the size bound: CB(r) with no dimension-d cover
     witnesses = [

@@ -233,6 +233,12 @@ _MALFORMED = [
                  {"points": _POINTS, "d": "2", "cover_found": True}, id="replay-string-d"),
     pytest.param(["verify-conjecture", "--replay", "{path}"],
                  {"points": _POINTS, "r": 2.5, "cb": True}, id="replay-float-r"),
+    pytest.param(["verify-conjecture", "--replay", "{path}"], [1, 2], id="replay-list"),
+    pytest.param(["verify-conjecture", "--replay", "{path}"], "points", id="replay-string"),
+    pytest.param(["search", "--mode", "counterexample", "--field", "2", "--ambient", "2",
+                  "--r", "1", "--d", "1", "--size-cap", "-1"], None, id="search-size-cap-neg"),
+    pytest.param(["search", "--mode", "lower-bound", "--field", "2", "--ambient", "2",
+                  "--r", "-1"], None, id="search-lower-bound-r-neg"),
 ] + [
     pytest.param(["generate", "--spec", "{path}"], _on_plane(field, basis), id=f"genspec-{name}")
     for name, field, basis in (

@@ -21,10 +21,30 @@ from cb_lab import (
 from cb_lab import cover
 from cb_lab.errors import BudgetExceededError
 
-from helpers import candidate_flats_oracle, cover_oracle, random_point_set
+from helpers import (
+    candidate_flats_oracle,
+    cover_oracle,
+    first_containing_plane,
+    random_point_set,
+    single_point_line_by_rank_scan,
+)
 
 GF2, GF3 = FieldSpec.prime(2), FieldSpec.prime(3)
 GF7, GF101, Q = FieldSpec.prime(7), FieldSpec.prime(101), FieldSpec.rational()
+
+
+@pytest.fixture(autouse=True)
+def _assignment_is_the_first_containing_plane(monkeypatch):
+    """Every cover found in this module assigns point i the index of the
+    first plane of config.planes that contains it."""
+    build = cover._result_from_chosen
+
+    def checked(gamma, *args, **kwargs):
+        res = build(gamma, *args, **kwargs)
+        assert res.assignment == first_containing_plane(gamma, res.config)
+        return res
+
+    monkeypatch.setattr(cover, "_result_from_chosen", checked)
 
 
 def _random_sets(field, n, count, seed):
@@ -204,6 +224,27 @@ def test_empty_and_degenerate_cases(gf101):
     assert (mc.dim, mc.length) == (1, 1)
     with pytest.raises(ValueError):
         min_cover(empty)
+
+
+@pytest.mark.parametrize("field", [GF7, Q], ids=["gf7", "q"])
+@pytest.mark.parametrize(
+    "coords", [[1, 0, 0, 0], [0, 0, 0, 1], [1, 2, 3, 4]], ids=["e0", "en", "generic"]
+)
+def test_single_point_cover_is_the_rank_scan_line(field, coords):
+    one = PointSet.from_coords(field, [coords])
+    line = single_point_line_by_rank_scan(one)
+    for res in (exists_cover(one, 1, 1), exists_cover(one, 3, 2), min_cover(one)):
+        assert res.found and res.config.planes == (line,) and res.assignment == (0,)
+    assert min_cover(one).proof_of_minimality
+    assert not exists_cover(one, 1, 1).proof_of_minimality
+
+
+@pytest.mark.parametrize("field", [GF7, Q], ids=["gf7", "q"])
+def test_single_point_of_p0_has_no_cover(field):
+    one = PointSet.from_coords(field, [[1]])
+    assert single_point_line_by_rank_scan(one) is None
+    for res in (exists_cover(one, 1, 1), min_cover(one)):
+        assert not res.found and res.config is None and res.proof_of_minimality
 
 
 def test_search_agrees_with_oracle(gf101):

@@ -8,7 +8,7 @@ and cb_true counts.  The generator digests pin the canonical JSON of every
 family's output (points, then configuration) and of ``extend_to_hyperplane``,
 so RNG consumption and point order cannot drift; a case that raises pins its
 error type and message instead.  The matroid digests pin the flat lattices
-``flats(m, R).by_rank`` for every R up to one past the full rank, the
+``flats(m, R)`` for every R up to one past the full rank, the
 ``is_mcb`` reports (witness flats and excluded element, in both modes) and
 the ``exists_flat_cover`` outputs, over point matroids and abstract ones.
 
@@ -370,7 +370,7 @@ def _matroid_cases():
     cases = {}
     for label, m in _matroids().items():
         cases[f"flats {label}"] = lambda m=m: [
-            list(flats(m, rk).by_rank.items()) for rk in range(m.full_rank + 2)
+            list(flats(m, rk).items()) for rk in range(m.full_rank + 2)
         ]
         # Each report twice, once per former mode (all flats, hyperplanes
         # only), which are now one search: the recorded digests still apply.

@@ -82,7 +82,7 @@ def test_skew_lines_matroid(gf101):
     m = Matroid.from_points(pts)
     assert m.full_rank == 4
     lat = flats(m, 2)
-    line_flats = [f for f in lat.by_rank[2] if f.bit_count() == 5]
+    line_flats = [f for f in lat[2] if f.bit_count() == 5]
     assert sorted(line_flats) == [0b11111, 0b1111100000]
 
 
@@ -94,8 +94,8 @@ def test_point_flats_match_closure_enumeration(sets):
         m = Matroid.from_points(gamma)
         sourceless = Matroid(len(gamma), m.rank)  # no points: flats by closure
         for max_rank in range(m.full_rank + 2):
-            got = flats(m, max_rank).by_rank
-            assert list(got.items()) == list(flats(sourceless, max_rank).by_rank.items())
+            got = flats(m, max_rank)
+            assert list(got.items()) == list(flats(sourceless, max_rank).items())
 
 
 @pytest.mark.parametrize(
@@ -111,7 +111,7 @@ def test_kept_lattice_matches_fresh_builds(sets):
             m = Matroid.from_points(gamma)
             sourceless = Matroid(len(gamma), m.rank)
             for rk in order:
-                assert list(flats(m, rk).by_rank.items()) == list(fresh[rk].by_rank.items())
+                assert list(flats(m, rk).items()) == list(fresh[rk].items())
                 assert flats(sourceless, rk) == fresh[rk]
 
 
@@ -122,21 +122,41 @@ def test_mcb_then_flat_cover_builds_the_lattice_once(gf101, monkeypatch):
     monkeypatch.setattr(cb_lab.matroid, "candidate_flats",
                         lambda *args: calls.append(args) or candidate_flats(*args))
     m = Matroid.from_points(gen_rnc(3, 7, gf101, seed=5))
+    assert m.full_rank == 4
+    flats(m, 2)  # a low first rank still builds the whole lattice
     is_mcb(m, 2)
     assert exists_flat_cover(m, [3]) is not None  # the span of everything, at full rank
     exists_flat_cover(m, [1, 1])
+    flats(m, m.full_rank)
     assert len(calls) == 1
+
+
+def test_closure_lattice_is_built_once(monkeypatch):
+    closures = []
+    closure = Matroid.closure
+    monkeypatch.setattr(Matroid, "closure",
+                        lambda self, subset: closures.append(subset) or closure(self, subset))
+    u = Matroid.uniform(3, 6)
+
+    def every_reader():
+        return [flats(u, 1), is_mcb(u, 2), exists_flat_cover(u, [1, 1]), flats(u, 3)]
+
+    first = every_reader()
+    built = len(closures)
+    assert built > 0
+    assert every_reader() == first
+    assert len(closures) == built
 
 
 def test_flats_uniform():
     u23 = Matroid.uniform(2, 3)
     lat = flats(u23, 1)
-    assert lat.by_rank[0] == (0,)
-    assert sorted(lat.by_rank[1]) == [1, 2, 4]  # the three singletons
+    assert lat[0] == (0,)
+    assert sorted(lat[1]) == [1, 2, 4]  # the three singletons
     u34 = Matroid.uniform(3, 4)
     lat2 = flats(u34, 2)
-    assert len(lat2.by_rank[2]) == 6  # the six pairs
-    assert all(f.bit_count() == 2 for f in lat2.by_rank[2])
+    assert len(lat2[2]) == 6  # the six pairs
+    assert all(f.bit_count() == 2 for f in lat2[2])
 
 
 def test_mcb_u23_true_and_brute_force():
@@ -145,7 +165,7 @@ def test_mcb_u23_true_and_brute_force():
     assert rep.verdict
     # brute force: every proper flat avoiding x misses at least one other point
     lat = flats(u23, 1)
-    proper = [f for masks in lat.by_rank.values() for f in masks if f != 0b111]
+    proper = [f for masks in lat.values() for f in masks if f != 0b111]
     for x in range(3):
         target = 0b111 & ~(1 << x)
         assert not any(f & target == target and not f >> x & 1 for f in proper)
@@ -226,7 +246,7 @@ def test_fano_plane():
     f = Matroid.fano()
     assert f.size == 7 and f.full_rank == 3
     lat = flats(f, 2)
-    lines = lat.by_rank[2]
+    lines = lat[2]
     assert len(lines) == 7 and all(f2.bit_count() == 3 for f2 in lines)
     # the Fano plane: removing any point, the rest is covered by lines
     # avoiding it only partially; MCB(2) verdicts are well defined either way
@@ -266,7 +286,7 @@ def test_hyperplanes_avoiding_x_are_the_maximal_flats_avoiding_x():
     # hyperplanes avoiding x alone; the old pairwise filter is the oracle.
     for m in _hyperplane_cases():
         rk = m.full_rank
-        hyperplanes = flats(m, max(rk - 1, 0)).by_rank.get(rk - 1, ())
+        hyperplanes = flats(m, max(rk - 1, 0)).get(rk - 1, ())
         for x in range(m.size):
             got = [h for h in hyperplanes if not h >> x & 1]
             assert got == _maximal_flats_avoiding(m, x), (m.label, x)
