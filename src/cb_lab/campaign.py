@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .cb import excise, is_cb, is_cb_rows
-from .cover import exists_cover, min_cover, node_budget_default
+from .cover import _min_cover, exists_cover, min_cover, node_budget_default
 from .errors import BudgetExceededError, FieldTooSmallError, ResampleBudgetExceededError
 from .fields import FieldSpec
 from .forms import evaluation_row, monomial_basis
@@ -371,7 +371,9 @@ def _mcb_trial(rec, rng, field, budget):
     mcb = is_mcb(matroid, rec["r"])
     rec["mcb"] = mcb.verdict
     try:
-        mc = min_cover(gamma, node_budget=budget)
+        # is_mcb built the matroid's lattice from the candidate flats that
+        # min_cover needs: candidate_flats(gamma, full_rank - 2).
+        mc = _min_cover(gamma, budget, matroid._candidates)
         dims = sorted((pl.dim for pl in mc.config.planes), reverse=True)
         flat_cover = exists_flat_cover(matroid, dims)
         rec.update(

@@ -12,6 +12,12 @@ reduced row is the unit vector e_i.  On failure the witness is the first
 canonical kernel vector of the punctured set that does not vanish at the
 omitted point.
 
+Over Q the evaluation rows are built from each point's primitive integer
+coordinates and the failing points are read off the integer rows of
+linalg.rref_int.  Scaling a point scales its row, which moves neither the
+failing set nor the kernel, so the verdict and the witness are those of
+the Fraction rows.
+
 Conventions (the definitional edge cases are not forced by the mathematics
 and are fixed here for consistency with the minimum-count bound |Gamma| >= r+2):
 the empty set is CB(r) for every r, and CB(0) holds for every set, since the
@@ -24,8 +30,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import MonotonicityError
-from .fields import FieldSpec
-from .forms import eval_matrix
+from .fields import PRIME, FieldSpec
+from .forms import eval_matrix, monomial_basis, monomial_values
 from .projective import PlaneConfiguration, PointSet
 
 
@@ -56,9 +62,23 @@ class CbReport:
 
 def _failing_indices(rows, field: FieldSpec):
     """Row indices whose removal lowers the rank, ascending: the pivot columns
-    of the transposed matrix whose reduced row is a unit vector."""
-    basis, piv = linalg.rref(linalg.transpose(rows), field)
+    of the transposed matrix whose reduced row is a unit vector (over Q, read
+    off the integer rows of the rational core)."""
+    cols = linalg.transpose(rows)
+    if field.kind == PRIME:
+        basis, piv = linalg.rref(cols, field)
+    else:
+        basis, piv, _scale = linalg.rref_int(cols)
     return [c for row, c in zip(basis, piv) if not any(row[c + 1:])]
+
+
+def _rows(gamma: PointSet, r: int):
+    """The evaluation rows of gamma; over Q each from the point's primitive
+    integer coordinates, a nonzero multiple of its Fraction row."""
+    if gamma.field.kind == PRIME:
+        return eval_matrix(gamma, r).rows
+    basis = monomial_basis(gamma.ambient_dim, r)
+    return [monomial_values(linalg._clear_row(pt.coords), basis) for pt in gamma]
 
 
 def _witness_for(rows, omit: int, field: FieldSpec, ncols: int) -> tuple:
@@ -88,12 +108,12 @@ def is_cb(gamma: PointSet, r: int) -> CbReport:
         raise ValueError("degree must be nonnegative")
     if len(gamma) == 0 or r == 0:
         return CbReport(r, True)
-    m = eval_matrix(gamma, r)
-    failing = _failing_indices(m.rows, m.field)
+    rows = _rows(gamma, r)
+    failing = _failing_indices(rows, gamma.field)
     if not failing:
         return CbReport(r, True)
     omit = failing[0]
-    form = _witness_for(m.rows, omit, m.field, m.ncols)
+    form = _witness_for(rows, omit, gamma.field, len(rows[0]))
     return CbReport(r, False, CbWitness(omit, form))
 
 

@@ -12,10 +12,17 @@ The candidates are grown one dimension at a time without a fresh row
 reduction: each flat skips the points of the children already found that
 contain it (any such point spans that child with it) and reduces every
 other outside point against its echelon basis once; the points with equal
-residuals (scaled to a leading 1) span one new child flat, whose basis is
-its parent's plus one pivot insert of the residual.  min_cover spans gamma
-once and keeps one candidate list and one by_point table for its whole
-(dim, length) sweep.
+residuals (scaled to a canonical representative) span one new child flat,
+whose basis is its parent's plus one pivot insert of the residual.  Over
+GF(p) a residual is scaled to a leading 1.  Over Q the level loop runs on
+integers (primitive points, echelon bases times the lcm D of their
+denominators, fraction-free residuals keyed by their primitive form) and
+the final (dimension, basis) sort compares each entry x / D as the integer
+x * (L // D), L the lcm of all the D, which orders exactly as the
+Fractions do; Fraction bases are built only for the returned candidates.
+min_cover spans gamma once and keeps one candidate list and one by_point
+table for its whole (dim, length) sweep; an MCB campaign trial hands it
+the list its matroid's lattice was read from.
 
 The search is depth-first branch and bound: branch on the uncovered point
 lying on the fewest candidate flats, bound by the remaining dimension and
@@ -31,6 +38,8 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .errors import BudgetExceededError
@@ -93,7 +102,7 @@ def candidate_flats(gamma: PointSet, max_dim: int):
       child F still finds is new; it is never found again, because any
       later parent inside it skips its points.
     - Residuals: each remaining point p_i outside F is reduced against F's
-      echelon basis once and scaled so its first nonzero entry is 1.  The
+      echelon basis once and scaled to a canonical representative.  The
       reduction is linear with kernel the cone of F, so p_j lies on
       span(F, p_i) exactly when the two residuals are equal; grouping the
       points by residual gives each new child with its full point mask
@@ -102,17 +111,28 @@ def candidate_flats(gamma: PointSet, max_dim: int):
       lead column cleared, plus the residual as a pivot row, which is the
       unique reduced echelon form of span(F, p_i).
 
+    Over Q the whole loop runs on integers.  Each point is its primitive
+    integer vector (content 1, lead > 0), each basis is its reduced echelon
+    form times the lcm D of its denominators (every pivot equals D and the
+    entries have content 1), and a residual is the fraction-free D*v -
+    sum(v[c_k] * B_k), divided by its content with its lead made positive.
+    One Fraction Flat is built per returned candidate.
+
     Returned in canonical order (dimension, then basis bytes).
     """
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
     fld = gamma.field
     n = gamma.ambient_dim
-    coords = [pt.coords for pt in gamma]
-    normalise, eliminate = _residual_ops(fld)
-    # (basis, pivot columns, point mask); a point's first nonzero entry is 1
-    level = [((c,), (c.index(1),), 1 << i) for i, c in enumerate(coords)]
-    result = []
+    prime = fld.kind == PRIME
+    if prime:
+        coords = [pt.coords for pt in gamma]
+    else:
+        coords = [tuple(linalg._clear_row(pt.coords)) for pt in gamma]
+    residual, insert = _residual_ops(fld)
+    # (basis, pivot columns, point mask): a point's basis is itself
+    level = [((c,), (_lead(c),), 1 << i) for i, c in enumerate(coords)]
+    found = []
     for _dim in range(min(max_dim, n)):
         holding = [[] for _ in coords]  # point -> masks of this level's children on it
         grown = []
@@ -124,21 +144,41 @@ def candidate_flats(gamma: PointSet, max_dim: int):
             groups = {}
             for i, c in enumerate(coords):
                 if not done >> i & 1:
-                    r = normalise(linalg.reduce_against(c, basis, piv, fld))
+                    r = residual(c, basis, piv)
                     groups[r] = groups.get(r, mask) | 1 << i
             for r, child in groups.items():
-                lead = r.index(1)
-                pos = bisect_left(piv, lead)
-                rows = [eliminate(row, row[lead], r) if row[lead] else row for row in basis]
-                rows.insert(pos, r)
-                grown.append((tuple(rows), piv[:pos] + (lead,) + piv[pos:], child))
+                grown.append(insert(basis, piv, r) + (child,))
                 for i in _elements(child):
                     holding[i].append(child)
         level = grown
-        for basis, _piv, mask in level:
-            result.append(CandidateFlat(Flat(fld, n, basis), mask))
-    result.sort(key=lambda c: (c.flat.dim, c.flat.basis))
-    return result
+        found.extend(level)
+    if prime:
+        result = [CandidateFlat(Flat(fld, n, basis), mask) for basis, _piv, mask in found]
+        result.sort(key=lambda c: (c.flat.dim, c.flat.basis))
+        return result
+    return _rational_candidates(fld, n, found)
+
+
+def _rational_candidates(field, n: int, found) -> list:
+    """The CandidateFlats of integer (basis, pivots, mask) triples over Q, in
+    (dimension, basis) order.
+
+    Entry x of a basis with pivots D is x / D = x * (L // D) / L, with L the
+    lcm of every D, so the scaled integers sort exactly as the Fractions do.
+    """
+    scale = lcm(*(basis[0][piv[0]] for basis, piv, _mask in found))
+
+    def key(entry):
+        basis, piv, _mask = entry
+        s = scale // basis[0][piv[0]]
+        return len(basis), [x * s for row in basis for x in row]
+
+    out = []
+    for basis, piv, mask in sorted(found, key=key):
+        d = basis[0][piv[0]]
+        rows = tuple(tuple([Fraction(x, d) for x in row]) for row in basis)
+        out.append(CandidateFlat(Flat(field, n, rows), mask))
+    return out
 
 
 def _elements(mask: int) -> list:
@@ -146,10 +186,16 @@ def _elements(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _lead(v) -> int:
+    """The column of the first nonzero entry of v."""
+    return next(j for j, x in enumerate(v) if x)
+
+
 def _residual_ops(field):
-    """(normalise, eliminate) on raw rows, picked once per field kind:
-    normalise(v) scales v so its first nonzero entry is 1, and
-    eliminate(row, f, r) is row - f * r."""
+    """(residual, insert) on one field kind's rows, picked once per call:
+    residual(v, basis, piv) is v reduced against an echelon basis and
+    scaled to a canonical representative; insert(basis, piv, r) is the
+    (basis, pivot columns) of the span of the basis and r."""
     if field.kind == PRIME:
         p = field.p
 
@@ -160,16 +206,46 @@ def _residual_ops(field):
         def eliminate(row, f, r):
             return tuple([(a - f * b) % p for a, b in zip(row, r)])
 
-    else:
+        def residual(v, basis, piv):
+            return normalise(linalg.reduce_against(v, basis, piv, field))
 
-        def normalise(v):
-            lead = next(x for x in v if x)
-            return tuple([x / lead for x in v])
+        def insert(basis, piv, r):
+            lead = r.index(1)
+            pos = bisect_left(piv, lead)
+            rows = [eliminate(row, row[lead], r) if row[lead] else row for row in basis]
+            rows.insert(pos, r)
+            return tuple(rows), piv[:pos] + (lead,) + piv[pos:]
 
-        def eliminate(row, f, r):
-            return tuple([a - f * b for a, b in zip(row, r)])
+        return residual, insert
 
-    return normalise, eliminate
+    def residual(v, basis, piv):
+        # Fraction-free: D*v - sum(v[c_k] * B_k), D the common pivot.
+        r = [basis[0][piv[0]] * x for x in v]
+        for row, c in zip(basis, piv):
+            f = v[c]
+            if f:
+                r = [a - f * b for a, b in zip(r, row)]
+        g = gcd(*r)
+        if next(x for x in r if x) < 0:
+            g = -g
+        return tuple([x // g for x in r]) if g != 1 else tuple(r)
+
+    def insert(basis, piv, r):
+        # a*B_k - B_k[lead]*r for the old rows and D*r for the new one share
+        # the pivot a*D; dividing by their content leaves the unique form.
+        lead = _lead(r)
+        a, d = r[lead], basis[0][piv[0]]
+        pos = bisect_left(piv, lead)
+        rows = [[a * x - row[lead] * y for x, y in zip(row, r)] for row in basis]
+        rows.insert(pos, [d * y for y in r])
+        g = 0
+        for row in rows:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        return tuple(tuple([x // g for x in row]) for row in rows), piv[:pos] + (lead,) + piv[pos:]
+
+    return residual, insert
 
 
 def verify_cover(gamma: PointSet, cfg: PlaneConfiguration | None) -> bool:
@@ -281,24 +357,28 @@ class _CoverSearch:
         return False
 
 
-def _point_search(gamma: PointSet, top: Flat, max_dim: int, node_budget: int) -> _CoverSearch:
+def _point_search(gamma: PointSet, top: Flat, max_dim: int, node_budget: int,
+                  cands=None) -> _CoverSearch:
     """The cover search of gamma (at least two points, spanning top) for dim
     budgets <= max_dim, over its candidate flats with cost = dimension.
 
     A cover by two or more planes uses planes of dimension <= max_dim-1 (the
     others contribute at least 1 each), and a single covering plane shrinks
     to span(gamma); so spans of subsets up to dim max_dim-1 plus the total
-    span are a complete candidate set.
+    span are a complete candidate set.  cands, when given, is that
+    candidate_flats list, already built; it is not modified.
     """
-    npts = len(gamma)
+    full = (1 << len(gamma)) - 1
     cap = min(max_dim - 1, gamma.ambient_dim)
-    cands = candidate_flats(gamma, cap) if cap >= 1 else []
+    if cands is None:
+        cands = candidate_flats(gamma, cap) if cap >= 1 else []
+    items = [(c.mask, c.flat.dim, c) for c in cands]
     # The candidates hold every span of a subset up to dim cap, top among
     # them when top.dim <= cap; otherwise top outranks them all in
     # (dim, basis) order and goes last.
     if cap < top.dim <= max_dim:
-        cands.append(CandidateFlat(top, (1 << npts) - 1))
-    return _CoverSearch([(c.mask, c.flat.dim, c) for c in cands], (1 << npts) - 1, node_budget)
+        items.append((full, top.dim, CandidateFlat(top, full)))
+    return _CoverSearch(items, full, node_budget)
 
 
 def _result_from_chosen(gamma: PointSet, chosen, nodes: int, minimal: bool) -> CoverResult:
@@ -353,6 +433,13 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
     Queries (dim, length) pairs in ascending lexicographic order, so the
     first hit is minimal and carries proof_of_minimality.
     """
+    return _min_cover(gamma, node_budget)
+
+
+def _min_cover(gamma: PointSet, node_budget: int | None, cands=None) -> CoverResult:
+    """min_cover, over cands = candidate_flats(gamma, dim span(gamma) - 1)
+    when the caller has built that list already (a point Matroid's lattice
+    is read from the same list)."""
     if len(gamma) == 0:
         raise ValueError("min_cover needs a nonempty point set")
     if node_budget is None:
@@ -360,7 +447,7 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
     if len(gamma) == 1:
         return replace(exists_cover(gamma, 1, 1, node_budget), proof_of_minimality=True)
     top = span(list(gamma))
-    search = _point_search(gamma, top, top.dim, node_budget)
+    search = _point_search(gamma, top, top.dim, node_budget, cands)
     total_nodes = 0
     for dim in range(1, top.dim + 1):
         for length in range(1, dim + 1):

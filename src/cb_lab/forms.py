@@ -6,10 +6,11 @@ variable first).  Its kernel is the space of degree-r forms vanishing on
 the whole set, which is what makes the Cayley-Bacharach condition a rank
 statement.
 
-evaluation_row has one body for both fields: monomial values are native
+evaluation_row has one body for both fields: monomial_values takes native
 int or Fraction products of coordinate powers, reduced mod p once per entry
 over GF(p).  The FieldSpec element ops are the reference it is tested
-against.
+against.  Over Q, cb feeds monomial_values a point's primitive integer
+coordinates for an all-int row.
 """
 
 from __future__ import annotations
@@ -56,7 +57,16 @@ def monomial_basis(n: int, r: int) -> MonomialBasis:
 
 def evaluation_row(coords, basis: MonomialBasis, field: FieldSpec):
     """Values of every basis monomial at one coordinate vector."""
-    one = field.one()
+    row = monomial_values(coords, basis, field.one())
+    if field.kind == PRIME:
+        p = field.p
+        return tuple(x % p for x in row)
+    return tuple(row)
+
+
+def monomial_values(coords, basis: MonomialBasis, one=1) -> list:
+    """Unreduced native products: every basis monomial at coords, starting
+    each product from one (int coordinates give int values)."""
     pows = []
     for c in coords:
         col = [one]
@@ -70,10 +80,7 @@ def evaluation_row(coords, basis: MonomialBasis, field: FieldSpec):
             if e:
                 val *= col[e]
         row.append(val)
-    if field.kind == PRIME:
-        p = field.p
-        return tuple(x % p for x in row)
-    return tuple(row)
+    return row
 
 
 @dataclass(frozen=True)

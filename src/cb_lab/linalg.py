@@ -1,12 +1,15 @@
 """Exact row reduction, rank and kernel computation on raw field elements.
 
 rref and reduce_against pick a kernel once per call from the field kind.
-GF(p) runs Gaussian elimination on plain int residues.  Rational matrices
-are cleared to integers row by row and reduced in one fraction-free
+GF(p) runs Gaussian elimination on plain int residues.  Over Q the work is
+done on integers by rref_int, the one rational core: each row is cleared to
+coprime integers (_clear_row) and the rows are reduced in one fraction-free
 Gauss-Jordan pass (Bareiss's one-step update applied to the rows above the
-pivot as well as below): every division is exact, so entries stay
-integers, and every pivot ends equal to the last one; dividing the pivot
-rows by it gives the unique reduced echelon form with Fraction entries.
+pivot as well as below).  Every division is exact, so entries stay integers
+and every pivot ends equal to the last one, the scale; the integer rows are
+the reduced echelon form times that scale.  rref divides them by it for the
+callers that need Fraction elements; cb reads the integer rows, and cb and
+cover clear point coordinates with _clear_row.
 
 dot and combine have one body for both fields: native int or Fraction
 products summed from the field's zero, reduced mod p once per output entry
@@ -43,7 +46,8 @@ def rref(rows, field: FieldSpec):
         return [], []
     if field.kind == PRIME:
         return _rref_prime(m, field.p)
-    return _rref_rational(m)
+    ints, piv_cols, scale = rref_int(m)
+    return [tuple(Fraction(x, scale) for x in row) for row in ints], piv_cols
 
 
 def _rref_prime(m, p):
@@ -80,15 +84,24 @@ def _rref_prime(m, p):
 
 
 def _clear_row(row):
-    """Scale one row to coprime integers (sign preserved)."""
+    """Scale one row of ints or Fractions to coprime integers (sign preserved)."""
     den = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (den // x.denominator) for x in row]
     content = gcd(*ints)
     return [x // content for x in ints] if content > 1 else ints
 
 
-def _rref_rational(m):
-    ints = [_clear_row(r) for r in m]
+def rref_int(rows):
+    """The integer core of the rational rref.
+
+    Args:
+        rows: nonempty list of equal-length rows of ints or Fractions.
+
+    Returns:
+        (ints, pivot_cols, scale): ints is the reduced echelon basis times
+        the nonzero int scale, as int lists (zero rows dropped).
+    """
+    ints = [_clear_row(r) for r in rows]
     nrows, ncols = len(ints), len(ints[0])
     piv_cols = []
     pr = 0
@@ -116,7 +129,7 @@ def _rref_rational(m):
         pr += 1
         if pr == nrows:
             break
-    return [tuple(Fraction(x, prev) for x in ints[i]) for i in range(pr)], piv_cols
+    return ints[:pr], piv_cols, prev
 
 
 def rank(rows, field: FieldSpec) -> int:

@@ -47,7 +47,8 @@ class Matroid:
     """Ground set {0..size-1} with a memoized exact rank oracle; rank_fn is trusted
     (only from_flat_list spot-checks).  points is set by from_points.  The
     rank -> masks dict of its flats up to rank full_rank - 1 is built once,
-    by the first flats() call, and kept."""
+    by the first flats() call, and kept, with the candidate_flats list a
+    point matroid reads it from."""
 
     def __init__(self, size: int, rank_fn, label: str = "matroid", points=None):
         if size < 1:
@@ -58,6 +59,7 @@ class Matroid:
         self._rank_fn = rank_fn
         self._cache = {}
         self._lattice = None  # {rank: masks} up to full_rank - 1, built by flats()
+        self._candidates = None  # a point matroid's candidate_flats, built with the lattice
 
     # -- construction ------------------------------------------------------
 
@@ -193,7 +195,8 @@ def _build_flats(m: Matroid, max_rank: int) -> dict:
         # Points are distinct and nonzero: the empty set and the singletons
         # are closed, and each span holds the points of gamma it contains.
         masks = {0: [0], 1: [1 << i for i in range(m.size)]}
-        for c in candidate_flats(m.points, max_rank - 1) if max_rank >= 2 else ():
+        m._candidates = candidate_flats(m.points, max_rank - 1) if max_rank >= 2 else []
+        for c in m._candidates:
             masks.setdefault(c.flat.dim + 1, []).append(c.mask)
         return {rk: tuple(sorted(ms)) for rk, ms in masks.items()}
     # Every rank below the full rank has a proper flat to extend.

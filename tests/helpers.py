@@ -32,7 +32,7 @@ from cb_lab.generators import (
     _split_quadric,
     _sqrt_table,
 )
-from cb_lab.linalg import combine, dot, in_row_space, kernel, rref
+from cb_lab.linalg import combine, dot, in_row_space, kernel, reduce_against, rref
 from cb_lab.projective import _prime_coeff_tuples, enumerate_points
 
 
@@ -205,6 +205,47 @@ def candidate_flats_oracle(gamma: PointSet, max_dim: int):
     return sorted(found.values(), key=lambda t: (t[0], t[1]))
 
 
+def candidate_flats_by_fractions(gamma: PointSet, max_dim: int):
+    """(dim, basis, mask) of the candidate flats of a point set over Q, grown
+    level by level on Fraction rows: each skipped-or-reduced point's residual
+    scaled to a leading 1, the children grouped by residual and built by a
+    Fraction pivot insert, sorted by the Fraction basis (reference for the
+    integer path of cover.candidate_flats)."""
+    from bisect import bisect_left
+
+    fld = gamma.field
+    coords = [pt.coords for pt in gamma]
+    level = [((c,), (c.index(1),), 1 << i) for i, c in enumerate(coords)]
+    found = []
+    for _dim in range(min(max_dim, gamma.ambient_dim)):
+        holding = [[] for _ in coords]
+        grown = []
+        for basis, piv, mask in level:
+            done = mask
+            for g in holding[(mask & -mask).bit_length() - 1]:
+                if g & mask == mask:
+                    done |= g
+            groups = {}
+            for i, c in enumerate(coords):
+                if not done >> i & 1:
+                    v = reduce_against(c, basis, piv, fld)
+                    lead = next(x for x in v if x)
+                    r = tuple(x / lead for x in v)
+                    groups[r] = groups.get(r, mask) | 1 << i
+            for r, child in groups.items():
+                lead = r.index(1)
+                pos = bisect_left(piv, lead)
+                rows = [tuple(a - row[lead] * b for a, b in zip(row, r)) for row in basis]
+                rows.insert(pos, r)
+                grown.append((tuple(rows), piv[:pos] + (lead,) + piv[pos:], child))
+                for i in range(len(coords)):
+                    if child >> i & 1:
+                        holding[i].append(child)
+        level = grown
+        found.extend((len(basis) - 1, basis, mask) for basis, _piv, mask in level)
+    return sorted(found, key=lambda t: (t[0], t[1]))
+
+
 @functools.lru_cache(maxsize=16)
 def _plane_rows(field, deg):
     """Every point of P^2(GF(p)) and its degree-deg evaluation row, cached."""
@@ -354,6 +395,35 @@ def random_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -
         seen.add(pt.coords)
         pts.append(pt)
     return PointSet(field, n, tuple(pts))
+
+
+_MIXED = (Fraction(10**30, 7), Fraction(1, 3), Fraction(-5, 2), Fraction(-(10**30), 7),
+          Fraction(7), Fraction(-1), Fraction(0))
+
+
+def mixed_rational_point_set(n: int, count: int, rng: random.Random) -> PointSet:
+    """Distinct points of P^n over Q with large and mixed denominators
+    (10^30/7 next to 1/3), negative entries and leading zeros.  Past the
+    first two, most points are drawn on the line through two earlier ones,
+    so spans hold more points than their generators."""
+    q = FieldSpec.rational()
+    pts, seen = [], set()
+    while len(pts) < count:
+        if len(pts) < 2 or rng.random() < 0.4:
+            coords = [rng.choice(_MIXED) for _ in range(n + 1)]
+            zeros = rng.randint(0, n)
+            coords[:zeros] = [Fraction(0)] * zeros
+        else:
+            a, b = rng.sample(pts, 2)
+            c = rng.choice(_MIXED[:4])
+            coords = [x + c * y for x, y in zip(a.coords, b.coords)]
+        if not any(coords):
+            continue
+        pt = ProjPoint(q, coords)
+        if pt.coords not in seen:
+            seen.add(pt.coords)
+            pts.append(pt)
+    return PointSet(q, n, tuple(pts))
 
 
 def random_invertible_matrix(field: FieldSpec, n: int, rng: random.Random):

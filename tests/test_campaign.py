@@ -7,9 +7,12 @@ import pytest
 from cb_lab import (
     CampaignSpec,
     FieldSpec,
+    GenSpec,
+    Matroid,
     counterexample_search,
     exhaustive_lower_bound,
     gen_rnc,
+    generate,
     replay_record,
     run_campaign,
 )
@@ -119,6 +122,32 @@ def test_mcb_campaign(gf101):
     done = [r for r in report.records if r["status"] == "ok"]
     assert all(r["mcb"] and r["flat_cover_found"] for r in done)
     assert all(r["size"] <= 12 for r in done)
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(101), FieldSpec.rational()],
+                         ids=["gf101", "q"])
+def test_mcb_trial_builds_candidate_flats_once(field, monkeypatch):
+    # The matroid's lattice and min_cover read one candidate list per trial.
+    import cb_lab.cover
+    import cb_lab.matroid
+
+    calls = []
+    build = cb_lab.cover.candidate_flats
+    counted = lambda *args: calls.append(args) or build(*args)  # noqa: E731
+    monkeypatch.setattr(cb_lab.cover, "candidate_flats", counted)
+    monkeypatch.setattr(cb_lab.matroid, "candidate_flats", counted)
+    checked = 0
+    for seed in range(8):
+        calls.clear()
+        spec = CampaignSpec("mcb_analog", (2,), (3,), field, trials=1, seed=seed)
+        rec = run_campaign(spec).records[0]
+        if rec["status"] != "ok":
+            continue
+        gamma, _cfg = generate(GenSpec.from_json(rec["genspec"]))
+        spanned = Matroid.from_points(gamma).full_rank >= 3
+        assert len(calls) == spanned
+        checked += spanned
+    assert checked >= 4
 
 
 def test_gf2_campaigns_draw_only_runnable_families():

@@ -1,6 +1,7 @@
 """The CB(r) engine: verdicts, witnesses, excision, conventions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,8 +23,10 @@ from cb_lab import (
     span,
 )
 from cb_lab.cb import _failing_indices, is_cb_rows
+from cb_lab.linalg import dot, kernel
 from helpers import (
     is_cb_by_definition,
+    mixed_rational_point_set,
     random_invertible_matrix,
     random_point_set,
     rank_oracle_fast,
@@ -265,3 +268,31 @@ def test_rational_field_full_pipeline():
     for i, pt in enumerate(gamma2):
         val = evaluate_form(rep.witness.form_coefficients, basis, pt)
         assert (val != 0) == (i == rep.witness.omitted_point_index)
+
+
+def test_rational_is_cb_matches_fraction_rows():
+    # is_cb over Q works on rows of primitive integer coordinates; its
+    # verdict, omitted point and witness form equal those read off
+    # eval_matrix's Fraction rows: the first point whose removal drops the
+    # rank and the first kernel vector of the rest that is nonzero there.
+    q = FieldSpec.rational()
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        gamma = mixed_rational_point_set(n, rng.randint(2, 7), rng)
+        r = rng.randint(1, 3)
+        rep = is_cb(gamma, r)
+        rows = eval_matrix(gamma, r).rows
+        failing = _failing_by_definition(rows, q)
+        assert rep.verdict == (not failing)
+        seen.add(rep.verdict)
+        if failing:
+            omit = failing[0]
+            punctured = rows[:omit] + rows[omit + 1:]
+            form = next(v for v in kernel(punctured, len(rows[0]), q)
+                        if dot(v, rows[omit], q) != 0)
+            assert rep.witness.omitted_point_index == omit
+            assert rep.witness.form_coefficients == tuple(form)
+            assert all(type(c) is Fraction for c in rep.witness.form_coefficients)
+    assert seen == {True, False}

@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -22,9 +23,11 @@ from cb_lab import cover
 from cb_lab.errors import BudgetExceededError
 
 from helpers import (
+    candidate_flats_by_fractions,
     candidate_flats_oracle,
     cover_oracle,
     first_containing_plane,
+    mixed_rational_point_set,
     random_point_set,
     single_point_line_by_rank_scan,
 )
@@ -91,6 +94,9 @@ _ORACLE_CASES = [
     ("q-skew-lines", [gen_skew_lines(2, (4, 4), Q, seed=6)[0]], (1, 2, 3)),
     ("q-two-plane-conics", [gen_two_plane_conics(4, Q, seed=12)[0]], (2, 4)),
     ("q-rnc", [gen_rnc(3, 6, Q, seed=13)], (1, 2, 3)),
+    ("q-mixed-denominators",
+     [mixed_rational_point_set(3, 8, random.Random(s)) for s in (15, 17, 20, 26)], (1, 2, 3)),
+    ("q-mixed-denominators-p4", [mixed_rational_point_set(4, 8, random.Random(18))], (1, 2, 4)),
     ("single-point", [PointSet.from_coords(f, [[1, 2, 3]]) for f in (GF7, Q)], (1, 2)),
 ]
 
@@ -109,6 +115,23 @@ def test_candidate_flats_match_subset_oracle(sets, max_dims):
             ]
 
 
+_Q_CASES = [c for c in _ORACLE_CASES if c[0].startswith("q-")]
+
+
+@pytest.mark.parametrize(
+    "sets,max_dims", [c[1:] for c in _Q_CASES], ids=[c[0] for c in _Q_CASES]
+)
+def test_candidate_flats_over_q_match_fraction_oracle(sets, max_dims):
+    # The integer level loop against the same loop on Fraction rows: equal
+    # bases, masks and order, and every basis entry a Fraction.
+    for gamma in sets:
+        for max_dim in max_dims:
+            got = candidate_flats(gamma, max_dim)
+            assert [(c.flat.dim, c.flat.basis, c.mask) for c in got] == (
+                candidate_flats_by_fractions(gamma, max_dim))
+            assert all(type(x) is Fraction for c in got for row in c.flat.basis for x in row)
+
+
 @pytest.mark.parametrize(
     "gamma,max_dim",
     [
@@ -121,16 +144,22 @@ def test_candidate_flats_match_subset_oracle(sets, max_dims):
 def test_candidate_flats_reduce_each_point_once_per_new_child(gamma, max_dim, monkeypatch):
     # A residual is taken only for a point that lands in a child not built
     # before, outside its parent, so a child C costs at most |C| - dim C.
+    # Both field kinds take their residuals through _residual_ops.
     calls = []
-    reduce_against = cover.linalg.reduce_against
+    residual_ops = cover._residual_ops
 
-    def counted(*args):
-        calls.append(args)
-        return reduce_against(*args)
+    def counted_ops(field):
+        residual, insert = residual_ops(field)
 
-    monkeypatch.setattr(cover.linalg, "reduce_against", counted)
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        return counted, insert
+
+    monkeypatch.setattr(cover, "_residual_ops", counted_ops)
     cands = candidate_flats(gamma, max_dim)
-    assert len(calls) <= sum(c.mask.bit_count() - c.flat.dim for c in cands)
+    assert 0 < len(calls) <= sum(c.mask.bit_count() - c.flat.dim for c in cands)
 
 
 def test_candidates_three_collinear(gf101):
