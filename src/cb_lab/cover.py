@@ -199,15 +199,13 @@ def _residual_ops(field):
     if field.kind == PRIME:
         p = field.p
 
-        def normalise(v):
+        def residual(v, basis, piv):
+            v = linalg.reduce_against(v, basis, piv, field)
             inv = pow(next(x for x in v if x), p - 2, p)
             return tuple([x * inv % p for x in v])
 
         def eliminate(row, f, r):
             return tuple([(a - f * b) % p for a, b in zip(row, r)])
-
-        def residual(v, basis, piv):
-            return normalise(linalg.reduce_against(v, basis, piv, field))
 
         def insert(basis, piv, r):
             lead = r.index(1)
