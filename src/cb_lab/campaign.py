@@ -202,7 +202,9 @@ def _draw_cb_set(d: int, r: int, field: FieldSpec, rng: random.Random,
         spec = _draw_genspec(d, r, field, rng, size_limit)
         try:
             gamma, _cfg = generate(spec)
-        except ResampleBudgetExceededError:
+        except (FieldTooSmallError, ResampleBudgetExceededError):
+            # two_plane_conics is admitted over GF(3) and GF(5), whose conics
+            # hold fewer than its 8 points: that draw counts as discarded
             discarded += 1
             continue
         if is_cb(gamma, r).verdict:
@@ -447,12 +449,15 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
     dimension-d cover; injected point sets are scanned first.
 
     Any hit is recorded with the small-field caveat: it is evidence, not a
-    refutation of the characteristic-zero statement.  size_cap < 0 raises ValueError.
+    refutation of the characteristic-zero statement.  A negative size_cap or r
+    raises ValueError.
     """
     if n is None or n < 1:
         raise ValueError("ambient dimension n >= 1 required")
     if size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
     budget = node_budget or node_budget_default()
     t0 = time.perf_counter()
     records, violations = [], []

@@ -96,15 +96,16 @@ class FieldSpec:
         return 1 if self.kind == PRIME else Fraction(1)
 
     def coerce(self, x):
-        """Bring an int, Fraction or string into canonical element form."""
+        """Bring an int, Fraction or string (a JSON element: "num/den" over Q)
+        into canonical element form; a float or bool is rejected, not truncated."""
+        if isinstance(x, (float, bool)):
+            raise InvalidFieldError(f"{x!r} is not an exact field element")
         if self.kind == PRIME:
             if isinstance(x, Fraction):
                 if x.denominator % self.p == 0:
                     raise DivisionByZeroError(f"denominator of {x} vanishes mod {self.p}")
                 return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
             return int(x) % self.p
-        if isinstance(x, float):
-            raise InvalidFieldError("floating point values are not accepted")
         return Fraction(x)
 
     def add(self, a, b):
@@ -146,8 +147,3 @@ class FieldSpec:
             return int(x)
         f = Fraction(x)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-    def decode(self, v):
-        if self.kind == PRIME:
-            return int(v) % self.p
-        return Fraction(v) if isinstance(v, str) else Fraction(int(v))

@@ -17,12 +17,13 @@ Families:
 Plane-curve intersections are found by root finding over GF(p) (gfpoly), not
 by scanning the plane: a draw costs O(deg^4 log p) field operations for the
 degree-deg^2 resultant and its roots, against the p^2 + p + 1 points of
-P^2(GF(p)), so every p < 2^31 is practical (a draw whose two curves both
-pass through (0:0:1) or share a component still visits all p slices).  An
-elliptic-quartic draw projects the curve from (0:0:0:1) and finds the zeros
-of the plane quartic Res_w(q1, q2) slice by slice: p + 1 root findings on a
-quartic, O(p log p) field operations, not a solve at each of the
-p^2 + p + 1 prefixes.
+P^2(GF(p)), so every p < 2^31 is practical (only a draw whose two curves
+share a component, or are both unions of lines through (0:0:1), visits all p
+slices).  An elliptic-quartic draw projects the curve from (0:0:0:1) and
+finds the zeros of the plane quartic Res_w(q1, q2) slice by slice: p + 1
+root findings on a quartic, O(p log p) field operations, not a solve at
+each of the p^2 + p + 1 prefixes.  Both resultants are one Bezout
+determinant whose entries are forms (_resultant).
 """
 
 from __future__ import annotations
@@ -103,15 +104,20 @@ class GenSpec:
         unknown = sorted(key for key in params if key not in required)
         if unknown:
             raise ValueError(f"family {family!r} takes no params {', '.join(unknown)}")
-        for key in required:
-            if isinstance(params[key], (list, tuple)) != (key in LIST_PARAMS):
-                shape = "a list of ints" if key in LIST_PARAMS else "an int"
-                raise ValueError(f"param {key!r} of family {family!r} must be {shape}")
         norm = []
         for key in sorted(params):
             val = params[key]
-            norm.append((key, tuple(val) if isinstance(val, (list, tuple)) else int(val)))
-        return cls(family, tuple(norm), field, int(seed), config)
+            is_list = isinstance(val, (list, tuple))
+            # type(v) is int: a float or bool is rejected, not truncated
+            if is_list != (key in LIST_PARAMS) or any(
+                    type(v) is not int for v in (val if is_list else [val])):
+                shape = "a list of ints" if key in LIST_PARAMS else "an int"
+                raise ValueError(
+                    f"param {key!r} of family {family!r} must be {shape}, got {val!r}")
+            norm.append((key, tuple(val) if is_list else val))
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
+        return cls(family, tuple(norm), field, seed, config)
 
     def param_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.params}
@@ -393,34 +399,63 @@ def _slice_table(vec, deg: int):
     return table
 
 
-def _det(m, p: int) -> int:
-    """Determinant of a square int matrix mod p."""
-    m = [list(row) for row in m]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            f = m[i][c] * inv % p
-            if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return det % p
+def _form_mul(s, t):
+    """The product of two ternary forms given as slice tables (see _slice_table).
+
+    A table may stop before its last row when the rows it leaves out are zero:
+    a form free of x2 can be the single row of its x1-coefficients."""
+    deg = len(s[0]) + len(t[0]) - 2
+    out = [[0] * (deg - k + 1) for k in range(len(s) + len(t) - 1)]
+    for k1, row1 in enumerate(s):
+        for j1, c1 in enumerate(row1):
+            if c1:
+                for k2, row2 in enumerate(t):
+                    for j2, c2 in enumerate(row2):
+                        out[k1 + k2][j1 + j2] += c1 * c2
+    return out
 
 
-def _resultant(f, g, p: int) -> int:
-    """Res_y of two polynomials given at the same formal degree n (constant
-    term first, n+1 entries each): the Sylvester determinant."""
+def _form_add(s, t, c=1):
+    """s + c*t for two slice tables of one degree and one number of rows."""
+    return [[x + c * y for x, y in zip(row1, row2)] for row1, row2 in zip(s, t)]
+
+
+def _resultant(f, g):
+    """The slice table of Res(f, g), up to sign, for two polynomials of one
+    formal degree n (constant term first, n + 1 entries each) whose
+    coefficients are ternary forms given as slice tables, coefficient i of
+    degree D - i for a fixed D.
+
+    It is the determinant of the n x n Bezout matrix, whose entry (i, j) is
+    sum_k f[j+k+1] g[i-k] - f[i-k] g[j+k+1] (Cox, Little and O'Shea, Using
+    Algebraic Geometry, 3.1), expanded by the first row: a form of degree
+    n(2D - n).  Res_{n,n} = +-det Bez is an identity in the coefficients, so
+    it vanishes wherever the two polynomials share a root.  While n > 1 and
+    both leading coefficients are identically zero, they are dropped: the
+    resultant at that formal degree is zero, and the one at n - 1 still
+    vanishes at every shared root.
+    """
     n = len(f) - 1
-    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + g[::-1] + [0] * (n - 1 - i) for i in range(n)]
-    return _det(rows, p)
+    while n > 1 and not any(map(any, f[n])) and not any(map(any, g[n])):
+        n -= 1
+    bez = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(min(i, n - 1 - j) + 1):
+                term = _form_add(_form_mul(f[j + k + 1], g[i - k]),
+                                 _form_mul(f[i - k], g[j + k + 1]), -1)
+                bez[i][j] = term if k == 0 else _form_add(bez[i][j], term)
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        out = None
+        for j, entry in enumerate(m[0]):
+            term = _form_mul(entry, det([row[:j] + row[j + 1:] for row in m[1:]]))
+            out = term if j == 0 else _form_add(out, term, (-1) ** j)
+        return out
+
+    return det(bez)
 
 
 def _restrict(tables, a: int, p: int) -> list:
@@ -460,17 +495,17 @@ def _common_zeros(f_vec, g_vec, deg: int, p: int):
     in enumerate_points order, without visiting the plane.
 
     Only the slices through (0:0:1) (see _sliced_zeros) at the roots of
-    R(a) = Res_y(f(1,a,y), g(1,a,y)) hold common zeros.  Taken at formal
-    degree deg, R has degree <= deg^2, so deg^2 + 1 values give it; R is
-    zero exactly when f and g share a component or both vanish at (0:0:1),
-    and then, as when p <= deg^2, every slice is visited.
+    R(a) = Res_y(f(1,a,y), g(1,a,y)) hold common zeros.  R, of degree <=
+    deg^2, is the Bezout determinant of _resultant on the y-coefficients of f
+    and g, forms in (x0, x1) alone, with the leading ones dropped while both
+    are zero (as for two curves through (0:0:1)).  It is zero only when f
+    and g share a component other than a line through (0:0:1), or neither
+    involves x2 (both are unions of lines through (0:0:1)); then every
+    slice is visited.
     """
     tables = [_slice_table(f_vec, deg), _slice_table(g_vec, deg)]
-    res = []
-    if p > deg * deg:
-        res = gfpoly.interpolate(
-            [_resultant(*_restrict(tables, a, p), p) for a in range(deg * deg + 1)], p)
-    return _sliced_zeros(tables, p, res)
+    res = _resultant(*([[row] for row in t] for t in tables))[0]
+    return _sliced_zeros(tables, p, gfpoly.trim(res, p))
 
 
 def _pencil_ci(deg: int, field: FieldSpec, rng: random.Random):
@@ -601,55 +636,23 @@ def _w_roots(q, pre, p: int, sqrts: dict):
     return (((-beta + rt) * denom) % p, ((-beta - rt) * denom) % p)
 
 
-def _form_mul(s, t):
-    """The product of two ternary forms given as slice tables (see _slice_table)."""
-    deg = len(s) + len(t) - 2
-    out = [[0] * (deg - k + 1) for k in range(deg + 1)]
-    for k1, row1 in enumerate(s):
-        for j1, c1 in enumerate(row1):
-            for k2, row2 in enumerate(t):
-                for j2, c2 in enumerate(row2):
-                    out[k1 + k2][j1 + j2] += c1 * c2
-    return out
-
-
-def _form_sub(s, t):
-    return [[x - y for x, y in zip(row1, row2)] for row1, row2 in zip(s, t)]
-
-
-def _w_resultant(q1, q2, p: int):
-    """The slice table of Res_w(q1, q2) as a form in (x0, x1, x2).
-
-    With q_i = alpha_i w^2 + beta_i w + gamma_i it is the plane quartic
-    (a1 g2 - a2 g1)^2 - (a1 b2 - a2 b1)(b1 g2 - b2 g1), the resultant at formal
-    degree 2; when alpha_1 = alpha_2 = 0 that is zero, and the formal-degree-1
-    resultant b1 g2 - b2 g1 (a cubic) is taken instead.  Either way it vanishes
-    at every prefix (x0:x1:x2) over which the two quadrics share a root w.
-    """
-    a1, a2 = q1[9], q2[9]
-    (b1, g1), (b2, g2) = (
-        ([[q[3], q[6]], [q[8]]], [[q[0], q[1], q[4]], [q[2], q[5]], [q[7]]]) for q in (q1, q2)
-    )
-    res = _form_sub(_form_mul(b1, g2), _form_mul(b2, g1))
-    if a1 or a2:
-        lin = [[a1 * x - a2 * y for x, y in zip(r2, r1)] for r1, r2 in zip(b1, b2)]
-        quad = [[a1 * x - a2 * y for x, y in zip(r2, r1)] for r1, r2 in zip(g1, g2)]
-        res = _form_sub(_form_mul(quad, quad), _form_mul(lin, res))
-    return [[c % p for c in row] for row in res]
-
-
 def _quadric_curve(q1, q2, p: int, sqrts: dict) -> list:
     """The rational points of q1 = q2 = 0 in P^3 (odd p), by projection from
     (0:0:0:1).
 
-    Only the prefixes (x0:x1:x2) where the resultant in w vanishes can carry a
-    point; they are visited in enumerate_points order, each is solved for w on
-    q1 in _w_roots order, and the points on q2 are kept.  (0:0:0:1) comes last,
-    when it lies on both quadrics.  That is the order of a scan of every prefix,
-    at p + 1 root findings on a quartic instead of p^2 + p + 1 solves.
+    Only the prefixes (x0:x1:x2) where Res_w(q1, q2) vanishes can carry a
+    point: the _resultant of the w-coefficients (gamma, beta, alpha) of
+    _split_quadric, a plane quartic, or the cubic beta1 gamma2 - beta2 gamma1
+    when alpha1 = alpha2 = 0.  They are visited in enumerate_points order,
+    each is solved for w on q1 in _w_roots order, and the points on q2 are
+    kept.  (0:0:0:1) comes last, when it lies on both quadrics.  That is the
+    order of a scan of every prefix, at p + 1 root findings on a quartic
+    instead of p^2 + p + 1 solves.
     """
+    res = _resultant(*(([[q[0], q[1], q[4]], [q[2], q[5]], [q[7]]], [[q[3], q[6]], [q[8]]],
+                        [[q[9]]]) for q in (q1, q2)))
     pts = []
-    for pre in _sliced_zeros([_w_resultant(q1, q2, p)], p):
+    for pre in _sliced_zeros([[[c % p for c in row] for row in res]], p):
         for w in _w_roots(q1, pre, p, sqrts):
             if _quadric_value(q2, pre + (w,), p) == 0:
                 pts.append(pre + (w,))

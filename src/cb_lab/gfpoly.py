@@ -82,21 +82,6 @@ def evaluate(f, x: int, p: int) -> int:
     return acc
 
 
-def interpolate(values, p: int) -> list:
-    """The polynomial of degree < len(values) taking values[i] at t = i;
-    needs len(values) <= p."""
-    n = len(values)
-    full = [1]
-    for j in range(n):
-        full = mul(full, [-j, 1], p)
-    out = []
-    for i, v in enumerate(values):
-        if v % p:
-            q = quo_rem(full, [-i, 1], p)[0]  # prod over j != i of (t - j)
-            out = _add(out, mul(q, [v * pow(evaluate(q, i, p), p - 2, p)], p), p)
-    return out
-
-
 def roots(f, p: int) -> list:
     """The distinct roots in GF(p) of a nonzero polynomial, ascending."""
     f = trim(f, p)

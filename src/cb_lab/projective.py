@@ -116,7 +116,7 @@ class PointSet:
     def from_json(cls, obj: dict) -> PointSet:
         try:
             fld = FieldSpec.from_json(obj["field"])
-            pts = tuple(ProjPoint(fld, [fld.decode(c) for c in row]) for row in obj["points"])
+            pts = tuple(ProjPoint(fld, [fld.coerce(c) for c in row]) for row in obj["points"])
             ambient_dim = obj["ambient_dim"]
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed point set JSON: {type(exc).__name__}: {exc}") from exc
@@ -169,7 +169,7 @@ class Flat:
 
     @classmethod
     def from_json(cls, field: FieldSpec, obj: dict) -> Flat:
-        rows = [[field.decode(x) for x in row] for row in obj["basis"]]
+        rows = [[field.coerce(x) for x in row] for row in obj["basis"]]
         return cls.from_generators(field, obj["ambient_dim"], rows)
 
 

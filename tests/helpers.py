@@ -52,6 +52,15 @@ def det_oracle(rows, field):
     return acc
 
 
+def sylvester_resultant(f, g, field):
+    """Res of two polynomials over GF(p) given at one formal degree n (constant
+    term first, n + 1 entries each): the Sylvester determinant, by det_oracle."""
+    n = len(f) - 1
+    rows = [[0] * i + list(f[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(g[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+    return det_oracle(rows, field)
+
+
 def rank_oracle(rows, field):
     """Rank as the size of the largest nonsingular square minor."""
     rows = [list(r) for r in rows]

@@ -9,6 +9,7 @@ from cb_lab import (
     FieldSpec,
     GenSpec,
     Matroid,
+    campaign,
     counterexample_search,
     exhaustive_lower_bound,
     gen_rnc,
@@ -16,6 +17,8 @@ from cb_lab import (
     replay_record,
     run_campaign,
 )
+from cb_lab.cli import main
+from cb_lab.errors import FieldTooSmallError
 
 
 def _strip_json(report):
@@ -159,6 +162,30 @@ def test_gf2_campaigns_draw_only_runnable_families():
     assert len(report.records) == 6 and report.violations == []
     with pytest.raises(ValueError, match="no generator family fits"):
         run_campaign(CampaignSpec("conjecture", (2,), (3,), gf2, trials=6, seed=1))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_conic_draws_too_big_for_the_field_are_discarded(p, monkeypatch):
+    # (d, r) = (5, 3) admits two_plane_conics, 8 points per conic, but a conic
+    # over GF(3) or GF(5) has only p + 1 points: those draws are discarded
+    # instead of aborting the campaign
+    too_small = []
+
+    def counted(spec):
+        try:
+            return generate(spec)
+        except FieldTooSmallError:
+            too_small.append(spec.family)
+            raise
+
+    monkeypatch.setattr(campaign, "generate", counted)
+    report = run_campaign(CampaignSpec("conjecture", (5,), (3,), FieldSpec.prime(p), 40, 1))
+    assert len(report.records) == 40 and report.violations == []
+    assert too_small and set(too_small) == {"two_plane_conics"}
+    assert report.summary["discarded_draws"] >= len(too_small)
+    argv = ["verify-conjecture", "--d", "5", "--r", "3", "--field", str(p),
+            "--trials", "40", "--seed", "1"]
+    assert main(argv) == 0
 
 
 def test_exhaustive_lower_bound_p1_gf5():

@@ -192,6 +192,12 @@ _BAD_POINT_SETS = {
     "zero_denominator": {
         "field": {"kind": "rational"}, "ambient_dim": 2, "points": [["1/0", "1", "1"]],
     },
+    # JSON numbers that are not integers are rejected, not truncated to (1 : 2 : 0)
+    "float_coordinate_gf101": {"field": _GF101, "ambient_dim": 2, "points": [[1.5, 2, 0]]},
+    "float_coordinate_q": {
+        "field": {"kind": "rational"}, "ambient_dim": 2, "points": [[1.5, 2, 0]],
+    },
+    "bool_coordinate": {"field": _GF101, "ambient_dim": 2, "points": [[True, 2, 0]]},
 }
 _RNC_WITHOUT_M = {"family": "rnc", "params": {"k": 2}, "field": _GF101, "seed": 1}
 _SKEW_SCALAR_COUNTS = {
@@ -239,6 +245,18 @@ _MALFORMED = [
                   "--r", "1", "--d", "1", "--size-cap", "-1"], None, id="search-size-cap-neg"),
     pytest.param(["search", "--mode", "lower-bound", "--field", "2", "--ambient", "2",
                   "--r", "-1"], None, id="search-lower-bound-r-neg"),
+    pytest.param(["search", "--mode", "counterexample", "--field", "2", "--ambient", "2",
+                  "--r", "-1", "--d", "1", "--size-cap", "0"], None,
+                 id="search-counterexample-r-neg"),
+] + [
+    pytest.param(["generate", "--spec", "{path}"], {"field": _GF101, "seed": 1, **fields},
+                 id=f"genspec-{name}")
+    for name, fields in (
+        ("float-param", {"family": "rnc", "params": {"k": 2.7, "m": 6}}),
+        ("bool-param", {"family": "rnc", "params": {"k": True, "m": 6}}),
+        ("float-count", {"family": "skew_lines", "params": {"d": 2, "counts": [5, 5.5]}}),
+        ("float-seed", {"family": "rnc", "params": {"k": 2, "m": 6}, "seed": 1.5}),
+    )
 ] + [
     pytest.param(["generate", "--spec", "{path}"], _on_plane(field, basis), id=f"genspec-{name}")
     for name, field, basis in (

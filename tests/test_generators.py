@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+from functools import reduce
 
 import pytest
 
@@ -42,11 +43,13 @@ from cb_lab.forms import evaluation_row
 from cb_lab.generators import (
     _common_zeros,
     _conic_through_origin_point,
+    _form_mul,
     _has_three_collinear,
     _line_key,
     _pencil_ci,
     _quadric_curve,
     _slice_table,
+    _split_quadric,
     _sqrt_table,
 )
 from cb_lab.linalg import combine, kernel, rank, rref
@@ -60,6 +63,7 @@ from helpers import (
     quadric_curve_by_scan,
     quadric_points_by_scan,
     rank_oracle,
+    sylvester_resultant,
 )
 
 
@@ -282,6 +286,132 @@ def test_common_zeros_forced_cases(p, deg):
             assert {tuple(c) for c in coords} <= set(got)
             if name == "through-001":
                 assert _slice_table(f, deg)[deg][0] == _slice_table(g, deg)[deg][0] == 0
+
+
+def _sliced_zeros_input(call):
+    """The (tables, res) that call() hands to _sliced_zeros, which visits nothing."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_sliced_zeros",
+                   lambda tables, p, res=(): got.append((tables, res)) or ())
+        list(call())
+    return got[0]
+
+
+def _form_vec(table, deg):
+    """The coefficient vector over monomial_basis(2, deg) of a slice table."""
+    return [table[e2][e1] for _, e1, e2 in monomial_basis(2, deg).monomials]
+
+
+def _random_form(deg, rng, p):
+    return [[rng.randrange(p) for _ in range(deg - k + 1)] for k in range(deg + 1)]
+
+
+def _stripped_degree(tables, deg):
+    """The formal degree in y left once leading coefficients zero in both go (n >= 1)."""
+    n = deg
+    while n > 1 and not any(tables[0][n]) and not any(tables[1][n]):
+        n -= 1
+    return n
+
+
+def _assert_equal_up_to_sign(got, want, p, label):
+    assert got in (want, [-w % p for w in want]), (label, got, want)
+
+
+def _pencil_resultant_cases(deg, rng, p):
+    """Slice-table pairs: random, through (0:0:1), a shared line (through
+    (0:0:1) or not), and leading forms in y that vanish on one or on both."""
+    def rand():
+        return _random_form(deg, rng, p)
+
+    def times(line):
+        return _form_mul(line, _random_form(deg - 1, rng, p))
+
+    def without_rows(t, *ks):
+        return [[0] * len(row) if k in ks else row for k, row in enumerate(t)]
+
+    line = [[rng.randrange(p), rng.randrange(p)], [rng.randrange(p)]]
+    slice_line = [[rng.randrange(p), 1], [0]]  # x1 = c x0, through (0:0:1)
+    return {
+        "random": (rand(), rand()),
+        "through-001": (without_rows(rand(), deg), without_rows(rand(), deg)),
+        "shared-line": (times(line), times(line)),
+        "shared-slice-line": (times(slice_line), times(slice_line)),
+        "one-leading-zero": (without_rows(rand(), deg), rand()),
+        "two-leading-zero": (without_rows(rand(), deg, deg - 1),
+                             without_rows(rand(), deg, deg - 1)),
+        "x2-free": (without_rows(rand(), *range(1, deg + 1)),
+                    without_rows(rand(), *range(1, deg + 1))),
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
+@pytest.mark.parametrize("deg", [2, 3])
+def test_pencil_resultant_matches_sylvester(p, deg):
+    # R(1, a) from the Bezout determinant against the Sylvester resultant of
+    # the two restrictions at every a, at the formal degree left after
+    # dropping the leading coefficients that vanish on both
+    field = FieldSpec.prime(p)
+    rng = random.Random(p * 10 + deg)
+    stripped = set()
+    for _ in range(3 if p > 11 else 8):
+        for name, tables in _pencil_resultant_cases(deg, rng, p).items():
+            f, g = (_form_vec(t, deg) for t in tables)
+            tables, res = _sliced_zeros_input(lambda: _common_zeros(f, g, deg, p))
+            n = _stripped_degree(tables, deg)
+            stripped.add((name, n))
+            got = [gfpoly.evaluate(res, a, p) for a in range(p)]
+            want = [sylvester_resultant(*(r[:n + 1] for r in generators._restrict(tables, a, p)),
+                                        field) for a in range(p)]
+            _assert_equal_up_to_sign(got, want, p, (name, tables))
+    assert {("through-001", deg - 1), ("two-leading-zero", 1), ("x2-free", 1),
+            ("random", deg)} <= stripped
+
+
+def test_cubic_pencil_through_001_restricts_few_slices(monkeypatch):
+    # x0 (x0 - x2)(x0 - 2 x2) and x1 (x1 - x2)(x1 - 3 x2) meet in the 9 points
+    # (a : b : 1), a in {0, 1, 2} and b in {0, 1, 3}, (0:0:1) among them.  Their
+    # resultant at formal degree 3 is zero: without dropping its zero leading
+    # coefficients the draw would restrict to all p slices
+    p, deg = 100003, 3
+    f, g = ([c % p for c in _form_vec(reduce(_form_mul, lines), deg)] for lines in (
+        ([[1, 0], [0]], [[1, 0], [-1]], [[1, 0], [-2]]),
+        ([[0, 1], [0]], [[0, 1], [-1]], [[0, 1], [-3]])))
+    calls = {}
+    _count_calls(monkeypatch, generators, "_restrict", calls)
+    got = list(_common_zeros(f, g, deg, p))
+    assert calls["_restrict"] <= deg * deg + 1
+    field = FieldSpec.prime(p)
+    want = {ProjPoint(field, (a, b, 1)).coords for a in (0, 1, 2) for b in (0, 1, 3)}
+    assert len(got) == 9 and set(got) == want
+
+
+def _form_value(table, x, p):
+    """The form with the given full slice table at x = (x0, x1, x2), mod p."""
+    deg = len(table) - 1
+    x0, x1, x2 = x
+    return sum(c * x0 ** (deg - k - j) * x1 ** j * x2 ** k
+               for k, row in enumerate(table) for j, c in enumerate(row)) % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_quartic_resultant_matches_sylvester(p):
+    # Res_w(q1, q2) from the Bezout determinant against the Sylvester resultant
+    # in w of q1(x, w) and q2(x, w) at random prefixes x, at formal degree 2,
+    # or 1 when alpha1 = alpha2 = 0 (with beta1 = beta2 = 0 too in two-cones-0001)
+    field = FieldSpec.prime(p)
+    sqrts = _sqrt_table(p)
+    rng = random.Random(p)
+    for _ in range(10):
+        for name, (q1, q2) in _quadric_pair_cases(p, rng).items():
+            [table], _ = _sliced_zeros_input(lambda: _quadric_curve(q1, q2, p, sqrts))
+            n = 1 if q1[9] == q2[9] == 0 else 2
+            prefixes = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(20)]
+            got = [_form_value(table, x, p) for x in prefixes]
+            want = [sylvester_resultant(*([c % p for c in _split_quadric(q, *x)[::-1][:n + 1]]
+                                          for q in (q1, q2)), field) for x in prefixes]
+            _assert_equal_up_to_sign(got, want, p, (name, q1, q2))
 
 
 def test_elliptic_quartic(gf101):
