@@ -64,12 +64,19 @@ class CampaignSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
+        object.__setattr__(self, "d_values", tuple(self.d_values))
+        object.__setattr__(self, "r_values", tuple(self.r_values))
+        named = [("trials", self.trials), ("seed", self.seed)]
+        named += [(k, v) for k in ("d_values", "r_values") for v in getattr(self, k)]
+        named += [(k, getattr(self, k)) for k in ("node_budget", "ambient", "size_cap")
+                  if getattr(self, k) is not None]
+        for name, v in named:
+            if type(v) is not int:  # a float, bool or string is rejected, not echoed
+                raise ValueError(f"CampaignSpec {name} must hold ints, got {v!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.d_values or not self.r_values:
             raise ValueError("d and r ranges must be nonempty")
-        object.__setattr__(self, "d_values", tuple(self.d_values))
-        object.__setattr__(self, "r_values", tuple(self.r_values))
 
     def to_json(self) -> dict:
         obj = {
@@ -90,17 +97,20 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> CampaignSpec:
-        return cls(
-            target=obj["target"],
-            d_values=tuple(obj["d_values"]),
-            r_values=tuple(obj["r_values"]),
-            field=FieldSpec.from_json(obj["field"]),
-            trials=obj["trials"],
-            seed=obj["seed"],
-            node_budget=obj.get("node_budget"),
-            ambient=obj.get("ambient"),
-            size_cap=obj.get("size_cap"),
-        )
+        try:
+            return cls(
+                target=obj["target"],
+                d_values=obj["d_values"],
+                r_values=obj["r_values"],
+                field=FieldSpec.from_json(obj["field"]),
+                trials=obj["trials"],
+                seed=obj["seed"],
+                node_budget=obj.get("node_budget"),
+                ambient=obj.get("ambient"),
+                size_cap=obj.get("size_cap"),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed CampaignSpec JSON: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass
@@ -221,9 +231,7 @@ def _draw_cb_set(d: int, r: int, field: FieldSpec, rng: random.Random,
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Dispatch a campaign; per-trial budget failures are recorded, not raised."""
     if spec.target == "lower_bound_exhaustive":
-        return exhaustive_lower_bound(
-            spec.field, spec.ambient, spec.r_values[0], node_budget=spec.node_budget
-        )
+        return exhaustive_lower_bound(spec.field, spec.ambient, spec.r_values[0])
     if spec.target == "counterexample_search":
         return counterexample_search(
             spec.field, spec.ambient, spec.r_values[0], spec.d_values[0],
@@ -320,6 +328,8 @@ def _excision_trial(rec, rng, field, budget):
     # Up to min(r, 3) distinct flats spanned by small point samples; a
     # degenerate draw (e.g. collinear) may admit fewer distinct spans.
     want = rng.randint(1, min(r, 3))
+    if span(list(gamma)).dim <= 1:
+        want = 1  # every sample of a collinear gamma spans the same line
     flats_chosen = []
     for _ in range(50):
         if len(flats_chosen) >= want:
@@ -401,46 +411,25 @@ _TRIALS = {
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_lower_bound(field: FieldSpec, n: int, r: int,
-                           node_budget: int | None = None) -> CampaignReport:
+def exhaustive_lower_bound(field: FieldSpec, n: int, r: int) -> CampaignReport:
     """Check that no nonempty subset of P^n(GF(p)) of size <= r+1 is CB(r).
 
-    The enumeration itself is the oracle.  The bound is asserted for r >= 1;
-    r = 0 passes vacuously (CB(0) holds for every set by convention, and the
-    bound statement starts at r = 1).  A negative r raises ValueError.
+    This is the covering statement at d = 0, where a configuration is empty:
+    counterexample_search(field, n, r, 0, r+1) reports every CB(r) subset as
+    a violation, and the enumeration itself is the oracle.  The report drops
+    the scan's "source" and "d" keys.  The bound is asserted for r >= 1; r = 0
+    passes vacuously (CB(0) holds for every set by convention, and the bound
+    statement starts at r = 1).  A negative r raises ValueError.
     """
-    if n is None or n < 1:
-        raise ValueError("ambient dimension n >= 1 required")
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    spec_stub = dict(field=field, seed=0, node_budget=node_budget, ambient=n)
-    t0 = time.perf_counter()
-    records, violations = [], []
-    if r >= 1:
-        pts = enumerate_points(field, n)
-        basis = monomial_basis(n, r)
-        rows = [evaluation_row(pt.coords, basis, field) for pt in pts]
-        for size in range(1, r + 2):
-            checked = 0
-            bad = 0
-            for idx in itertools.combinations(range(len(pts)), size):
-                checked += 1
-                if is_cb_rows([rows[i] for i in idx], field):
-                    bad += 1
-                    gamma = PointSet(field, n, tuple(pts[i] for i in idx))
-                    violations.append({
-                        "r": r, "size": size, "points": gamma.to_json(),
-                        "caveat": SMALL_FIELD_CAVEAT,
-                    })
-            records.append({
-                "size": size, "subsets": checked, "cb_true": bad,
-                "elapsed_s": time.perf_counter() - t0,
-            })
+    scan = counterexample_search(field, n, r, 0, r + 1 if r >= 1 else 0)
+    records = [{k: v for k, v in rec.items() if k != "source"} for rec in scan.records]
+    violations = [{k: v for k, v in viol.items() if k not in ("d", "source")}
+                  for viol in scan.violations]
     spec = CampaignSpec(
-        target="lower_bound_exhaustive", d_values=(0,), r_values=(r,),
-        trials=max(1, len(records)), **spec_stub,
+        target="lower_bound_exhaustive", d_values=(0,), r_values=(r,), field=field,
+        trials=max(1, len(records)), seed=0, ambient=n,
     )
-    return _finish(spec, records, violations, t0)
+    return CampaignReport(spec, records, scan.summary, violations)
 
 
 def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: int,
@@ -449,8 +438,8 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
     dimension-d cover; injected point sets are scanned first.
 
     Any hit is recorded with the small-field caveat: it is evidence, not a
-    refutation of the characteristic-zero statement.  A negative size_cap or r
-    raises ValueError.
+    refutation of the characteristic-zero statement.  A negative size_cap, r
+    or d raises ValueError.
     """
     if n is None or n < 1:
         raise ValueError("ambient dimension n >= 1 required")
@@ -458,6 +447,8 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
     budget = node_budget or node_budget_default()
     t0 = time.perf_counter()
     records, violations = [], []

@@ -400,17 +400,18 @@ def exists_cover(
 
     found=False always comes with proof_of_minimality=True (the search space
     was exhausted); a truncated search raises BudgetExceededError instead.
-    A 0-dimensional configuration is empty, so d=0 succeeds only for empty
-    gamma.
+    A 0-dimensional configuration is empty, so d <= 0 succeeds only for empty
+    gamma; that answer comes before the length check, so any max_length is
+    accepted there.  For d >= 1 a max_length below 1 raises ValueError.
     """
+    if d <= 0:
+        return CoverResult(len(gamma) == 0, None, 0, 0, 0, True)
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
     if node_budget is None:
         node_budget = node_budget_default()
     if len(gamma) == 0:
         return CoverResult(True, None, 0, 0, 0, True)
-    if d <= 0:
-        return CoverResult(False, None, 0, 0, 0, True)
     if len(gamma) == 1:
         line = _single_point_line(gamma)
         if line is None:

@@ -31,17 +31,6 @@ def _add(f, g, p: int) -> list:
     return trim([c + (g[i] if i < len(g) else 0) for i, c in enumerate(f)], p)
 
 
-def mul(f, g, p: int) -> list:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return trim(out, p)
-
-
 def quo_rem(f, g, p: int) -> tuple:
     """(q, r) with f = q*g + r and deg r < deg g; g must be nonzero."""
     r = trim(f, p)

@@ -23,6 +23,7 @@ from cb_lab import (
 )
 from cb_lab.errors import DegenerateConicError, ResampleBudgetExceededError
 from cb_lab.forms import evaluation_row
+from cb_lab.gfpoly import trim
 from cb_lab.generators import (
     RESAMPLE_BUDGET,
     _conic_through_origin_point,
@@ -59,6 +60,18 @@ def sylvester_resultant(f, g, field):
     rows = [[0] * i + list(f[::-1]) + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + list(g[::-1]) + [0] * (n - 1 - i) for i in range(n)]
     return det_oracle(rows, field)
+
+
+def poly_mul(f, g, p: int) -> list:
+    """Schoolbook product of two GF(p) polynomials, constant term first."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return trim(out, p)
 
 
 def rank_oracle(rows, field):

@@ -9,6 +9,7 @@ from cb_lab import (
     FieldSpec,
     GenSpec,
     Matroid,
+    PointSet,
     campaign,
     counterexample_search,
     exhaustive_lower_bound,
@@ -16,6 +17,7 @@ from cb_lab import (
     generate,
     replay_record,
     run_campaign,
+    span,
 )
 from cb_lab.cli import main
 from cb_lab.errors import FieldTooSmallError
@@ -215,6 +217,79 @@ def test_negative_scan_bounds_are_rejected():
         counterexample_search(gf2, 2, 1, 1, size_cap=-1)
     with pytest.raises(ValueError, match="r must be"):
         exhaustive_lower_bound(gf2, 2, -1)
+
+
+def test_counterexample_search_at_d0_finds_the_lines_of_the_plane():
+    # at d = 0 every nonempty CB(r) subset is a violation: over GF(2) the
+    # CB(1) sets of at most 3 points are the 7 lines of P^2
+    gf2 = FieldSpec.prime(2)
+    report = counterexample_search(gf2, 2, 1, 0, size_cap=3)
+    assert [(rec["size"], rec["cb_true"]) for rec in report.records] == [(1, 0), (2, 0), (3, 7)]
+    assert len(report.violations) == 7
+    for v in report.violations:
+        gamma = PointSet.from_json(v["points"])
+        assert v["d"] == 0 and len(gamma) == 3 and span(list(gamma)).dim == 1
+    assert len({json.dumps(v["points"], sort_keys=True) for v in report.violations}) == 7
+
+
+@pytest.mark.parametrize("p, n, r", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2),
+                                     (3, 2, 1), (3, 2, 2)])
+def test_lower_bound_is_the_d0_counterexample_search(p, n, r):
+    field = FieldSpec.prime(p)
+    scan = counterexample_search(field, n, r, 0, size_cap=r + 1)
+    lower = exhaustive_lower_bound(field, n, r)
+    assert scan.violations == [] and lower.violations == []
+    assert [{**rec, "elapsed_s": 0, "source": None} for rec in lower.records] == [
+        {**rec, "elapsed_s": 0, "source": None} for rec in scan.records]
+    assert all("source" not in rec for rec in lower.records)
+    assert lower.spec.to_json() == {
+        "target": "lower_bound_exhaustive", "d_values": [0], "r_values": [r],
+        "field": field.to_json(), "trials": r + 1, "seed": 0, "ambient": n,
+    }
+
+
+def test_tightness_campaign_at_d0(gf101):
+    # m = r + 2 points on a line: CB(r), and no 0-dimensional cover
+    report = run_campaign(CampaignSpec("tightness", (0,), (1, 2), gf101, 4, 1))
+    assert report.violations == [] and report.summary["ok_records"] == 4
+    for rec in report.records:
+        assert rec["cb"] and not rec["cover_found"] and rec["proof_of_minimality"]
+        out = replay_record(rec)
+        assert out["matches"] and out["cover_found"] is False
+
+
+def test_negative_d_is_rejected():
+    gf2 = FieldSpec.prime(2)
+    with pytest.raises(ValueError, match="d must be >= 0, got -1"):
+        counterexample_search(gf2, 2, 1, -1, size_cap=0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"seed": 1.5}, {"trials": True}, {"d_values": ("2",)}, {"r_values": (1, 2.0)},
+    {"node_budget": 1.5}, {"ambient": "2"}, {"size_cap": False},
+], ids=lambda bad: next(iter(bad)))
+def test_campaign_spec_rejects_non_integers(gf101, bad):
+    args = dict(target="conjecture", d_values=(2,), r_values=(1,), field=gf101,
+                trials=3, seed=1)
+    with pytest.raises(ValueError, match=f"CampaignSpec {next(iter(bad))}"):
+        CampaignSpec(**{**args, **bad})
+    obj = CampaignSpec(**args).to_json()
+    with pytest.raises(ValueError, match=f"CampaignSpec {next(iter(bad))}"):
+        CampaignSpec.from_json({**obj, **bad})
+
+
+@pytest.mark.parametrize("drop", ["target", "d_values", "field", "trials", "seed"])
+def test_campaign_spec_json_missing_key(gf101, drop):
+    obj = CampaignSpec("conjecture", (2,), (1,), gf101, 3, 1).to_json()
+    del obj[drop]
+    with pytest.raises(ValueError, match="malformed CampaignSpec JSON: KeyError"):
+        CampaignSpec.from_json(obj)
+
+
+def test_campaign_spec_json_scalar_range(gf101):
+    obj = {**CampaignSpec("conjecture", (2,), (1,), gf101, 3, 1).to_json(), "d_values": 2}
+    with pytest.raises(ValueError, match="malformed CampaignSpec JSON: TypeError"):
+        CampaignSpec.from_json(obj)
 
 
 def test_counterexample_search_finds_injected_witnesses(gf101):

@@ -174,6 +174,21 @@ def test_search_modes(capsys):
     assert code == 0
 
 
+def test_dimension_zero_runs(capsys, tmp_path, gf101):
+    # d = 0 asks for an empty set: the 7 lines of P^2(GF(2)) are 3-point
+    # CB(1) sets, so the scan exits 1 with 7 violations
+    code, out = _run(
+        capsys, "search", "--mode", "counterexample", "--field", "2",
+        "--ambient", "2", "--r", "1", "--d", "0", "--size-cap", "3", "--json",
+    )
+    assert code == 1 and json.loads(out)["summary"]["violations"] == 7
+    path = _write_points(tmp_path, PointSet.from_coords(gf101, [[1, 0, 0], [0, 1, 0]]))
+    code, out = _run(capsys, "cover", "-i", path, "--dim", "0", "--json")
+    assert code == 1
+    assert json.loads(out) == {"found": False, "dim": 0, "length": 0, "nodes_explored": 0,
+                               "proof_of_minimality": True}
+
+
 def test_usage_errors(capsys, tmp_path):
     assert main(["no-such-command"]) == 2
     assert main(["cover", "-i", "nope.json"]) == 2  # missing --dim
@@ -248,6 +263,9 @@ _MALFORMED = [
     pytest.param(["search", "--mode", "counterexample", "--field", "2", "--ambient", "2",
                   "--r", "-1", "--d", "1", "--size-cap", "0"], None,
                  id="search-counterexample-r-neg"),
+    pytest.param(["search", "--mode", "counterexample", "--field", "2", "--ambient", "2",
+                  "--r", "1", "--d", "-1", "--size-cap", "0"], None,
+                 id="search-counterexample-d-neg"),
 ] + [
     pytest.param(["generate", "--spec", "{path}"], {"field": _GF101, "seed": 1, **fields},
                  id=f"genspec-{name}")

@@ -255,6 +255,18 @@ def test_empty_and_degenerate_cases(gf101):
         min_cover(empty)
 
 
+def test_dimension_zero_is_answered_before_the_length_check(gf101):
+    # a 0-dimensional configuration is empty, whatever its allowed length
+    empty = PointSet(gf101, 2, ())
+    one = PointSet.from_coords(gf101, [[1, 2, 3]])
+    for d, max_length in ((0, 0), (0, -1), (-1, 0)):
+        assert exists_cover(empty, d, max_length).to_json() == exists_cover(empty, 0, 1).to_json()
+        res = exists_cover(one, d, max_length)
+        assert not res.found and res.proof_of_minimality and res.nodes_explored == 0
+    with pytest.raises(ValueError, match="max_length"):
+        exists_cover(one, 1, 0)
+
+
 @pytest.mark.parametrize("field", [GF7, Q], ids=["gf7", "q"])
 @pytest.mark.parametrize(
     "coords", [[1, 0, 0, 0], [0, 0, 0, 1], [1, 2, 3, 4]], ids=["e0", "en", "generic"]
