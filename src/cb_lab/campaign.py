@@ -64,8 +64,12 @@ class CampaignSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        object.__setattr__(self, "d_values", tuple(self.d_values))
-        object.__setattr__(self, "r_values", tuple(self.r_values))
+        for name in ("d_values", "r_values"):
+            values = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(values))
+            except TypeError:
+                raise ValueError(f"CampaignSpec {name} must hold ints, got {values!r}") from None
         named = [("trials", self.trials), ("seed", self.seed)]
         named += [(k, v) for k in ("d_values", "r_values") for v in getattr(self, k)]
         named += [(k, getattr(self, k)) for k in ("node_budget", "ambient", "size_cap")
@@ -100,8 +104,8 @@ class CampaignSpec:
         try:
             return cls(
                 target=obj["target"],
-                d_values=obj["d_values"],
-                r_values=obj["r_values"],
+                d_values=tuple(obj["d_values"]),
+                r_values=tuple(obj["r_values"]),
                 field=FieldSpec.from_json(obj["field"]),
                 trials=obj["trials"],
                 seed=obj["seed"],

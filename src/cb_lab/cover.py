@@ -19,7 +19,10 @@ integers (primitive points, echelon bases times the lcm D of their
 denominators, fraction-free residuals keyed by their primitive form) and
 the final (dimension, basis) sort compares each entry x / D as the integer
 x * (L // D), L the lcm of all the D, which orders exactly as the
-Fractions do; Fraction bases are built only for the returned candidates.
+Fractions do.  A candidate keeps its mask, dimension and raw echelon basis;
+its Flat (Fraction rows over Q) is built on the first .flat read, which the
+searches and the matroid lattice never make: only the chosen planes of a
+cover are read.
 min_cover spans gamma once and keeps one candidate list and one by_point
 table for its whole (dim, length) sweep; an MCB campaign trial hands it
 the list its matroid's lattice was read from.
@@ -55,13 +58,30 @@ def node_budget_default() -> int:
     return int(raw) if raw else DEFAULT_NODE_BUDGET
 
 
-@dataclass(frozen=True)
 class CandidateFlat:
-    """A span of a subset of gamma, with the mask of all points it contains
-    (bit i set when gamma[i] lies on flat)."""
+    """A span of a subset of gamma: mask has bit i set when gamma[i] lies on
+    it, dim is its dimension.  Its Flat is built from the raw echelon basis
+    on the first .flat read and kept; over Q the raw basis is the integer
+    basis whose pivots all equal D, and the Flat's rows are its entries / D."""
 
-    flat: Flat
-    mask: int
+    __slots__ = ("mask", "dim", "_field", "_basis", "_flat")
+
+    def __init__(self, field, basis: tuple, mask: int, flat: Flat | None = None):
+        self.mask = mask
+        self.dim = len(basis) - 1
+        self._field = field
+        self._basis = basis
+        self._flat = flat
+
+    @property
+    def flat(self) -> Flat:
+        if self._flat is None:
+            basis = self._basis
+            if self._field.kind != PRIME:
+                d = basis[0][_lead(basis[0])]
+                basis = tuple(tuple([Fraction(x, d) for x in row]) for row in basis)
+            self._flat = Flat(self._field, len(basis[0]) - 1, basis)
+        return self._flat
 
 
 @dataclass(frozen=True)
@@ -116,7 +136,8 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     form times the lcm D of its denominators (every pivot equals D and the
     entries have content 1), and a residual is the fraction-free D*v -
     sum(v[c_k] * B_k), divided by its content with its lead made positive.
-    One Fraction Flat is built per returned candidate.
+    A candidate keeps that integer basis; its Fraction Flat is built on the
+    first .flat read.
 
     Returned in canonical order (dimension, then basis bytes).
     """
@@ -153,15 +174,15 @@ def candidate_flats(gamma: PointSet, max_dim: int):
         level = grown
         found.extend(level)
     if prime:
-        result = [CandidateFlat(Flat(fld, n, basis), mask) for basis, _piv, mask in found]
-        result.sort(key=lambda c: (c.flat.dim, c.flat.basis))
-        return result
-    return _rational_candidates(fld, n, found)
+        found.sort(key=lambda e: (len(e[0]), e[0]))
+    else:
+        found.sort(key=_rational_key(found))
+    return [CandidateFlat(fld, basis, mask) for basis, _piv, mask in found]
 
 
-def _rational_candidates(field, n: int, found) -> list:
-    """The CandidateFlats of integer (basis, pivots, mask) triples over Q, in
-    (dimension, basis) order.
+def _rational_key(found):
+    """The (dimension, basis) sort key of integer (basis, pivots, mask)
+    triples over Q.
 
     Entry x of a basis with pivots D is x / D = x * (L // D) / L, with L the
     lcm of every D, so the scaled integers sort exactly as the Fractions do.
@@ -173,12 +194,7 @@ def _rational_candidates(field, n: int, found) -> list:
         s = scale // basis[0][piv[0]]
         return len(basis), [x * s for row in basis for x in row]
 
-    out = []
-    for basis, piv, mask in sorted(found, key=key):
-        d = basis[0][piv[0]]
-        rows = tuple(tuple([Fraction(x, d) for x in row]) for row in basis)
-        out.append(CandidateFlat(Flat(field, n, rows), mask))
-    return out
+    return key
 
 
 def _elements(mask: int) -> list:
@@ -370,12 +386,12 @@ def _point_search(gamma: PointSet, top: Flat, max_dim: int, node_budget: int,
     cap = min(max_dim - 1, gamma.ambient_dim)
     if cands is None:
         cands = candidate_flats(gamma, cap) if cap >= 1 else []
-    items = [(c.mask, c.flat.dim, c) for c in cands]
+    items = [(c.mask, c.dim, c) for c in cands]
     # The candidates hold every span of a subset up to dim cap, top among
     # them when top.dim <= cap; otherwise top outranks them all in
     # (dim, basis) order and goes last.
     if cap < top.dim <= max_dim:
-        items.append((full, top.dim, CandidateFlat(top, full)))
+        items.append((full, top.dim, CandidateFlat(top.field, top.basis, full, top)))
     return _CoverSearch(items, full, node_budget)
 
 
@@ -417,7 +433,7 @@ def exists_cover(
         if line is None:
             return CoverResult(False, None, 0, 0, 0, True)
         return _result_from_chosen(
-            gamma, [CandidateFlat(line, 1)], nodes=1, minimal=False
+            gamma, [CandidateFlat(line.field, line.basis, 1, line)], nodes=1, minimal=False
         )
     search = _point_search(gamma, span(list(gamma)), d, node_budget)
     chosen = search.run(d, max_length)

@@ -445,17 +445,19 @@ def _resultant(f, g):
                 term = _form_add(_form_mul(f[j + k + 1], g[i - k]),
                                  _form_mul(f[i - k], g[j + k + 1]), -1)
                 bez[i][j] = term if k == 0 else _form_add(bez[i][j], term)
+    return _det(bez)
 
-    def det(m):
-        if len(m) == 1:
-            return m[0][0]
-        out = None
-        for j, entry in enumerate(m[0]):
-            term = _form_mul(entry, det([row[:j] + row[j + 1:] for row in m[1:]]))
-            out = term if j == 0 else _form_add(out, term, (-1) ** j)
-        return out
 
-    return det(bez)
+def _det(m):
+    """The determinant of a square matrix of slice tables, expanded by the
+    first row."""
+    if len(m) == 1:
+        return m[0][0]
+    out = None
+    for j, entry in enumerate(m[0]):
+        term = _form_mul(entry, _det([row[:j] + row[j + 1:] for row in m[1:]]))
+        out = term if j == 0 else _form_add(out, term, (-1) ** j)
+    return out
 
 
 def _restrict(tables, a: int, p: int) -> list:

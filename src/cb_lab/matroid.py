@@ -197,7 +197,7 @@ def _build_flats(m: Matroid, max_rank: int) -> dict:
         masks = {0: [0], 1: [1 << i for i in range(m.size)]}
         m._candidates = candidate_flats(m.points, max_rank - 1) if max_rank >= 2 else []
         for c in m._candidates:
-            masks.setdefault(c.flat.dim + 1, []).append(c.mask)
+            masks.setdefault(c.dim + 1, []).append(c.mask)
         return {rk: tuple(sorted(ms)) for rk, ms in masks.items()}
     # Every rank below the full rank has a proper flat to extend.
     by_rank = {0: (m.closure(0),)}
@@ -263,38 +263,38 @@ def exists_flat_cover(m: Matroid, dims) -> list | None:
     pool = {rk: list(lattice.get(rk, ())) for rk in set(ranks_needed)}
     if any(not pool[rk] for rk in ranks_needed):
         return None
-    ground = (1 << m.size) - 1
-    memo = set()
-
-    def dfs(covered: int, remaining: tuple, acc):
-        # remaining is the sorted multiset of ranks still to place.
-        if covered == ground:
-            return acc + [(rk, pool[rk][0]) for rk in remaining]
-        if not remaining:
-            return None
-        key = (covered, remaining)
-        if key in memo:
-            return None
-        first = _elements(ground & ~covered)[0]
-        tried = set()
-        for idx, rk in enumerate(remaining):
-            # Equal-rank slots are interchangeable: branch each rank once.
-            if rk in tried:
-                continue
-            tried.add(rk)
-            rest = remaining[:idx] + remaining[idx + 1 :]
-            for f in pool[rk]:
-                if f >> first & 1:
-                    got = dfs(covered | f, rest, acc + [(rk, f)])
-                    if got is not None:
-                        return got
-        memo.add(key)
-        return None
-
-    got = dfs(0, tuple(sorted(ranks_needed)), [])
+    got = _flat_cover_dfs(0, tuple(sorted(ranks_needed)), [], pool, (1 << m.size) - 1, set())
     if got is None:
         return None
     by_rank_found = {}
     for rk, f in got:
         by_rank_found.setdefault(rk, []).append(f)
     return [_elements(by_rank_found[rk].pop(0)) for rk in ranks_needed]
+
+
+def _flat_cover_dfs(covered: int, remaining: tuple, acc, pool, ground: int, memo):
+    """(rank, flat mask) pairs extending acc to a cover of ground, or None.
+    remaining is the sorted multiset of ranks still to place; memo holds the
+    failed (covered, remaining) states."""
+    if covered == ground:
+        return acc + [(rk, pool[rk][0]) for rk in remaining]
+    if not remaining:
+        return None
+    key = (covered, remaining)
+    if key in memo:
+        return None
+    first = _elements(ground & ~covered)[0]
+    tried = set()
+    for idx, rk in enumerate(remaining):
+        # Equal-rank slots are interchangeable: branch each rank once.
+        if rk in tried:
+            continue
+        tried.add(rk)
+        rest = remaining[:idx] + remaining[idx + 1 :]
+        for f in pool[rk]:
+            if f >> first & 1:
+                got = _flat_cover_dfs(covered | f, rest, acc + [(rk, f)], pool, ground, memo)
+                if got is not None:
+                    return got
+    memo.add(key)
+    return None

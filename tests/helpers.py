@@ -463,3 +463,18 @@ def random_invertible_matrix(field: FieldSpec, n: int, rng: random.Random):
         ]
         if rank(rows, field) == n + 1:
             return rows
+
+
+def record_cover_flats(monkeypatch) -> list:
+    """The list of every Flat that cb_lab.cover builds from here on."""
+    import cb_lab.cover
+
+    built = []
+    make = cb_lab.cover.Flat
+
+    def recorded(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cb_lab.cover, "Flat", recorded)
+    return built

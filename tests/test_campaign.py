@@ -1,5 +1,6 @@
 """Campaign orchestration: determinism, replay, exhaustive scans."""
 
+import gc
 import json
 
 import pytest
@@ -21,6 +22,8 @@ from cb_lab import (
 )
 from cb_lab.cli import main
 from cb_lab.errors import FieldTooSmallError
+
+from helpers import record_cover_flats
 
 
 def _strip_json(report):
@@ -155,6 +158,40 @@ def test_mcb_trial_builds_candidate_flats_once(field, monkeypatch):
     assert checked >= 4
 
 
+def test_mcb_trial_over_q_builds_flats_only_for_chosen_planes(monkeypatch):
+    # The lattice and the cover search read candidate masks and dimensions
+    # only: a Flat is built for each chosen plane other than span(gamma).
+    built = record_cover_flats(monkeypatch)
+    checked = 0
+    for seed in range(8):
+        built.clear()
+        spec = CampaignSpec("mcb_analog", (2,), (3,), FieldSpec.rational(), trials=1, seed=seed)
+        rec = run_campaign(spec).records[0]
+        if rec["status"] != "ok":
+            continue
+        gamma, _cfg = generate(GenSpec.from_json(rec["genspec"]))
+        top = span(list(gamma)).dim
+        assert sorted(f.dim for f in built) == sorted(d for d in rec["cover_dims"] if d != top)
+        checked += 1
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(101), FieldSpec.rational()],
+                         ids=["gf101", "q"])
+def test_one_trial_campaigns_leave_no_reference_cycles(field):
+    # Everything a campaign allocates is freed by reference counting alone:
+    # the cyclic collector finds nothing once the campaigns have run.
+    gc.collect()
+    gc.disable()
+    try:
+        for target in campaign._TRIALS:
+            for d, r in ((1, 2), (2, 3)):
+                run_campaign(CampaignSpec(target, (d,), (r,), field, trials=1, seed=d))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_gf2_campaigns_draw_only_runnable_families():
     # over GF(2) no smooth conic exists and P^2 has 7 points, too few for a
     # cubic pencil's 8 base points: r = 2 keeps only (1, 4), whose line is
@@ -284,6 +321,14 @@ def test_campaign_spec_json_missing_key(gf101, drop):
     del obj[drop]
     with pytest.raises(ValueError, match="malformed CampaignSpec JSON: KeyError"):
         CampaignSpec.from_json(obj)
+
+
+@pytest.mark.parametrize("name", ["d_values", "r_values"])
+def test_campaign_spec_rejects_scalar_range(gf101, name):
+    args = dict(target="conjecture", d_values=(2,), r_values=(1,), field=gf101,
+                trials=3, seed=1)
+    with pytest.raises(ValueError, match=f"CampaignSpec {name} must hold ints, got 2"):
+        CampaignSpec(**{**args, name: 2})
 
 
 def test_campaign_spec_json_scalar_range(gf101):

@@ -29,6 +29,7 @@ from helpers import (
     first_containing_plane,
     mixed_rational_point_set,
     random_point_set,
+    record_cover_flats,
     single_point_line_by_rank_scan,
 )
 
@@ -229,6 +230,26 @@ def test_min_cover_two_plane_conics(gf101):
     res = min_cover(pts)
     assert (res.dim, res.length) == (4, 2)
     assert res.config == cfg
+
+
+@pytest.mark.parametrize("gamma", [
+    gen_two_plane_conics(5, Q, 3)[0],
+    PointSet.from_coords(Q, [[1, 0, 0], [0, 1, 0], [1, 3, 0], [1, 5, 0]]),
+], ids=["two-plane-conics", "collinear"])
+def test_min_cover_over_q_builds_flats_only_for_chosen_planes(gamma, monkeypatch):
+    # The search reads candidate masks and dimensions only: a Flat is built
+    # for each chosen plane, and span(gamma) is not built again.
+    built = record_cover_flats(monkeypatch)
+    res = min_cover(gamma)
+    top = span(list(gamma))
+    assert sorted(f.basis for f in built) == sorted(
+        pl.basis for pl in res.config.planes if pl != top)
+
+
+@pytest.mark.parametrize("field", [GF101, Q], ids=["gf101", "q"])
+def test_candidate_flat_is_built_on_first_read_and_kept(field):
+    cands = candidate_flats(gen_two_plane_conics(5, field, 3)[0], 3)
+    assert all(c.flat is c.flat and c.dim == c.flat.dim for c in cands)
 
 
 def test_verify_cover(gf101):

@@ -12,7 +12,9 @@ on each side for ``BENCHMARK.json``'s ``run_seconds``; within a pair the two
 sides run back to back, and the side that goes first alternates from pair to
 pair.  Then one ``--trace 1`` pass per side of every workload gives its
 layer split.  The record holds every run's metrics, attempted and failed counts,
-the per-metric medians and the number of pairs the working tree won.
+the per-metric medians and the number of pairs the working tree won, and for
+each end-to-end metric the relative change of its median against its
+``BENCHMARK.json`` bound.
 Nothing is written if any run reports ``correct: false`` or a failed item.
 """
 
@@ -36,6 +38,7 @@ SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 SEEDS = (1, 2)
 LOWER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == "lower"}
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 LAYER_SPLIT = ("linalg.reduce_against.calls", "linalg.dot.calls", "cover.candidate_flats.self_s",
                "linalg.rref.self_s", "forms.eval_matrix.self_s", "cb.is_cb.self_s",
                "generators.gen_plane_curve_ci.self_s", "generators.gen_elliptic_quartic.self_s",
@@ -57,16 +60,22 @@ def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def summarise(base: list, change: list) -> dict:
-    """Medians per metric and how many pairs the change won."""
+    """Medians per metric and how many pairs the change won; for an
+    end-to-end metric also the relative change of the median, its bound and
+    whether the change's median is worse by no more than that bound."""
     summary = {}
     for name in base[0]["metrics"]:
         b = [run["metrics"][name] for run in base]
         c = [run["metrics"][name] for run in change]
         lower = name in LOWER_IS_BETTER
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
-        summary[name] = {"base_median": statistics.median(b),
-                         "change_median": statistics.median(c),
-                         "change_wins": f"{wins}/{len(b)}"}
+        row = summary[name] = {"base_median": statistics.median(b),
+                               "change_median": statistics.median(c),
+                               "change_wins": f"{wins}/{len(b)}"}
+        if name in BOUNDS:
+            rel = row["change_median"] / row["base_median"] - 1
+            row.update(rel_change=rel, bound=BOUNDS[name],
+                       within_bound=(rel if lower else -rel) <= BOUNDS[name])
     return summary
 
 
