@@ -208,25 +208,6 @@ def _draw_genspec(d: int, r: int, field: FieldSpec, rng: random.Random,
     return GenSpec.make(name, info, field, seed)
 
 
-def _draw_cb_set(d: int, r: int, field: FieldSpec, rng: random.Random,
-                 size_limit: int | None = None):
-    """A CB(r)-verified draw; returns (gamma, genspec, discarded_count)."""
-    discarded = 0
-    for _ in range(_MAX_REDRAWS):
-        spec = _draw_genspec(d, r, field, rng, size_limit)
-        try:
-            gamma, _cfg = generate(spec)
-        except (FieldTooSmallError, ResampleBudgetExceededError):
-            # two_plane_conics is admitted over GF(3) and GF(5), whose conics
-            # hold fewer than its 8 points: that draw counts as discarded
-            discarded += 1
-            continue
-        if is_cb(gamma, r).verdict:
-            return gamma, spec, discarded
-        discarded += 1
-    return None, None, discarded
-
-
 # ---------------------------------------------------------------------------
 # Campaign targets
 # ---------------------------------------------------------------------------
@@ -249,7 +230,8 @@ def _run_trials(spec: CampaignSpec, trial) -> CampaignReport:
 
     ``trial(rec, rng, field, budget)`` fills in the record, whose header is
     (trial, seed, d, r), sets its "violation" flag and returns the point set
-    a violation record embeds.
+    a violation record embeds.  A trial that exceeds the node budget is
+    recorded as budget_exceeded, not a violation.
     """
     pairs = [(d, r) for d in spec.d_values for r in spec.r_values if r >= 1]
     if not pairs:
@@ -263,7 +245,10 @@ def _run_trials(spec: CampaignSpec, trial) -> CampaignReport:
         d, r = pairs[i % len(pairs)]
         started = time.perf_counter()
         rec = {"trial": i, "seed": trial_seed, "d": d, "r": r}
-        gamma = trial(rec, random.Random(trial_seed), spec.field, budget)
+        try:
+            gamma = trial(rec, random.Random(trial_seed), spec.field, budget)
+        except BudgetExceededError:
+            rec.update(status="budget_exceeded", violation=False)
         rec["elapsed_s"] = time.perf_counter() - started
         records.append(rec)
         if rec["violation"]:
@@ -273,30 +258,42 @@ def _run_trials(spec: CampaignSpec, trial) -> CampaignReport:
 
 def _draw_trial_set(rec: dict, rng: random.Random, field: FieldSpec,
                     size_limit: int | None = None, min_size: int = 1):
-    """_draw_cb_set for one trial; returns (gamma, genspec), or (None, None)
-    after marking the record no_cb_sample."""
-    gamma, genspec, rec["discarded"] = _draw_cb_set(rec["d"], rec["r"], field, rng, size_limit)
-    if gamma is None or len(gamma) < min_size:
-        rec.update(status="no_cb_sample", violation=False)
-        return None, None
-    return gamma, genspec
+    """A CB(r)-verified draw for the record's (d, r), redrawn up to
+    _MAX_REDRAWS times.  Records the discarded draws and the genspec; returns
+    gamma, or None after marking the record no_cb_sample."""
+    d, r = rec["d"], rec["r"]
+    discarded = 0
+    for _ in range(_MAX_REDRAWS):
+        genspec = _draw_genspec(d, r, field, rng, size_limit)
+        try:
+            gamma, _cfg = generate(genspec)
+        except (FieldTooSmallError, ResampleBudgetExceededError):
+            # two_plane_conics is admitted over GF(3) and GF(5), whose conics
+            # hold fewer than its 8 points: that draw counts as discarded
+            discarded += 1
+            continue
+        if is_cb(gamma, r).verdict:
+            if len(gamma) < min_size:
+                break
+            rec.update(discarded=discarded, genspec=genspec.to_json())
+            return gamma
+        discarded += 1
+    rec.update(discarded=discarded, status="no_cb_sample", violation=False)
+    return None
 
 
 def _conjecture_trial(rec, rng, field, budget):
     d = rec["d"]
-    gamma, genspec = _draw_trial_set(rec, rng, field)
+    gamma = _draw_trial_set(rec, rng, field)
     if gamma is None:
         return None
-    rec.update(genspec=genspec.to_json(), size=len(gamma), cb=True)
-    try:
-        len2 = exists_cover(gamma, d, min(2, d), node_budget=budget)
-        cover = len2 if len2.found else exists_cover(gamma, d, d, node_budget=budget)
-        rec.update(
-            cover_found=cover.found, cover_dim=cover.dim, cover_length=cover.length,
-            cover_length_le_2=len2.found, status="ok", violation=not cover.found,
-        )
-    except BudgetExceededError:
-        rec.update(status="budget_exceeded", violation=False)
+    rec.update(size=len(gamma), cb=True)
+    len2 = exists_cover(gamma, d, min(2, d), node_budget=budget)
+    cover = len2 if len2.found else exists_cover(gamma, d, d, node_budget=budget)
+    rec.update(
+        cover_found=cover.found, cover_dim=cover.dim, cover_length=cover.length,
+        cover_length_le_2=len2.found, status="ok", violation=not cover.found,
+    )
     return gamma
 
 
@@ -312,25 +309,23 @@ def _tightness_trial(rec, rng, field, budget):
         rec.update(status="field_too_small", violation=False)
         return None
     cb = rec["cb"] = is_cb(gamma, r).verdict
-    try:
-        res = exists_cover(gamma, d, d, node_budget=budget)
-        # Tightness expects CB true and no dimension-d cover.
-        rec.update(
-            cover_found=res.found, proof_of_minimality=res.proof_of_minimality,
-            violation=not (cb and not res.found and res.proof_of_minimality), status="ok",
-        )
-    except BudgetExceededError:
-        rec.update(status="budget_exceeded", violation=False)
+    res = exists_cover(gamma, d, d, node_budget=budget)
+    # Tightness expects CB true and no dimension-d cover.
+    rec.update(
+        cover_found=res.found, proof_of_minimality=res.proof_of_minimality,
+        violation=not (cb and not res.found and res.proof_of_minimality), status="ok",
+    )
     return gamma
 
 
 def _excision_trial(rec, rng, field, budget):
     r = rec["r"]
-    gamma, genspec = _draw_trial_set(rec, rng, field, min_size=2)
+    gamma = _draw_trial_set(rec, rng, field, min_size=2)
     if gamma is None:
         return None
-    # Up to min(r, 3) distinct flats spanned by small point samples; a
-    # degenerate draw (e.g. collinear) may admit fewer distinct spans.
+    # Up to min(r, 3) distinct flats spanned by small point samples (each of
+    # at least 2 distinct points, so of dim >= 1); a degenerate draw (e.g.
+    # collinear) may admit fewer distinct spans.
     want = rng.randint(1, min(r, 3))
     if span(list(gamma)).dim <= 1:
         want = 1  # every sample of a collinear gamma spans the same line
@@ -340,16 +335,12 @@ def _excision_trial(rec, rng, field, budget):
             break
         size = min(rng.choice((2, 3)), len(gamma))
         fl = span([gamma[j] for j in rng.sample(range(len(gamma)), size)])
-        if fl.dim >= 1 and fl not in flats_chosen:
+        if fl not in flats_chosen:
             flats_chosen.append(fl)
-    if not flats_chosen:
-        rec.update(status="no_configuration", violation=False)
-        return None
     survivors = excise(gamma, PlaneConfiguration(tuple(flats_chosen)))
     verdict = is_cb(survivors, r - len(flats_chosen)).verdict
     rec.update(
-        genspec=genspec.to_json(), size=len(gamma), cb=True,
-        excised_length=len(flats_chosen), survivors=len(survivors),
+        size=len(gamma), cb=True, excised_length=len(flats_chosen), survivors=len(survivors),
         survivors_cb=verdict, violation=not verdict, status="ok",
     )
     return gamma
@@ -357,32 +348,28 @@ def _excision_trial(rec, rng, field, budget):
 
 def _balancing_trial(rec, rng, field, budget):
     r = rec["r"]
-    gamma, genspec = _draw_trial_set(rec, rng, field)
+    gamma = _draw_trial_set(rec, rng, field)
     if gamma is None:
         return None
-    rec["genspec"] = genspec.to_json()
-    try:
-        mc = min_cover(gamma, node_budget=budget)
-        cfg = merge_intersecting(mc.config)
-        counts = [sum(1 for pt in gamma if pl.contains(pt)) for pl in cfg.planes]
-        ell = cfg.length
-        case_i = all(c >= max(ell, r + 2) for c in counts)
-        case_ii = min(counts) < ell and ell >= r + 2
-        rec.update(
-            cover_dim=mc.dim, cover_length=mc.length, skew_length=ell, plane_counts=counts,
-            balanced=case_i, sparse_plane_case=case_ii,
-            violation=not (case_i or case_ii), status="ok",
-        )
-    except BudgetExceededError:
-        rec.update(status="budget_exceeded", violation=False)
+    mc = min_cover(gamma, node_budget=budget)
+    cfg = merge_intersecting(mc.config)
+    counts = [sum(1 for pt in gamma if pl.contains(pt)) for pl in cfg.planes]
+    ell = cfg.length
+    case_i = all(c >= max(ell, r + 2) for c in counts)
+    case_ii = min(counts) < ell and ell >= r + 2
+    rec.update(
+        cover_dim=mc.dim, cover_length=mc.length, skew_length=ell, plane_counts=counts,
+        balanced=case_i, sparse_plane_case=case_ii,
+        violation=not (case_i or case_ii), status="ok",
+    )
     return gamma
 
 
 def _mcb_trial(rec, rng, field, budget):
-    gamma, genspec = _draw_trial_set(rec, rng, field, size_limit=12)
+    gamma = _draw_trial_set(rec, rng, field, size_limit=12)
     if gamma is None:
         return None
-    rec.update(genspec=genspec.to_json(), size=len(gamma))
+    rec["size"] = len(gamma)
     matroid = Matroid.from_points(gamma)
     mcb = is_mcb(matroid, rec["r"])
     rec["mcb"] = mcb.verdict
@@ -437,9 +424,9 @@ def exhaustive_lower_bound(field: FieldSpec, n: int, r: int) -> CampaignReport:
 
 
 def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: int,
-                          injected=(), node_budget: int | None = None) -> CampaignReport:
+                          node_budget: int | None = None) -> CampaignReport:
     """Exhaustively hunt for CB(r) subsets of P^n(GF(p)) up to size_cap with no
-    dimension-d cover; injected point sets are scanned first.
+    dimension-d cover.
 
     Any hit is recorded with the small-field caveat: it is evidence, not a
     refutation of the characteristic-zero statement.  A negative size_cap, r
@@ -456,25 +443,6 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
     budget = node_budget or node_budget_default()
     t0 = time.perf_counter()
     records, violations = [], []
-
-    def check_cover(gamma: PointSet, source: str):
-        """Cover a CB(r) set; record a violation when no cover exists."""
-        res = exists_cover(gamma, d, d, node_budget=budget)
-        if not res.found:
-            violations.append({
-                "r": r, "d": d, "size": len(gamma), "source": source,
-                "points": gamma.to_json(), "caveat": SMALL_FIELD_CAVEAT,
-            })
-        return res.found
-
-    for j, gamma in enumerate(injected):
-        cb = is_cb(gamma, r).verdict
-        covered = check_cover(gamma, f"injected[{j}]") if cb else None
-        records.append({
-            "source": f"injected[{j}]", "size": len(gamma), "cb_true": int(cb),
-            "cover_found": covered, "subsets": 1,
-            "elapsed_s": time.perf_counter() - t0,
-        })
     if size_cap > 0:
         pts = enumerate_points(field, n)
         basis = monomial_basis(n, r)
@@ -488,7 +456,11 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
                     continue
                 cb_count += 1
                 gamma = PointSet(field, n, tuple(pts[i] for i in idx))
-                check_cover(gamma, "enumeration")  # CB(r) already decided above
+                if not exists_cover(gamma, d, d, node_budget=budget).found:
+                    violations.append({
+                        "r": r, "d": d, "size": size, "source": "enumeration",
+                        "points": gamma.to_json(), "caveat": SMALL_FIELD_CAVEAT,
+                    })
             records.append({
                 "source": "enumeration", "size": size, "subsets": checked,
                 "cb_true": cb_count, "elapsed_s": time.perf_counter() - t0,

@@ -322,8 +322,6 @@ class _CoverSearch:
     def run(self, d: int, max_length: int):
         self.nodes = 0
         length = min(max_length, d)
-        if length < 1:
-            return None
         # Every pick covers a new point, so no branch holds more candidates
         # than target points or costs more than that many times max_cost.
         # Capping both budgets there shifts every budget in the tree by a

@@ -694,7 +694,8 @@ def _gradient(q, x, p: int) -> tuple:
 
 
 def _has_three_collinear(pts, q1, q2, field: FieldSpec) -> bool:
-    """Whether three of pts, all the rational points of q1 = q2 = 0, are collinear.
+    """Whether three of pts, the coordinate tuples (each leading with 1) of all
+    the rational points of q1 = q2 = 0, are collinear.
 
     A line meeting a quadric in three points lies in it, so three collinear
     points exist exactly when a rational line lies in both quadrics.  Such a
@@ -707,8 +708,7 @@ def _has_three_collinear(pts, q1, q2, field: FieldSpec) -> bool:
     are compared instead.  Each test is O(1) per point outside that case.
     """
     p = field.p
-    coords = [pt.coords for pt in pts]
-    for a in coords:
+    for a in pts:
         ker = linalg.kernel([_gradient(q1, a, p), _gradient(q2, a, p)], 4, field)
         if len(ker) == 2:
             # Kernel vectors and points both lead with 1: proportional means equal.
@@ -717,7 +717,7 @@ def _has_three_collinear(pts, q1, q2, field: FieldSpec) -> bool:
                 return True
             continue
         seen = set()
-        for c in coords:
+        for c in pts:
             if c != a:
                 key = _line_key(a, c, p)
                 if key in seen:
@@ -735,10 +735,10 @@ def _quartic_draw(m: int, field: FieldSpec, rng: random.Random, sqrts: dict):
     q2 = tuple(rng.randrange(p) for _ in range(nmono))
     if not any(q1) or not any(q2):
         return None
-    curve = [ProjPoint(field, x) for x in _quadric_curve(q1, q2, p, sqrts)]
+    curve = _quadric_curve(q1, q2, p, sqrts)
     if len(curve) < m or _has_three_collinear(curve, q1, q2, field):
         return None
-    return rng.sample(curve, m)
+    return [ProjPoint(field, x) for x in rng.sample(curve, m)]
 
 
 def gen_elliptic_quartic(m: int, field: FieldSpec, seed: int) -> PointSet:

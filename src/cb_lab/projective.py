@@ -116,10 +116,13 @@ class PointSet:
     def from_json(cls, obj: dict) -> PointSet:
         try:
             fld = FieldSpec.from_json(obj["field"])
-            pts = tuple(ProjPoint(fld, [fld.coerce(c) for c in row]) for row in obj["points"])
+            pts = tuple(ProjPoint(fld, row) for row in obj["points"])
             ambient_dim = obj["ambient_dim"]
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed point set JSON: {type(exc).__name__}: {exc}") from exc
+        if type(ambient_dim) is not int or ambient_dim < 0:
+            raise ValueError(f"malformed point set JSON: ambient_dim must be an int >= 0, "
+                             f"got {ambient_dim!r}")
         return cls(fld, ambient_dim, pts)
 
 

@@ -26,7 +26,7 @@ from cb_lab import (
     span,
     verify_cover,
 )
-from cb_lab.campaign import _draw_cb_set
+from cb_lab.campaign import _draw_trial_set
 
 from helpers import cover_oracle, random_point_set
 
@@ -142,7 +142,7 @@ def test_criterion_08_monotonicity_fuzz():
     checked = 0
     while checked < 200:
         d, r = combos[checked % len(combos)]
-        gamma, _spec, _disc = _draw_cb_set(d, r, GF101, rng)
+        gamma = _draw_trial_set({"d": d, "r": r}, rng, GF101)
         assert gamma is not None
         assert is_cb(gamma, r - 1).verdict, (d, r)
         checked += 1

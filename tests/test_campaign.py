@@ -266,6 +266,9 @@ def test_counterexample_search_at_d0_finds_the_lines_of_the_plane():
     for v in report.violations:
         gamma = PointSet.from_json(v["points"])
         assert v["d"] == 0 and len(gamma) == 3 and span(list(gamma)).dim == 1
+        assert v["caveat"] == campaign.SMALL_FIELD_CAVEAT
+        out = replay_record({**v, "cb": True, "cover_found": False})
+        assert out["matches"] and out["cb"] and out["cover_found"] is False
     assert len({json.dumps(v["points"], sort_keys=True) for v in report.violations}) == 7
 
 
@@ -335,20 +338,6 @@ def test_campaign_spec_json_scalar_range(gf101):
     obj = {**CampaignSpec("conjecture", (2,), (1,), gf101, 3, 1).to_json(), "d_values": 2}
     with pytest.raises(ValueError, match="malformed CampaignSpec JSON: TypeError"):
         CampaignSpec.from_json(obj)
-
-
-def test_counterexample_search_finds_injected_witnesses(gf101):
-    # rnc sets one past the size bound: CB(r) with no dimension-d cover
-    witnesses = [
-        gen_rnc(2, 6, gf101, seed=1),   # (d, r) = (1, 2), 6 = 2r + 2
-        gen_rnc(2, 6, gf101, seed=2),
-    ]
-    report = counterexample_search(gf101, 2, 2, 1, size_cap=0, injected=witnesses)
-    assert len(report.violations) == len(witnesses)
-    assert all(v["caveat"] for v in report.violations)
-    for v in report.violations:
-        out = replay_record({**v, "cb": True, "cover_found": False})
-        assert out["matches"]
 
 
 def test_budget_exceeded_recorded_not_raised(gf101):

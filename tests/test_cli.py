@@ -248,6 +248,12 @@ _MALFORMED = [
                  id="flags-unknown-param"),
     pytest.param(["cover", "-i", "{path}", "--dim", "2", "--max-length", "0"], _POINTS,
                  id="cover-max-length-0"),
+    pytest.param(["check-cb", "-i", "{path}", "--r", "1"],
+                 {"field": _GF101, "ambient_dim": True, "points": [["1", "0"], ["0", "1"]]},
+                 id="check-cb-bool-ambient-dim"),
+    pytest.param(["check-cb", "-i", "{path}", "--r", "1"],
+                 {"field": _GF101, "ambient_dim": -1, "points": []},
+                 id="check-cb-negative-ambient-dim"),
     pytest.param(["verify-conjecture", "--replay", "{path}"], {"genspec": {}, "r": 1},
                  id="replay-empty-genspec"),
     pytest.param(["verify-conjecture", "--replay", "{path}"],

@@ -614,7 +614,7 @@ def test_three_collinear_matches_pair_scan(p):
         if not any(q1) or not any(q2):
             continue
         curve = [ProjPoint(field, x) for x in _quadric_curve(q1, q2, p, sqrts)]
-        got = _has_three_collinear(curve, q1, q2, field)
+        got = _has_three_collinear([pt.coords for pt in curve], q1, q2, field)
         assert got == has_three_collinear_by_pairs(curve, field), (q1, q2)
         outcomes.add(got)
     assert outcomes == {True, False}

@@ -410,6 +410,13 @@ def test_exhaustive_scan_golden():
     assert {name: _digest(rep) for name, rep in _scans().items()} == SCAN_GOLDEN
 
 
+def test_exhaustive_scans_rerun_from_their_spec():
+    # run_campaign dispatches both scan targets from the spec a report carries
+    for report in _scans().values():
+        again = run_campaign(CampaignSpec.from_json(report.spec.to_json()))
+        assert again.dumps(include_timings=False) == report.dumps(include_timings=False)
+
+
 @pytest.mark.parametrize("case", GENERATOR_CASES)
 def test_generator_golden(case):
     assert _outcome_digest(GENERATOR_CASES[case]) == GENERATOR_GOLDEN[case]
