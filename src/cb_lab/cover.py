@@ -13,16 +13,17 @@ reduction: each flat skips the points of the children already found that
 contain it (any such point spans that child with it) and reduces every
 other outside point against its echelon basis once; the points with equal
 residuals (scaled to a canonical representative) span one new child flat,
-whose basis is its parent's plus one pivot insert of the residual.  Over
-GF(p) a residual is scaled to a leading 1.  Over Q the level loop runs on
-integers (primitive points, echelon bases times the lcm D of their
-denominators, fraction-free residuals keyed by their primitive form) and
-the final (dimension, basis) sort compares each entry x / D as the integer
-x * (L // D), L the lcm of all the D, which orders exactly as the
-Fractions do.  A candidate keeps its mask, dimension and raw echelon basis;
-its Flat (Fraction rows over Q) is built on the first .flat read, which the
-searches and the matroid lattice never make: only the chosen planes of a
-cover are read.
+whose basis is its parent's plus one pivot insert of the residual.  An
+independent child pushes its mask to its sub-flats when it is built; only
+the dependent children are scanned.  Over GF(p) a residual is scaled to a
+leading 1.  Over Q the level loop runs on integers (primitive points,
+echelon bases times the lcm D of their denominators, fraction-free
+residuals keyed by their primitive form) and each level's basis sort
+compares each entry x / D as the integer x * (L // D), L the lcm of that
+level's D, which orders exactly as the Fractions do.  A candidate keeps its
+mask, dimension and raw echelon basis; its Flat (Fraction rows over Q) is
+built on the first .flat read, which the searches and the matroid lattice
+never make: only the chosen planes of a cover are read.
 min_cover spans gamma once and keeps one candidate list and one by_point
 table for its whole (dim, length) sweep; an MCB campaign trial hands it
 the list its matroid's lattice was read from.
@@ -118,9 +119,13 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     - Skip: if a child G of this level is already built and F lies in G
       (F's mask is inside G's), every p_j in G outside F gives span(F, p_j)
       = G, as both have dimension dim F + 1.  So F skips the points of all
-      such G, found through the children on F's lowest point, and every
-      child F still finds is new; it is never found again, because any
-      later parent inside it skips its points.
+      such G, and every child F still finds is new; it is never found
+      again, because any later parent inside it skips its points.
+    - Push and scan: an independent G (dim G + 1 points) has as sub-flats
+      at F's level exactly its masks less one point (its points span no
+      other point of G), so when it is built it ORs its mask into the skip
+      of each of them.  A dependent G is listed on each of its points, and
+      F scans the list of its lowest point for the G that contain it.
     - Residuals: each remaining point p_i outside F is reduced against F's
       echelon basis once and scaled to a canonical representative.  The
       reduction is linear with kernel the cone of F, so p_j lies on
@@ -139,7 +144,9 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     A candidate keeps that integer basis; its Fraction Flat is built on the
     first .flat read.
 
-    Returned in canonical order (dimension, then basis bytes).
+    Returned in canonical order (dimension, then basis bytes): each level
+    is sorted once, in a copy, as the next level is grown in discovery
+    order.
     """
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
@@ -153,53 +160,64 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     residual, insert = _residual_ops(fld)
     # (basis, pivot columns, point mask): a point's basis is itself
     level = [((c,), (_lead(c),), 1 << i) for i, c in enumerate(coords)]
+    full = (1 << len(coords)) - 1
     found = []
-    for _dim in range(min(max_dim, n)):
-        holding = [[] for _ in coords]  # point -> masks of this level's children on it
+    for dim in range(min(max_dim, n)):
+        inside = {}  # parent mask -> union of this level's independent children on it
+        holding = [[] for _ in coords]  # point -> this level's dependent children on it
         grown = []
         for basis, piv, mask in level:
-            done = mask
+            done = mask | inside.get(mask, 0)
             for g in holding[(mask & -mask).bit_length() - 1]:
                 if g & mask == mask:
                     done |= g
             groups = {}
-            for i, c in enumerate(coords):
-                if not done >> i & 1:
-                    r = residual(c, basis, piv)
-                    groups[r] = groups.get(r, mask) | 1 << i
+            for i in _elements(full & ~done):
+                r = residual(coords[i], basis, piv)
+                groups[r] = groups.get(r, mask) | 1 << i
             for r, child in groups.items():
                 grown.append(insert(basis, piv, r) + (child,))
-                for i in _elements(child):
-                    holding[i].append(child)
+                points = _elements(child)
+                if len(points) == dim + 2:
+                    for i in points:
+                        sub = child ^ 1 << i
+                        inside[sub] = inside.get(sub, 0) | child
+                else:
+                    for i in points:
+                        holding[i].append(child)
         level = grown
-        found.extend(level)
-    if prime:
-        found.sort(key=lambda e: (len(e[0]), e[0]))
-    else:
-        found.sort(key=_rational_key(found))
+        # A level has one dimension, so sorting each level orders the whole
+        # list; level itself keeps discovery order for the next pass.
+        found.extend(sorted(grown, key=None if prime else _rational_key(grown)))
     return [CandidateFlat(fld, basis, mask) for basis, _piv, mask in found]
 
 
-def _rational_key(found):
-    """The (dimension, basis) sort key of integer (basis, pivots, mask)
+def _rational_key(entries):
+    """The basis sort key of one level's integer (basis, pivots, mask)
     triples over Q.
 
     Entry x of a basis with pivots D is x / D = x * (L // D) / L, with L the
-    lcm of every D, so the scaled integers sort exactly as the Fractions do.
+    lcm of every D of the level, so the scaled integers sort exactly as the
+    Fractions do.
     """
-    scale = lcm(*(basis[0][piv[0]] for basis, piv, _mask in found))
+    scale = lcm(*(basis[0][piv[0]] for basis, piv, _mask in entries))
 
     def key(entry):
         basis, piv, _mask = entry
         s = scale // basis[0][piv[0]]
-        return len(basis), [x * s for row in basis for x in row]
+        return [x * s for row in basis for x in row]
 
     return key
 
 
 def _elements(mask: int) -> list:
     """The indices of the set bits of mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return out
 
 
 def _lead(v) -> int:
@@ -295,7 +313,10 @@ class _CoverSearch:
         self.points = _elements(target)
         self.max_cost = max((k for _m, k, _item in cands), default=0)
         self.node_budget = node_budget
-        self.by_point = {i: [c for c in cands if c[0] >> i & 1] for i in self.points}
+        self.by_point = {i: [] for i in self.points}
+        for c in cands:
+            for i in _elements(c[0] & target):
+                self.by_point[i].append(c)
 
     def _coverage_bound(self, d: int, length: int):
         # best[b][l]: most points coverable with cost budget b and l

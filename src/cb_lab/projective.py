@@ -24,6 +24,14 @@ from .errors import (
 from .fields import PRIME, FieldSpec
 
 
+def _list_row(row, what: str) -> list:
+    """row, when it is a JSON list; a string or object row would otherwise be
+    read character by character or key by key."""
+    if not isinstance(row, list):
+        raise ValueError(f"malformed {what} JSON: a row must be a list, got {row!r}")
+    return row
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of P^n: nonzero coordinate vector, first nonzero entry scaled to 1."""
@@ -116,7 +124,7 @@ class PointSet:
     def from_json(cls, obj: dict) -> PointSet:
         try:
             fld = FieldSpec.from_json(obj["field"])
-            pts = tuple(ProjPoint(fld, row) for row in obj["points"])
+            pts = tuple(ProjPoint(fld, _list_row(row, "point set")) for row in obj["points"])
             ambient_dim = obj["ambient_dim"]
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed point set JSON: {type(exc).__name__}: {exc}") from exc
@@ -172,7 +180,7 @@ class Flat:
 
     @classmethod
     def from_json(cls, field: FieldSpec, obj: dict) -> Flat:
-        rows = [[field.coerce(x) for x in row] for row in obj["basis"]]
+        rows = [[field.coerce(x) for x in _list_row(row, "flat")] for row in obj["basis"]]
         return cls.from_generators(field, obj["ambient_dim"], rows)
 
 

@@ -213,6 +213,11 @@ _BAD_POINT_SETS = {
         "field": {"kind": "rational"}, "ambient_dim": 2, "points": [[1.5, 2, 0]],
     },
     "bool_coordinate": {"field": _GF101, "ambient_dim": 2, "points": [[True, 2, 0]]},
+    # a row is a JSON list, never a string or an object read element by element
+    "string_row": {"field": _GF101, "ambient_dim": 2, "points": ["123", "456"]},
+    "object_row_q": {
+        "field": {"kind": "rational"}, "ambient_dim": 1, "points": [{"1": 0, "2": 0}],
+    },
 }
 _RNC_WITHOUT_M = {"family": "rnc", "params": {"k": 2}, "field": _GF101, "seed": 1}
 _SKEW_SCALAR_COUNTS = {
@@ -287,6 +292,7 @@ _MALFORMED = [
         ("ragged-basis-gf101", _GF101, [[1, 0, 0, 0], [0, 1]]),
         ("ragged-basis-q", {"kind": "rational"}, [[1, 0, 0, 0], [0, 1]]),
         ("short-basis", _GF101, [[1, 0, 0], [0, 1, 0]]),
+        ("string-basis-row", _GF101, ["1000", "0100"]),
     )
 ]
 

@@ -8,10 +8,13 @@ import pytest
 
 from cb_lab import (
     FieldSpec,
+    Matroid,
     PointSet,
+    ProjPoint,
     candidate_flats,
     enumerate_points,
     exists_cover,
+    flats,
     gen_rnc,
     gen_skew_lines,
     gen_two_plane_conics,
@@ -133,19 +136,18 @@ def test_candidate_flats_over_q_match_fraction_oracle(sets, max_dims):
             assert all(type(x) is Fraction for c in got for row in c.flat.basis for x in row)
 
 
-@pytest.mark.parametrize(
-    "gamma,max_dim",
-    [
-        (gen_two_plane_conics(8, GF101, 0)[0], 4),
-        (gen_two_plane_conics(5, Q, 3)[0], 4),
-        (_all_of(GF2, 3), 3),
-    ],
-    ids=["gf101-two-plane-conics", "q-two-plane-conics", "gf2-all-of-p3"],
-)
-def test_candidate_flats_reduce_each_point_once_per_new_child(gamma, max_dim, monkeypatch):
-    # A residual is taken only for a point that lands in a child not built
-    # before, outside its parent, so a child C costs at most |C| - dim C.
-    # Both field kinds take their residuals through _residual_ops.
+# (id, gamma, max_dim, residual calls): the counts pin the skip, which
+# leaves out exactly the points of children already built on the parent
+_RESIDUAL_CASES = [
+    ("gf101-two-plane-conics", gen_two_plane_conics(8, GF101, 0)[0], 4, 1616),
+    ("q-two-plane-conics", gen_two_plane_conics(5, Q, 3)[0], 4, 311),
+    ("gf2-all-of-p3", _all_of(GF2, 3), 3, 138),
+]
+
+
+def _residual_calls(gamma, max_dim, monkeypatch):
+    """candidate_flats(gamma, max_dim) and the number of residuals it took
+    (both field kinds take theirs through _residual_ops)."""
     calls = []
     residual_ops = cover._residual_ops
 
@@ -159,8 +161,86 @@ def test_candidate_flats_reduce_each_point_once_per_new_child(gamma, max_dim, mo
         return counted, insert
 
     monkeypatch.setattr(cover, "_residual_ops", counted_ops)
-    cands = candidate_flats(gamma, max_dim)
-    assert 0 < len(calls) <= sum(c.mask.bit_count() - c.flat.dim for c in cands)
+    return candidate_flats(gamma, max_dim), len(calls)
+
+
+@pytest.mark.parametrize(
+    "gamma,max_dim", [c[1:3] for c in _RESIDUAL_CASES], ids=[c[0] for c in _RESIDUAL_CASES]
+)
+def test_candidate_flats_reduce_each_point_once_per_new_child(gamma, max_dim, monkeypatch):
+    # A residual is taken only for a point that lands in a child not built
+    # before, outside its parent, so a child C costs at most |C| - dim C.
+    cands, calls = _residual_calls(gamma, max_dim, monkeypatch)
+    assert 0 < calls <= sum(c.mask.bit_count() - c.flat.dim for c in cands)
+
+
+@pytest.mark.parametrize(
+    "gamma,max_dim,expect", [c[1:] for c in _RESIDUAL_CASES], ids=[c[0] for c in _RESIDUAL_CASES]
+)
+def test_candidate_flats_residual_count_is_pinned(gamma, max_dim, expect, monkeypatch):
+    assert _residual_calls(gamma, max_dim, monkeypatch)[1] == expect
+
+
+def _flag_set(field, n, size, rng):
+    """Up to size distinct points of P^n on a random flag L_1 < ... < L_n =
+    P^n, three on the line L_1 and each other one a small random combination
+    of the generators of a random L_k: every L_k with more than k + 1 points
+    is a dependent flat, and points on different levels span independent
+    ones, so both kinds of child meet at the levels below n."""
+    # echelon generators with unit pivots: a flag over every field
+    gens = [[0] * k + [1] + [rng.randint(-3, 3) for _ in range(n - k)] for k in range(n + 1)]
+    seen = {}
+    for t in range(3 * size):
+        k = 1 if t < 3 else rng.randint(1, n)
+        coeffs = [rng.randint(-2, 2) for _ in range(k + 1)]
+        v = [sum(a * row[j] for a, row in zip(coeffs, gens)) for j in range(n + 1)]
+        if any(field.coerce(x) for x in v):
+            pt = ProjPoint(field, v)
+            seen.setdefault(pt.coords, pt)
+        if len(seen) == size:
+            break
+    return PointSet(field, n, tuple(seen.values()))
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF101, Q], ids=["gf2", "gf3", "gf101", "q"])
+def test_candidate_flats_match_oracle_on_flag_sets(field):
+    rng = random.Random(2020 + (field.p or 0))
+    top_level = 0
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        gamma = _flag_set(field, n, rng.randint(n + 2, 12), rng)
+        got = candidate_flats(gamma, n)
+        assert [(c.flat.dim, c.flat.basis, c.mask) for c in got] == (
+            candidate_flats_oracle(gamma, n))
+        # below the span, every level has dependent and independent flats
+        kinds = {}
+        for c in got:
+            if c.mask != (1 << len(gamma)) - 1:
+                kinds.setdefault(c.dim, set()).add(c.mask.bit_count() == c.dim + 1)
+        assert all(k == {False, True} for k in kinds.values()), kinds
+        top_level = max([top_level, *kinds])
+    assert top_level >= 3
+
+
+def test_by_point_lists_every_candidate_on_each_target_point_in_order():
+    def by_membership(search):
+        return {i: [c for c in search.cands if c[0] >> i & 1] for i in search.points}
+
+    rng = random.Random(5)
+    for field in (GF3, GF101, Q):
+        gamma = _flag_set(field, 4, 10, rng)
+        search = cover._point_search(gamma, span(list(gamma)), 4, 10**6)
+        assert search.by_point == by_membership(search)
+        m = Matroid.from_points(gamma)
+        hyperplanes = flats(m, m.full_rank - 1)[m.full_rank - 1]
+        ground = (1 << m.size) - 1
+        for x in range(m.size):
+            # as is_mcb builds it (no candidate holds x), and with every
+            # hyperplane, so that candidate masks reach outside the target
+            for hs in ([h for h in hyperplanes if not h >> x & 1], hyperplanes):
+                search = cover._CoverSearch([(h, 1, h) for h in hs], ground & ~(1 << x), 10)
+                assert x not in search.by_point
+                assert search.by_point == by_membership(search)
 
 
 def test_candidates_three_collinear(gf101):

@@ -289,6 +289,18 @@ def test_point_set_json_round_trip(gf101):
     assert json.dumps(PointSet.from_json(json.loads(blob2)).to_json(), sort_keys=True) == blob2
 
 
+
+def test_json_rows_must_be_lists(gf101):
+    # A string row would be read character by character, an object row key by key.
+    q = FieldSpec.rational()
+    for field, rows in ((gf101, ["123", "456"]), (q, [{"1": 0, "2": 0}])):
+        obj = {"field": field.to_json(), "ambient_dim": 1 if field is q else 2, "points": rows}
+        with pytest.raises(ValueError, match="malformed point set JSON"):
+            PointSet.from_json(obj)
+    with pytest.raises(ValueError, match="malformed flat JSON"):
+        Flat.from_json(gf101, {"ambient_dim": 2, "basis": ["123"]})
+    assert Flat.from_json(gf101, {"ambient_dim": 2, "basis": [["1", "2", "3"]]}).dim == 0
+
 def test_enumerate_points_counts():
     assert len(enumerate_points(FieldSpec.prime(3), 2)) == 13
     assert len(enumerate_points(FieldSpec.prime(2), 3)) == 15
