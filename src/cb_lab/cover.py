@@ -144,9 +144,7 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     A candidate keeps that integer basis; its Fraction Flat is built on the
     first .flat read.
 
-    Returned in canonical order (dimension, then basis bytes): each level
-    is sorted once, in a copy, as the next level is grown in discovery
-    order.
+    Returned in canonical order (dimension, then basis bytes).
     """
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
@@ -187,7 +185,8 @@ def candidate_flats(gamma: PointSet, max_dim: int):
                         holding[i].append(child)
         level = grown
         # A level has one dimension, so sorting each level orders the whole
-        # list; level itself keeps discovery order for the next pass.
+        # list.  The next pass reads the level in discovery order: another
+        # order changes which parent finds each child and skips fewer points.
         found.extend(sorted(grown, key=None if prime else _rational_key(grown)))
     return [CandidateFlat(fld, basis, mask) for basis, _piv, mask in found]
 
