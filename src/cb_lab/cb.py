@@ -13,10 +13,10 @@ canonical kernel vector of the punctured set that does not vanish at the
 omitted point.
 
 Over Q the evaluation rows are built from each point's primitive integer
-coordinates and the failing points are read off the integer rows of
-linalg.rref_int.  Scaling a point scales its row, which moves neither the
-failing set nor the kernel, so the verdict and the witness are those of
-the Fraction rows.
+vector (ProjPoint.ints, computed once per point) and the failing points
+are read off the integer rows of linalg.rref_int.  Scaling a point scales
+its row, which moves neither the failing set nor the kernel, so the
+verdict and the witness are those of the Fraction rows.
 
 Conventions (the definitional edge cases are not forced by the mathematics
 and are fixed here for consistency with the minimum-count bound |Gamma| >= r+2):
@@ -78,7 +78,7 @@ def _rows(gamma: PointSet, r: int):
     if gamma.field.kind == PRIME:
         return eval_matrix(gamma, r).rows
     basis = monomial_basis(gamma.ambient_dim, r)
-    return [monomial_values(linalg._clear_row(pt.coords), basis) for pt in gamma]
+    return [monomial_values(pt.ints, basis) for pt in gamma]
 
 
 def _witness_for(rows, omit: int, field: FieldSpec, ncols: int) -> tuple:

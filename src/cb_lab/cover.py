@@ -151,10 +151,7 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     fld = gamma.field
     n = gamma.ambient_dim
     prime = fld.kind == PRIME
-    if prime:
-        coords = [pt.coords for pt in gamma]
-    else:
-        coords = [tuple(linalg._clear_row(pt.coords)) for pt in gamma]
+    coords = [pt.ints for pt in gamma]
     residual, insert = _residual_ops(fld)
     # (basis, pivot columns, point mask): a point's basis is itself
     level = [((c,), (_lead(c),), 1 << i) for i, c in enumerate(coords)]
@@ -250,12 +247,7 @@ def _residual_ops(field):
         return residual, insert
 
     def residual(v, basis, piv):
-        # Fraction-free: D*v - sum(v[c_k] * B_k), D the common pivot.
-        r = [basis[0][piv[0]] * x for x in v]
-        for row, c in zip(basis, piv):
-            f = v[c]
-            if f:
-                r = [a - f * b for a, b in zip(r, row)]
+        r = linalg._residual_q(v, basis, piv)
         g = gcd(*r)
         if next(x for x in r if x) < 0:
             g = -g

@@ -177,13 +177,14 @@ def _rand_point(field: FieldSpec, n: int, rng: random.Random) -> ProjPoint:
 
 
 def _distinct_params(field: FieldSpec, count: int, rng: random.Random):
-    """count distinct scalars, seeded (field elements or small integers)."""
+    """count distinct scalars, seeded: residues over GF(p), small plain ints
+    over Q (a ProjPoint built from them coerces its coordinates)."""
     if field.kind == PRIME:
         if count > field.p:
             raise FieldTooSmallError(f"need {count} distinct elements of {field}")
         return rng.sample(range(field.p), count)
     lo, hi = -5 * count - 5, 5 * count + 5
-    return [field.coerce(t) for t in rng.sample(range(lo, hi + 1), count)]
+    return rng.sample(range(lo, hi + 1), count)
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +792,9 @@ def gen_on_configuration(
             if all(c == 0 for c in coeffs):
                 continue
             pt = ProjPoint(field, linalg.combine(coeffs, rows, field))
-            if pt.coords in seen:
+            if pt.ints in seen:
                 continue
-            seen.add(pt.coords)
+            seen.add(pt.ints)
             out.append(pt)
             placed += 1
             if placed == cnt:

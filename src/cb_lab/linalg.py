@@ -5,11 +5,19 @@ GF(p) runs Gaussian elimination on plain int residues.  Over Q the work is
 done on integers by rref_int, the one rational core: each row is cleared to
 coprime integers (_clear_row) and the rows are reduced in one fraction-free
 Gauss-Jordan pass (Bareiss's one-step update applied to the rows above the
-pivot as well as below).  Every division is exact, so entries stay integers
-and every pivot ends equal to the last one, the scale; the integer rows are
-the reduced echelon form times that scale.  rref divides them by it for the
-callers that need Fraction elements; cb reads the integer rows, and cb and
-cover clear point coordinates with _clear_row.
+pivot as well as below; a row that is already zero is left alone).  Every
+division is exact, so entries stay integers and every pivot ends equal to
+the last one, the scale; the integer rows are the reduced echelon form times
+that scale.  rref divides them by it for the callers that need Fraction
+elements, and cb reads them.  The integer form of a point
+(ProjPoint.ints) is computed once when the point is built, so no reader
+clears coordinates itself.
+
+reduce_against has one fraction-free body over Q: against a reduced echelon
+basis whose pivots all equal D it returns D*v - sum(v[c_k] * B_k).  A flat
+over Q passes its integer basis (D the lcm of its denominators) and a
+point's ints, so membership runs on integers; with D = 1 the same body is
+the plain residual of a Fraction basis.
 
 dot and combine have one body for both fields: native int or Fraction
 products summed from the field's zero, reduced mod p once per output entry
@@ -120,10 +128,13 @@ def rref_int(rows):
         piv = row_p[c]
         for i in range(nrows):
             if i != pr:
-                # Bareiss one-step update, exact division.  Rows already 0 in
-                # column c take it too: they must be scaled by piv / prev.
-                f = ints[i][c]
-                ints[i] = [(piv * a - f * b) // prev for a, b in zip(ints[i], row_p)]
+                # Bareiss one-step update, exact division.  A row already 0 in
+                # column c takes it too, to be scaled by piv / prev, unless it
+                # is all zero: a zero row stays zero.
+                row = ints[i]
+                f = row[c]
+                if f or any(row):
+                    ints[i] = [(piv * a - f * b) // prev for a, b in zip(row, row_p)]
         prev = piv
         piv_cols.append(c)
         pr += 1
@@ -166,27 +177,39 @@ def transpose(rows):
 
 
 def reduce_against(vec, basis, piv_cols, field: FieldSpec):
-    """Residual of vec after eliminating the pivots of a reduced-echelon basis."""
+    """Residual of vec after eliminating the pivots of a reduced-echelon basis.
+
+    Over Q the basis may be integer rows whose pivots all equal D, and the
+    residual is then the fraction-free D*vec - sum(vec[c_k] * B_k); with
+    D = 1 (a Fraction basis) it is the plain residual."""
+    if field.kind != PRIME:
+        return _residual_q(vec, basis, piv_cols) if basis else list(vec)
     v = list(vec)
     n = len(v)
-    if field.kind == PRIME:
-        p = field.p
-        for row, c in zip(basis, piv_cols):
-            f = v[c] % p
-            if f:
-                for j in range(c, n):
-                    v[j] = (v[j] - f * row[j]) % p
-    else:
-        for row, c in zip(basis, piv_cols):
-            f = v[c]
-            if f:
-                for j in range(c, n):
-                    v[j] = v[j] - f * row[j]
+    p = field.p
+    for row, c in zip(basis, piv_cols):
+        f = v[c] % p
+        if f:
+            for j in range(c, n):
+                v[j] = (v[j] - f * row[j]) % p
+    return v
+
+
+def _residual_q(vec, basis, piv_cols):
+    """D*vec - sum(vec[c_k] * B_k) for a nonempty reduced echelon basis over Q
+    whose pivots all equal D (the fraction-free body of reduce_against, also
+    taken by cover's candidate residuals)."""
+    d = basis[0][piv_cols[0]]
+    v = [d * x for x in vec] if d != 1 else list(vec)
+    for row, c in zip(basis, piv_cols):
+        f = vec[c]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
     return v
 
 
 def in_row_space(vec, basis, piv_cols, field: FieldSpec) -> bool:
-    return all(x == 0 for x in reduce_against(vec, basis, piv_cols, field))
+    return not any(reduce_against(vec, basis, piv_cols, field))
 
 
 def combine(coeffs, rows, field: FieldSpec):

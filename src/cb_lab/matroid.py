@@ -67,7 +67,7 @@ class Matroid:
     def from_points(cls, gamma: PointSet) -> Matroid:
         if len(gamma) == 0:
             raise ValueError("need a nonempty point set")
-        rows = [list(pt.coords) for pt in gamma]
+        rows = [pt.ints for pt in gamma]
         fld = gamma.field
 
         def rank_fn(mask: int) -> int:

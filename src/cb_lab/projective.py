@@ -3,7 +3,16 @@
 Points are stored with homogeneous coordinates normalized so the first
 nonzero coordinate is 1; flats store the reduced-echelon basis of their
 affine cone.  Both forms are unique per object, so equality and hashing
-are structural and deduplication is a byte comparison.
+are structural.
+
+Each point also carries ints, a second unique form computed once: over Q
+its primitive integer vector (content 1, first nonzero entry > 0), over
+GF(p) its residues.  Deduplication and every internal reader over Q (cb's
+evaluation rows, cover's candidate flats, matroid ranks, flat membership)
+work on it; the Fraction coords and bases are the public form, read by
+to_json and the callers.  Over Q a flat tests membership on integers: its
+basis times the lcm D of its denominators has every pivot equal to D, and
+v = pt.ints lies on the flat exactly when D*v - sum(v[c_k] * B_k) is zero.
 
 All types are immutable and all operations are pure.
 """
@@ -11,8 +20,10 @@ All types are immutable and all operations are pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -32,28 +43,52 @@ def _list_row(row, what: str) -> list:
     return row
 
 
+def _check_ambient_dim(ambient_dim, what: str) -> None:
+    """Reject a JSON ambient_dim that is not an int >= 0 (a bool included)."""
+    if type(ambient_dim) is not int or ambient_dim < 0:
+        raise ValueError(f"malformed {what} JSON: ambient_dim must be an int >= 0, "
+                         f"got {ambient_dim!r}")
+
+
 @dataclass(frozen=True)
 class ProjPoint:
-    """A point of P^n: nonzero coordinate vector, first nonzero entry scaled to 1."""
+    """A point of P^n: nonzero coordinate vector, first nonzero entry scaled to 1.
+
+    ints is the point's integer form: over Q the primitive integer vector
+    (content 1, first nonzero entry > 0), over GF(p) the residues.  It is
+    unique per point, like coords, and takes no part in equality."""
 
     field: FieldSpec
     coords: tuple
+    ints: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords = tuple(self.field.coerce(c) for c in self.coords)
+        fld = self.field
+        if fld.kind == PRIME:
+            coords = tuple(fld.coerce(c) for c in self.coords)
+        else:
+            coords = tuple(self.coords)
+            if not all(type(c) is int for c in coords):
+                coords = linalg._clear_row([fld.coerce(c) for c in coords])
         if not coords:
             raise EmptyInputError("a point needs at least one coordinate")
-        lead = -1
-        for i, c in enumerate(coords):
-            if c != 0:
-                lead = i
-                break
-        if lead < 0:
+        lead = next((c for c in coords if c), 0)
+        if not lead:
             raise ValueError("the zero vector is not a projective point")
-        if coords[lead] != self.field.one():
-            inv = self.field.inv(coords[lead])
-            coords = tuple(self.field.mul(inv, c) for c in coords)
+        if fld.kind == PRIME:
+            if lead != 1:
+                inv = fld.inv(lead)
+                coords = tuple(fld.mul(inv, c) for c in coords)
+            ints = coords
+        else:
+            g = gcd(*coords)
+            if lead < 0:
+                g = -g
+            ints = tuple([c // g for c in coords]) if g != 1 else tuple(coords)
+            lead = lead // g
+            coords = tuple([Fraction(c, lead) for c in ints])
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "ints", ints)
 
     @property
     def ambient_dim(self) -> int:
@@ -80,9 +115,9 @@ class PointSet:
                 raise ValueError("point ambient dimension differs from the set's")
         seen = set()
         for pt in pts:
-            if pt.coords in seen:
+            if pt.ints in seen:
                 raise DuplicatePointError(f"repeated point {pt}")
-            seen.add(pt.coords)
+            seen.add(pt.ints)
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -128,9 +163,7 @@ class PointSet:
             ambient_dim = obj["ambient_dim"]
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed point set JSON: {type(exc).__name__}: {exc}") from exc
-        if type(ambient_dim) is not int or ambient_dim < 0:
-            raise ValueError(f"malformed point set JSON: ambient_dim must be an int >= 0, "
-                             f"got {ambient_dim!r}")
+        _check_ambient_dim(ambient_dim, "point set")
         return cls(fld, ambient_dim, pts)
 
 
@@ -162,13 +195,24 @@ class Flat:
     def pivot_cols(self):
         return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
 
+    @cached_property
+    def _int_basis(self):
+        """Over Q the basis times the lcm D of its denominators (every pivot
+        equals D); over GF(p) the basis itself."""
+        if self.field.kind == PRIME:
+            return self.basis
+        d = lcm(*(x.denominator for row in self.basis for x in row))
+        return tuple(tuple([x.numerator * (d // x.denominator) for x in row])
+                     for row in self.basis)
+
     def contains(self, pt: ProjPoint) -> bool:
-        return linalg.in_row_space(pt.coords, self.basis, self.pivot_cols, self.field)
+        return linalg.in_row_space(pt.ints, self._int_basis, self.pivot_cols, self.field)
 
     def contains_flat(self, other: Flat) -> bool:
         piv = self.pivot_cols
         return all(
-            linalg.in_row_space(row, self.basis, piv, self.field) for row in other.basis
+            linalg.in_row_space(row, self._int_basis, piv, self.field)
+            for row in other._int_basis
         )
 
     def to_json(self) -> dict:
@@ -180,8 +224,13 @@ class Flat:
 
     @classmethod
     def from_json(cls, field: FieldSpec, obj: dict) -> Flat:
-        rows = [[field.coerce(x) for x in _list_row(row, "flat")] for row in obj["basis"]]
-        return cls.from_generators(field, obj["ambient_dim"], rows)
+        try:
+            rows = [[field.coerce(x) for x in _list_row(row, "flat")] for row in obj["basis"]]
+            ambient_dim = obj["ambient_dim"]
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed flat JSON: {type(exc).__name__}: {exc}") from exc
+        _check_ambient_dim(ambient_dim, "flat")
+        return cls.from_generators(field, ambient_dim, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,8 +291,17 @@ class PlaneConfiguration:
 
     @classmethod
     def from_json(cls, obj: dict) -> PlaneConfiguration:
-        fld = FieldSpec.from_json(obj["field"])
-        return cls(tuple(Flat.from_json(fld, pj) for pj in obj["planes"]))
+        try:
+            fld = FieldSpec.from_json(obj["field"])
+            planes = obj["planes"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"malformed plane configuration JSON: {type(exc).__name__}: {exc}"
+            ) from exc
+        if not isinstance(planes, list):
+            raise ValueError(f"malformed plane configuration JSON: planes must be a list, "
+                             f"got {planes!r}")
+        return cls(tuple(Flat.from_json(fld, pj) for pj in planes))
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,14 @@ def fraction_ge_rref(rows):
     return [tuple(r) for r in m[:pr]], piv_cols
 
 
+def in_span_by_fractions(vec, rows) -> bool:
+    """Whether vec lies in the row space of rows: appending it leaves the
+    Fraction elimination's rank unchanged (oracle for the integer membership
+    path of Flat.contains)."""
+    rows = [list(r) for r in rows]
+    return len(fraction_ge_rref(rows + [list(vec)])[0]) == len(fraction_ge_rref(rows)[0])
+
+
 def two_rref_kernel(rows, ncols, field):
     """The kernel built from the rref's free columns and then row-reduced a
     second time (oracle for the single-rref linalg.kernel)."""

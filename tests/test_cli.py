@@ -294,6 +294,19 @@ _MALFORMED = [
         ("short-basis", _GF101, [[1, 0, 0], [0, 1, 0]]),
         ("string-basis-row", _GF101, ["1000", "0100"]),
     )
+] + [
+    pytest.param(["generate", "--spec", "{path}"],
+                 {**_on_plane(_GF101, [[1, 0, 0, 0], [0, 1, 0, 0]]), "config": config},
+                 id=f"genspec-config-{name}")
+    for name, config in (
+        ("planes-int", {"field": _GF101, "planes": 5}),
+        ("no-field", {"planes": [{"ambient_dim": 3, "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]}]}),
+        ("no-basis", {"field": _GF101, "planes": [{"ambient_dim": 3}]}),
+        ("string-ambient-dim",
+         {"field": _GF101, "planes": [{"ambient_dim": "3", "basis": [[1, 0, 0, 0]]}]}),
+        ("bool-ambient-dim",
+         {"field": _GF101, "planes": [{"ambient_dim": True, "basis": [[1, 0], [0, 1]]}]}),
+    )
 ]
 
 

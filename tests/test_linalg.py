@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cb_lab import FieldSpec
-from cb_lab.linalg import dot, in_row_space, kernel, rank, rref, transpose
+from cb_lab.linalg import dot, in_row_space, kernel, rank, rref, rref_int, transpose
 
 from helpers import fraction_ge_rref, rank_oracle, two_rref_kernel
 
@@ -156,3 +156,32 @@ def test_bareiss_handles_big_entries_exactly():
         [1, 1, 1],
     ]
     assert rref(rows, q) == fraction_ge_rref(rows)
+
+
+def test_rref_int_with_planted_zero_repeated_and_proportional_rows():
+    # Rows that are, or become, all zero skip the Bareiss update; the integer
+    # rows must still be the reduced echelon form times one scale.
+    q = FieldSpec.rational()
+    rng = random.Random(53)
+    kinds = set()
+    for _ in range(120):
+        ncols = rng.randint(1, 5)
+        rows = _random_rows(q, rng.randint(1, 3), ncols, rng)
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(("zero", "repeated", "proportional"))
+            kinds.add(kind)
+            if kind == "zero":
+                row = [0] * ncols
+            elif kind == "repeated":
+                row = list(rng.choice(rows))
+            else:
+                row = [Fraction(rng.choice((-7, -2, 3, 5)), rng.randint(1, 9)) * x
+                       for x in rng.choice(rows)]
+            rows.insert(rng.randint(0, len(rows)), row)
+        ints, piv, scale = rref_int(rows)
+        basis, piv_oracle = fraction_ge_rref(rows)
+        assert piv == piv_oracle
+        assert all(type(x) is int for row in ints for x in row)
+        assert [tuple(Fraction(x, scale) for x in row) for row in ints] == basis
+        assert len(ints) == rank(rows, q) == rank_oracle(rows, q)
+    assert kinds == {"zero", "repeated", "proportional"}

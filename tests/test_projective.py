@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -24,8 +25,9 @@ from cb_lab import (
     span,
 )
 from cb_lab.errors import DuplicatePointError, EmptyInputError, FieldTooSmallError
+from cb_lab.linalg import _clear_row, in_row_space, reduce_against
 
-from helpers import intersection_dim_oracle, random_point_set, rank_oracle
+from helpers import in_span_by_fractions, intersection_dim_oracle, random_point_set, rank_oracle
 
 
 def _line(field, a, b):
@@ -41,6 +43,77 @@ def test_point_normalization(gf7):
     assert pt2.coords == (1, 2, -3)
     with pytest.raises(ValueError):
         ProjPoint(gf7, (0, 0, 0))
+
+
+def _big_fraction(rng):
+    return Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+
+
+def test_point_ints_is_the_primitive_vector(gf7):
+    q = FieldSpec.rational()
+    for raw, want in (
+        ((2, 4, 6), (1, 2, 3)),
+        ((-2, 4, 6), (1, -2, -3)),
+        ((Fraction(-1, 2), 1), (1, -2)),
+        ((0, Fraction(-3, 4), Fraction(9, 8)), (0, 2, -3)),
+        (("0", "-5/3", "10"), (0, 1, -6)),
+    ):
+        assert ProjPoint(q, raw).ints == want
+    rng = random.Random(17)
+    for _ in range(300):
+        raw = [_big_fraction(rng) if rng.random() < 0.8 else 0 for _ in range(rng.randint(1, 6))]
+        if not any(raw):
+            continue
+        pt = ProjPoint(q, raw)
+        ints = pt.ints
+        assert all(type(x) is int for x in ints)
+        assert ints == tuple(_clear_row(pt.coords))
+        assert math.gcd(*ints) == 1 and next(x for x in ints if x) > 0
+        # Scaled by a negative or fractional factor, or given as ints: one point.
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+        for again in (ProjPoint(q, [scale * x for x in raw]),
+                      ProjPoint(q, [-3 * x for x in ints])):
+            assert again == pt and again.ints == ints
+    assert ProjPoint(gf7, (0, 3, 5)).ints == (0, 1, 4)  # over GF(p), the residues
+
+
+def test_point_set_rejects_scaled_duplicates_over_q():
+    q = FieldSpec.rational()
+    for a, b in (((1, 2, 3), (2, 4, 6)), ((1, -2), (Fraction(-1, 2), 1))):
+        with pytest.raises(DuplicatePointError):
+            PointSet.from_coords(q, [a, b])
+
+
+def test_flat_contains_on_integers_matches_fraction_oracle():
+    q = FieldSpec.rational()
+    rng = random.Random(29)
+    seen = set()
+    for n in range(1, 6):
+        for dim in range(n):
+            for _ in range(6):
+                gens = [[_big_fraction(rng) for _ in range(n + 1)] for _ in range(dim + 1)]
+                flat = Flat.from_generators(q, n, gens)
+                ints, piv = flat._int_basis, flat.pivot_cols
+                d = ints[0][piv[0]]
+                assert all(row[c] == d for row, c in zip(ints, piv))
+                on = [sum(c * row[j] for c, row in zip(map(Fraction, range(-2, 9)), gens))
+                      for j in range(n + 1)]
+                off = [[_big_fraction(rng) for _ in range(n + 1)] for _ in range(2)]
+                for v in [on, *gens, *off]:
+                    if not any(v):
+                        continue
+                    pt = ProjPoint(q, v)
+                    want = in_span_by_fractions(pt.coords, gens)
+                    seen.add(want)
+                    assert flat.contains(pt) == want
+                    assert in_row_space(pt.ints, ints, piv, q) == want
+                    assert in_row_space(pt.coords, flat.basis, piv, q) == want
+                    # The integer residual is D times the Fraction one.
+                    assert reduce_against(pt.ints, ints, piv, q) == [
+                        d * x for x in reduce_against(pt.ints, flat.basis, piv, q)
+                    ]
+                assert flat.contains_flat(span([ProjPoint(q, on), ProjPoint(q, gens[0])]))
+    assert seen == {True, False}
 
 
 def test_point_set_rejects_duplicates(gf7):
@@ -300,6 +373,22 @@ def test_json_rows_must_be_lists(gf101):
     with pytest.raises(ValueError, match="malformed flat JSON"):
         Flat.from_json(gf101, {"ambient_dim": 2, "basis": ["123"]})
     assert Flat.from_json(gf101, {"ambient_dim": 2, "basis": [["1", "2", "3"]]}).dim == 0
+
+
+def test_flat_and_configuration_json_errors_are_typed(gf101):
+    basis = [[1, 0, 0], [0, 1, 0]]
+    for obj in ({"ambient_dim": 2}, {"basis": basis}, {"ambient_dim": "2", "basis": basis},
+                {"ambient_dim": -1, "basis": basis}, {"ambient_dim": True, "basis": basis},
+                {"ambient_dim": 2, "basis": 5}, 5):
+        with pytest.raises(ValueError, match="malformed flat JSON"):
+            Flat.from_json(gf101, obj)
+    field = gf101.to_json()
+    for obj in ({"field": field, "planes": 5}, {"field": field, "planes": "ab"},
+                {"planes": []}, {"field": 5, "planes": []}, 5):
+        with pytest.raises(ValueError, match="malformed plane configuration JSON"):
+            PlaneConfiguration.from_json(obj)
+    good = {"field": field, "planes": [{"ambient_dim": 2, "basis": basis}]}
+    assert PlaneConfiguration.from_json(good).to_json()["planes"][0]["basis"] == basis
 
 def test_enumerate_points_counts():
     assert len(enumerate_points(FieldSpec.prime(3), 2)) == 13
