@@ -64,27 +64,31 @@ class ProjPoint:
 
     def __post_init__(self):
         fld = self.field
+        coords = tuple(self.coords)
+        # Plain ints, the generators' usual input, need no coerce on either field.
+        plain = all(type(c) is int for c in coords)
         if fld.kind == PRIME:
-            coords = tuple(fld.coerce(c) for c in self.coords)
-        else:
-            coords = tuple(self.coords)
-            if not all(type(c) is int for c in coords):
-                coords = linalg._clear_row([fld.coerce(c) for c in coords])
+            p = fld.p
+            coords = tuple([c % p for c in coords] if plain else [fld.coerce(c) for c in coords])
+        elif not plain:
+            coords = tuple(linalg._clear_row([fld.coerce(c) for c in coords]))
         if not coords:
             raise EmptyInputError("a point needs at least one coordinate")
-        lead = next((c for c in coords if c), 0)
-        if not lead:
+        for lead in coords:
+            if lead:
+                break
+        else:
             raise ValueError("the zero vector is not a projective point")
         if fld.kind == PRIME:
             if lead != 1:
-                inv = fld.inv(lead)
-                coords = tuple(fld.mul(inv, c) for c in coords)
+                inv = pow(lead, p - 2, p)
+                coords = tuple([inv * c % p for c in coords])
             ints = coords
         else:
             g = gcd(*coords)
             if lead < 0:
                 g = -g
-            ints = tuple([c // g for c in coords]) if g != 1 else tuple(coords)
+            ints = tuple([c // g for c in coords]) if g != 1 else coords
             lead = lead // g
             coords = tuple([Fraction(c, lead) for c in ints])
         object.__setattr__(self, "coords", coords)

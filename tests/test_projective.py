@@ -75,6 +75,7 @@ def test_point_ints_is_the_primitive_vector(gf7):
                       ProjPoint(q, [-3 * x for x in ints])):
             assert again == pt and again.ints == ints
     assert ProjPoint(gf7, (0, 3, 5)).ints == (0, 1, 4)  # over GF(p), the residues
+    assert ProjPoint(gf7, (0, -4, Fraction(5))).ints == (0, 1, 4)
 
 
 def test_point_set_rejects_scaled_duplicates_over_q():
