@@ -5,14 +5,12 @@ nonzero coordinate is 1; flats store the reduced-echelon basis of their
 affine cone.  Both forms are unique per object, so equality and hashing
 are structural.
 
-Each point also carries ints, a second unique form computed once: over Q
-its primitive integer vector (content 1, first nonzero entry > 0), over
-GF(p) its residues.  Deduplication and every internal reader over Q (cb's
-evaluation rows, cover's candidate flats, matroid ranks, flat membership)
-work on it; the Fraction coords and bases are the public form, read by
-to_json and the callers.  Over Q a flat tests membership on integers: its
-basis times the lcm D of its denominators has every pivot equal to D, and
-v = pt.ints lies on the flat exactly when D*v - sum(v[c_k] * B_k) is zero.
+Each point also carries ints, computed once when it is built: over Q its
+primitive integer vector (content 1, first nonzero entry > 0), over GF(p)
+its residues.  Duplicates are found on it and the readers over Q in cb,
+cover and matroid use it; coords and bases stay the public Fraction form.
+Over Q a flat tests membership on integers, reducing pt.ints against its
+basis times the lcm of its denominators (linalg.reduce_against).
 
 All types are immutable and all operations are pure.
 """

@@ -78,13 +78,6 @@ def test_point_ints_is_the_primitive_vector(gf7):
     assert ProjPoint(gf7, (0, -4, Fraction(5))).ints == (0, 1, 4)
 
 
-def test_point_set_rejects_scaled_duplicates_over_q():
-    q = FieldSpec.rational()
-    for a, b in (((1, 2, 3), (2, 4, 6)), ((1, -2), (Fraction(-1, 2), 1))):
-        with pytest.raises(DuplicatePointError):
-            PointSet.from_coords(q, [a, b])
-
-
 def test_flat_contains_on_integers_matches_fraction_oracle():
     q = FieldSpec.rational()
     rng = random.Random(29)
@@ -97,8 +90,8 @@ def test_flat_contains_on_integers_matches_fraction_oracle():
                 ints, piv = flat._int_basis, flat.pivot_cols
                 d = ints[0][piv[0]]
                 assert all(row[c] == d for row, c in zip(ints, piv))
-                on = [sum(c * row[j] for c, row in zip(map(Fraction, range(-2, 9)), gens))
-                      for j in range(n + 1)]
+                coeffs = [_big_fraction(rng) or 1 for _ in gens]
+                on = [sum(c * row[j] for c, row in zip(coeffs, gens)) for j in range(n + 1)]
                 off = [[_big_fraction(rng) for _ in range(n + 1)] for _ in range(2)]
                 for v in [on, *gens, *off]:
                     if not any(v):
@@ -118,8 +111,11 @@ def test_flat_contains_on_integers_matches_fraction_oracle():
 
 
 def test_point_set_rejects_duplicates(gf7):
-    with pytest.raises(DuplicatePointError):
-        PointSet.from_coords(gf7, [[1, 2, 3], [2, 4, 6]])  # same point scaled
+    q = FieldSpec.rational()
+    for field, a, b in ((gf7, (1, 2, 3), (2, 4, 6)), (q, (1, 2, 3), (2, 4, 6)),
+                        (q, (1, -2), (Fraction(-1, 2), 1))):
+        with pytest.raises(DuplicatePointError):
+            PointSet.from_coords(field, [a, b])  # same point scaled
 
 
 def test_span_two_points_is_line(gf101):
@@ -390,6 +386,7 @@ def test_flat_and_configuration_json_errors_are_typed(gf101):
             PlaneConfiguration.from_json(obj)
     good = {"field": field, "planes": [{"ambient_dim": 2, "basis": basis}]}
     assert PlaneConfiguration.from_json(good).to_json()["planes"][0]["basis"] == basis
+
 
 def test_enumerate_points_counts():
     assert len(enumerate_points(FieldSpec.prime(3), 2)) == 13
