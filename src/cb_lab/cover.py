@@ -16,11 +16,12 @@ residuals (scaled to a canonical representative) span one new child flat,
 whose basis is its parent's plus one pivot insert of the residual.  An
 independent child pushes its mask to its sub-flats when it is built; only
 the dependent children are scanned.  Over GF(p) a residual is scaled to a
-leading 1.  Over Q the level loop runs on integers (primitive points,
-echelon bases times the lcm D of their denominators, fraction-free
-residuals keyed by their primitive form) and each level's basis sort
-compares each entry x / D as the integer x * (L // D), L the lcm of that
-level's D, which orders exactly as the Fractions do.  A candidate keeps its
+leading 1.  Over Q the level loop runs on integers (each point's
+ProjPoint.ints, echelon bases times the lcm D of their denominators,
+fraction-free residuals from linalg's Q body keyed by their primitive
+form) and each level's basis sort compares each entry x / D as the
+integer x * (L // D), L the lcm of that level's D, which orders exactly
+as the Fractions do.  A candidate keeps its
 mask, dimension and raw echelon basis; its Flat (Fraction rows over Q) is
 built on the first .flat read, which the searches and the matroid lattice
 never make: only the chosen planes of a cover are read.
@@ -137,7 +138,7 @@ def candidate_flats(gamma: PointSet, max_dim: int):
       unique reduced echelon form of span(F, p_i).
 
     Over Q the whole loop runs on integers.  Each point is its primitive
-    integer vector (content 1, lead > 0), each basis is its reduced echelon
+    integer vector (ProjPoint.ints: content 1, lead > 0), each basis is its reduced echelon
     form times the lcm D of its denominators (every pivot equals D and the
     entries have content 1), and a residual is the fraction-free D*v -
     sum(v[c_k] * B_k), divided by its content with its lead made positive.
