@@ -289,7 +289,8 @@ def _conjecture_trial(rec, rng, field, budget):
         return None
     rec.update(size=len(gamma), cb=True)
     len2 = exists_cover(gamma, d, min(2, d), node_budget=budget)
-    cover = len2 if len2.found else exists_cover(gamma, d, d, node_budget=budget)
+    # For d <= 2 the length-2 search is already the length-d one.
+    cover = len2 if len2.found or d <= 2 else exists_cover(gamma, d, d, node_budget=budget)
     rec.update(
         cover_found=cover.found, cover_dim=cover.dim, cover_length=cover.length,
         cover_length_le_2=len2.found, status="ok", violation=not cover.found,

@@ -12,11 +12,11 @@ reduced row is the unit vector e_i.  On failure the witness is the first
 canonical kernel vector of the punctured set that does not vanish at the
 omitted point.
 
-Over Q the evaluation rows are built from each point's primitive integer
-vector (ProjPoint.ints, computed once per point) and the failing points
-are read off the integer rows of linalg.rref_int.  Scaling a point scales
-its row, which moves neither the failing set nor the kernel, so the
-verdict and the witness are those of the Fraction rows.
+The evaluation rows are built unreduced from each point's ints (residues
+over GF(p), the primitive integer vector over Q) and linalg.echelon reduces
+them for the field, on integers over Q.  Scaling a point scales its row,
+which moves neither the failing set nor the kernel, so the verdict and the
+witness are those of the Fraction rows.
 
 Conventions (the definitional edge cases are not forced by the mathematics
 and are fixed here for consistency with the minimum-count bound |Gamma| >= r+2):
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import MonotonicityError
-from .fields import PRIME, FieldSpec
-from .forms import eval_matrix, monomial_basis, monomial_values
+from .fields import FieldSpec
+from .forms import monomial_basis, monomial_values
 from .projective import PlaneConfiguration, PointSet
 
 
@@ -62,21 +62,15 @@ class CbReport:
 
 def _failing_indices(rows, field: FieldSpec):
     """Row indices whose removal lowers the rank, ascending: the pivot columns
-    of the transposed matrix whose reduced row is a unit vector (over Q, read
-    off the integer rows of the rational core)."""
-    cols = linalg.transpose(rows)
-    if field.kind == PRIME:
-        basis, piv = linalg.rref(cols, field)
-    else:
-        basis, piv, _scale = linalg.rref_int(cols)
+    of the transposed matrix whose reduced row is a unit vector (integer rows
+    over Q)."""
+    basis, piv = linalg.echelon(linalg.transpose(rows), field)
     return [c for row, c in zip(basis, piv) if not any(row[c + 1:])]
 
 
 def _rows(gamma: PointSet, r: int):
-    """The evaluation rows of gamma; over Q each from the point's primitive
-    integer coordinates, a nonzero multiple of its Fraction row."""
-    if gamma.field.kind == PRIME:
-        return eval_matrix(gamma, r).rows
+    """The unreduced int evaluation rows of gamma, from each point's ints (over
+    Q a nonzero multiple of its Fraction row)."""
     basis = monomial_basis(gamma.ambient_dim, r)
     return [monomial_values(pt.ints, basis) for pt in gamma]
 

@@ -18,11 +18,11 @@ independent child pushes its mask to its sub-flats when it is built; only
 the dependent children are scanned.  Over GF(p) a residual is scaled to a
 leading 1.  Over Q the level loop runs on integers (each point's
 ProjPoint.ints, echelon bases times the lcm D of their denominators,
-fraction-free residuals from linalg's Q body keyed by their primitive
-form) and each level's basis sort compares each entry x / D as the
-integer x * (L // D), L the lcm of that level's D, which orders exactly
-as the Fractions do.  A candidate keeps its
-mask, dimension and raw echelon basis; its Flat (Fraction rows over Q) is
+fraction-free residuals from linalg's Q body keyed by linalg.primitive)
+and each level's basis sort compares each entry x / D as the integer
+x * (L // D), L the lcm of that level's D, which orders exactly as the
+Fractions do.  A candidate keeps its mask, dimension and raw echelon
+basis; its Flat (over Q the rows divided by D, linalg.unit_pivots) is
 built on the first .flat read, which the searches and the matroid lattice
 never make: only the chosen planes of a cover are read.
 min_cover spans gamma once and keeps one candidate list and one by_point
@@ -43,7 +43,6 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
@@ -64,7 +63,7 @@ class CandidateFlat:
     """A span of a subset of gamma: mask has bit i set when gamma[i] lies on
     it, dim is its dimension.  Its Flat is built from the raw echelon basis
     on the first .flat read and kept; over Q the raw basis is the integer
-    basis whose pivots all equal D, and the Flat's rows are its entries / D."""
+    basis whose pivots all equal D, and linalg.unit_pivots divides it by D."""
 
     __slots__ = ("mask", "dim", "_field", "_basis", "_flat")
 
@@ -78,10 +77,7 @@ class CandidateFlat:
     @property
     def flat(self) -> Flat:
         if self._flat is None:
-            basis = self._basis
-            if self._field.kind != PRIME:
-                d = basis[0][_lead(basis[0])]
-                basis = tuple(tuple([Fraction(x, d) for x in row]) for row in basis)
+            basis = tuple(linalg.unit_pivots(self._basis, self._field))
             self._flat = Flat(self._field, len(basis[0]) - 1, basis)
         return self._flat
 
@@ -141,7 +137,7 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     integer vector (ProjPoint.ints: content 1, lead > 0), each basis is its reduced echelon
     form times the lcm D of its denominators (every pivot equals D and the
     entries have content 1), and a residual is the fraction-free D*v -
-    sum(v[c_k] * B_k), divided by its content with its lead made positive.
+    sum(v[c_k] * B_k), made primitive (linalg.primitive).
     A candidate keeps that integer basis; its Fraction Flat is built on the
     first .flat read.
 
@@ -248,11 +244,7 @@ def _residual_ops(field):
         return residual, insert
 
     def residual(v, basis, piv):
-        r = linalg._residual_q(v, basis, piv)
-        g = gcd(*r)
-        if next(x for x in r if x) < 0:
-            g = -g
-        return tuple([x // g for x in r]) if g != 1 else tuple(r)
+        return linalg.primitive(linalg._residual_q(v, basis, piv))
 
     def insert(basis, piv, r):
         # a*B_k - B_k[lead]*r for the old rows and D*r for the new one share

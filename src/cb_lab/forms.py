@@ -9,8 +9,8 @@ statement.
 evaluation_row has one body for both fields: monomial_values takes native
 int or Fraction products of coordinate powers, reduced mod p once per entry
 over GF(p).  The FieldSpec element ops are the reference it is tested
-against.  Over Q, cb feeds monomial_values a point's primitive integer
-coordinates for an all-int row.
+against.  cb feeds monomial_values each point's ints for an unreduced
+all-int row.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice, repeat
+from operator import mul
 
 from . import gfpoly, linalg
 from .errors import (
@@ -213,7 +214,9 @@ def gen_rnc(k: int, m: int, field: FieldSpec, seed: int) -> PointSet:
             ts = rng.sample(range(field.p), m)
     else:
         ts = _distinct_params(field, m, rng)
-    pts = [ProjPoint(field, [t**i for i in range(k + 1)]) for t in ts]
+    # The powers t**i as a running product, over GF(p) reduced at each step.
+    step = (lambda a, b: a * b % field.p) if field.kind == PRIME else mul
+    pts = [ProjPoint(field, list(accumulate(repeat(t, k), step, initial=1))) for t in ts]
     if infinity:
         pts.append(ProjPoint(field, [0] * k + [1]))
     return PointSet(field, k, tuple(pts))

@@ -1,17 +1,16 @@
 """Exact row reduction, rank and kernel computation on raw field elements.
 
-rref and reduce_against pick a kernel once per call from the field kind.
-GF(p) runs Gaussian elimination on plain int residues.  Over Q the work is
-done on integers by rref_int, the one rational core: each row is cleared to
-coprime integers (_clear_row) and the rows are reduced in one fraction-free
+echelon picks the elimination body once per call from the field kind, and
+rref, rank and cb read it.  GF(p) runs Gaussian elimination on ints,
+reduced to residues.  Over Q each row is made primitive (coprime integers,
+first nonzero entry positive) and the rows are reduced in one fraction-free
 Gauss-Jordan pass (Bareiss's one-step update applied to the rows above the
 pivot as well as below; a row that is already zero is left alone).  Every
 division is exact, so entries stay integers and every pivot ends equal to
-the last one, the scale; the integer rows are the reduced echelon form times
-that scale.  rref divides them by it for the callers that need Fraction
-elements, and cb reads them.  The integer form of a point
-(ProjPoint.ints) is computed once when the point is built, so no reader
-clears coordinates itself.
+the last one, the scale: the rows are the reduced echelon form times that
+scale.  unit_pivots divides them by it, the one way back to Fraction rows
+(rref's and cover's); rank and cb build no Fraction.  primitive is also
+the integer form of a point (ProjPoint.ints) and of cover's residuals.
 
 reduce_against has one fraction-free body over Q: against a reduced echelon
 basis whose pivots all equal D it returns D*v - sum(v[c_k] * B_k).  A flat
@@ -37,6 +36,25 @@ from operator import mul
 from .fields import PRIME, FieldSpec
 
 
+def echelon(rows, field: FieldSpec):
+    """(rows, pivot_cols): each field's raw reduced echelon form, zero rows
+    dropped.  Over GF(p), from any int rows, residue tuples with unit
+    pivots; over Q, from int or Fraction rows, int rows whose pivots all
+    equal one nonzero scale."""
+    if field.kind == PRIME:
+        return _echelon_prime([list(r) for r in rows], field.p)
+    return _echelon_q([primitive(r) for r in rows])
+
+
+def unit_pivots(basis, field: FieldSpec):
+    """The reduced echelon basis of a raw one from echelon: over Q a list of
+    its rows divided by their pivot scale, over GF(p) the basis itself."""
+    if field.kind == PRIME or not basis:
+        return basis
+    d = next(x for x in basis[0] if x)
+    return [tuple([Fraction(x, d) for x in row]) for row in basis]
+
+
 def rref(rows, field: FieldSpec):
     """Reduced row echelon basis of the row space.
 
@@ -49,17 +67,29 @@ def rref(rows, field: FieldSpec):
         pivots normalized to 1, pivot columns cleared elsewhere), so
         len(basis) is the rank and the basis is unique per subspace.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    if field.kind == PRIME:
-        return _rref_prime(m, field.p)
-    ints, piv_cols, scale = rref_int(m)
-    return [tuple(Fraction(x, scale) for x in row) for row in ints], piv_cols
+    basis, piv = echelon(rows, field)
+    return unit_pivots(basis, field), piv
 
 
-def _rref_prime(m, p):
-    nrows, ncols = len(m), len(m[0])
+def primitive(row) -> tuple:
+    """row (ints or Fractions) scaled to coprime integers with its first
+    nonzero entry positive; a zero row stays zero."""
+    try:
+        g = gcd(*row)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        den = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*row)
+    for x in row:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple(row) if g in (0, 1) else tuple([x // g for x in row])
+
+
+def _echelon_prime(m, p):
+    nrows, ncols = len(m), len(m[0]) if m else 0
     piv_cols = []
     pr = 0
     for c in range(ncols):
@@ -74,7 +104,7 @@ def _rref_prime(m, p):
             m[pr], m[pivot] = m[pivot], m[pr]
         inv = pow(m[pr][c], p - 2, p)
         row = m[pr]
-        for j in range(c, ncols):
+        for j in range(ncols):  # left of c too: 0 mod p, but maybe unreduced
             row[j] = row[j] * inv % p
         for i in range(nrows):
             if i == pr:
@@ -91,26 +121,8 @@ def _rref_prime(m, p):
     return [tuple(r) for r in m[:pr]], piv_cols
 
 
-def _clear_row(row):
-    """Scale one row of ints or Fractions to coprime integers (sign preserved)."""
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    content = gcd(*ints)
-    return [x // content for x in ints] if content > 1 else ints
-
-
-def rref_int(rows):
-    """The integer core of the rational rref.
-
-    Args:
-        rows: nonempty list of equal-length rows of ints or Fractions.
-
-    Returns:
-        (ints, pivot_cols, scale): ints is the reduced echelon basis times
-        the nonzero int scale, as int lists (zero rows dropped).
-    """
-    ints = [_clear_row(r) for r in rows]
-    nrows, ncols = len(ints), len(ints[0])
+def _echelon_q(ints):
+    nrows, ncols = len(ints), len(ints[0]) if ints else 0
     piv_cols = []
     pr = 0
     prev = 1
@@ -140,11 +152,11 @@ def rref_int(rows):
         pr += 1
         if pr == nrows:
             break
-    return ints[:pr], piv_cols, prev
+    return ints[:pr], piv_cols
 
 
 def rank(rows, field: FieldSpec) -> int:
-    return len(rref(rows, field)[0])
+    return len(echelon(rows, field)[0])
 
 
 def kernel(rows, ncols: int, field: FieldSpec):

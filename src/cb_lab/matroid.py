@@ -163,11 +163,14 @@ class Matroid:
 
     @classmethod
     def from_json(cls, obj: dict) -> Matroid:
-        if "matrix" in obj:
+        if isinstance(obj, dict) and "matrix" in obj:
             return cls.from_points(PointSet.from_json(obj["matrix"]))
-        sets = obj["flats"]
-        size = max(max(s) for s in sets if s) + 1
-        return cls.from_flat_list(size, sets)
+        sets = obj.get("flats") if isinstance(obj, dict) else None
+        if not (isinstance(sets, list) and any(sets) and all(
+                isinstance(s, list) and all(type(e) is int and e >= 0 for e in s) for s in sets)):
+            raise ValueError("malformed matroid JSON: flats must be a list of lists of "
+                             f"ints >= 0 naming some element, got {sets!r}")
+        return cls.from_flat_list(max(max(s) for s in sets if s) + 1, sets)
 
 
 def flats(m: Matroid, max_rank: int) -> dict:

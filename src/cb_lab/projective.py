@@ -6,11 +6,11 @@ affine cone.  Both forms are unique per object, so equality and hashing
 are structural.
 
 Each point also carries ints, computed once when it is built: over Q its
-primitive integer vector (content 1, first nonzero entry > 0), over GF(p)
-its residues.  Duplicates are found on it and the readers over Q in cb,
-cover and matroid use it; coords and bases stay the public Fraction form.
-Over Q a flat tests membership on integers, reducing pt.ints against its
-basis times the lcm of its denominators (linalg.reduce_against).
+primitive integer vector (linalg.primitive), over GF(p) its residues.
+Duplicates are found on it and cb, cover, matroid and span read it; coords
+and bases stay the public Fraction form.  Over Q a flat tests membership on
+integers, reducing pt.ints against its basis times the lcm of its
+denominators (Flat._int_basis), and span reduces those integer rows.
 
 All types are immutable and all operations are pure.
 """
@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -69,10 +69,10 @@ class ProjPoint:
             p = fld.p
             coords = tuple([c % p for c in coords] if plain else [fld.coerce(c) for c in coords])
         elif not plain:
-            coords = tuple(linalg._clear_row([fld.coerce(c) for c in coords]))
+            coords = [fld.coerce(c) for c in coords]
         if not coords:
             raise EmptyInputError("a point needs at least one coordinate")
-        for lead in coords:
+        for j, lead in enumerate(coords):
             if lead:
                 break
         else:
@@ -83,11 +83,8 @@ class ProjPoint:
                 coords = tuple([inv * c % p for c in coords])
             ints = coords
         else:
-            g = gcd(*coords)
-            if lead < 0:
-                g = -g
-            ints = tuple([c // g for c in coords]) if g != 1 else coords
-            lead = lead // g
+            ints = linalg.primitive(coords)
+            lead = ints[j]
             coords = tuple([Fraction(c, lead) for c in ints])
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "ints", ints)
@@ -311,32 +308,25 @@ class PlaneConfiguration:
 # ---------------------------------------------------------------------------
 
 
-def _gather_rows(objects):
+def span(objects) -> Flat:
+    """Smallest flat containing all given points and flats, spanned by their
+    integer forms (ProjPoint.ints, Flat._int_basis)."""
     rows = []
-    fld = None
-    amb = None
+    fld = amb = None
     for obj in objects:
         if isinstance(obj, ProjPoint):
-            new = [list(obj.coords)]
-            f, a = obj.field, obj.ambient_dim
+            new = (obj.ints,)
         elif isinstance(obj, Flat):
-            new = [list(r) for r in obj.basis]
-            f, a = obj.field, obj.ambient_dim
+            new = obj._int_basis
         else:
             raise TypeError(f"cannot span {type(obj).__name__}")
         if fld is None:
-            fld, amb = f, a
-        elif f != fld or a != amb:
+            fld, amb = obj.field, obj.ambient_dim
+        elif obj.field != fld or obj.ambient_dim != amb:
             raise ValueError("span inputs must share one ambient space")
         rows.extend(new)
     if fld is None:
         raise EmptyInputError("span of an empty collection")
-    return rows, fld, amb
-
-
-def span(objects) -> Flat:
-    """Smallest flat containing all given points and flats."""
-    rows, fld, amb = _gather_rows(objects)
     return Flat.from_generators(fld, amb, rows)
 
 

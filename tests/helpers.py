@@ -201,6 +201,82 @@ def cover_oracle(gamma: PointSet, candidates, d: int, max_length: int) -> bool:
     return False
 
 
+def rank_by_field_ops(rows, field) -> int:
+    """Rank by forward Gaussian elimination on the FieldSpec element ops
+    (independent of linalg's elimination bodies)."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = field.inv(m[rank][c])
+        for i in range(rank + 1, len(m)):
+            f = field.mul(m[i][c], inv)
+            if f != 0:
+                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@functools.lru_cache(maxsize=4)
+def _subset_ranks(gamma: PointSet) -> list:
+    """The rank of the cone over every subset of gamma, indexed by point mask
+    (kept for the last few sets, which both cover oracles read)."""
+    rows = [pt.coords for pt in gamma]
+    return [rank_by_field_ops([row for i, row in enumerate(rows) if mask >> i & 1], gamma.field)
+            for mask in range(1 << len(rows))]
+
+
+def min_cover_dim_by_partitions(gamma: PointSet) -> int:
+    """The least dimension of a plane configuration covering a nonempty gamma,
+    as the least sum of max(rank - 1, 1) over the set partitions of gamma: a
+    part costs the dimension of its span, a single point a line through it.
+    Computed by a DP over masks, each part holding the lowest point left;
+    practical up to about 10 points."""
+    rk = _subset_ranks(gamma)
+    best = [0] * len(rk)
+    for mask in range(1, len(rk)):
+        low = mask & -mask
+        rest = sub = mask ^ low
+        got = None
+        while True:
+            part = sub | low
+            cost = max(rk[part] - 1, 1) + best[mask ^ part]
+            if got is None or cost < got:
+                got = cost
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        best[mask] = got
+    return best[-1]
+
+
+def min_cover_dim_by_rich_flats(gamma: PointSet) -> int:
+    """The least covering dimension of a nonempty gamma by the rich-flat
+    formula: the minimum, over sets C of rich flats (of dim k >= 1 holding at
+    least 2k + 1 points of gamma), of sum(dim F for F in C) + ceil(m / 2),
+    where the m points outside every flat of C are paired on lines.  The
+    flats are the spans of every subset, their points read off brute-force
+    ranks."""
+    rk = _subset_ranks(gamma)
+    full = len(rk) - 1
+    rich = set()
+    for mask in range(1, full + 1):
+        k = rk[mask] - 1
+        closure = sum(1 << i for i in range(len(gamma)) if rk[mask | 1 << i] == rk[mask])
+        if k >= 1 and closure.bit_count() >= 2 * k + 1:
+            rich.add((closure, k))
+    best = {0: 0}  # union of the flats of C -> least sum of their dims
+    for flat_mask, k in sorted(rich):
+        for union, cost in list(best.items()):
+            grown = union | flat_mask
+            if cost + k < best.get(grown, cost + k + 1):
+                best[grown] = cost + k
+    return min(cost + ((full & ~union).bit_count() + 1) // 2 for union, cost in best.items())
+
+
 def first_containing_plane(gamma: PointSet, cfg):
     """Per point of gamma, the index of the first plane of cfg containing it."""
     return tuple(next(j for j, pl in enumerate(cfg.planes) if pl.contains(pt)) for pt in gamma)
@@ -424,6 +500,32 @@ def random_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -
             continue
         seen.add(pt.coords)
         pts.append(pt)
+    return PointSet(field, n, tuple(pts))
+
+
+def clustered_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -> PointSet:
+    """count distinct points of P^n (at most the number of points of P^n over
+    GF(p)): past the first two, about half are nonzero combinations of two or
+    three earlier points, so lines and planes hold more points than their
+    generators."""
+    pts, seen = [], set()
+    while len(pts) < count:
+        if len(pts) < 2 or rng.random() < 0.5:
+            if field.is_prime_field:
+                coords = [rng.randrange(field.p) for _ in range(n + 1)]
+            else:
+                coords = [rng.randint(-9, 9) for _ in range(n + 1)]
+        else:
+            gens = rng.sample(pts, rng.randint(2, min(3, len(pts))))
+            coeffs = [rng.randint(1, field.p - 1) if field.is_prime_field
+                      else rng.choice((-3, -1, 1, 2)) for _ in gens]
+            coords = combine(coeffs, [pt.coords for pt in gens], field)
+        if not any(coords):
+            continue
+        pt = ProjPoint(field, coords)
+        if pt.coords not in seen:
+            seen.add(pt.coords)
+            pts.append(pt)
     return PointSet(field, n, tuple(pts))
 
 

@@ -21,6 +21,7 @@ from cb_lab import (
     span,
 )
 from cb_lab.cli import main
+from cb_lab.cover import CoverResult
 from cb_lab.errors import FieldTooSmallError
 
 from helpers import record_cover_flats
@@ -225,6 +226,24 @@ def test_conic_draws_too_big_for_the_field_are_discarded(p, monkeypatch):
     argv = ["verify-conjecture", "--d", "5", "--r", "3", "--field", str(p),
             "--trials", "40", "--seed", "1"]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("d, searches", [(1, 1), (2, 1), (3, 2), (4, 2)])
+def test_conjecture_trial_repeats_no_search(gf101, d, searches, monkeypatch):
+    # For d <= 2 the length-2 search is the length-d one: one search, not two.
+    gamma = gen_rnc(2, 5, gf101, seed=1)
+    calls = []
+
+    def not_found(gamma, d, max_length, node_budget=None):
+        calls.append((d, max_length))
+        return CoverResult(False, None, 0, 0, 1, True)
+
+    monkeypatch.setattr(campaign, "_draw_trial_set", lambda rec, rng, field: gamma)
+    monkeypatch.setattr(campaign, "exists_cover", not_found)
+    rec = {"d": d, "r": 2}
+    assert campaign._conjecture_trial(rec, None, gf101, 10) is gamma
+    assert len(calls) == searches and calls[0] == (d, min(2, d))
+    assert rec["violation"] and not rec["cover_found"] and not rec["cover_length_le_2"]
 
 
 def test_exhaustive_lower_bound_p1_gf5():

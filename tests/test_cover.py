@@ -28,8 +28,11 @@ from cb_lab.errors import BudgetExceededError
 from helpers import (
     candidate_flats_by_fractions,
     candidate_flats_oracle,
+    clustered_point_set,
     cover_oracle,
     first_containing_plane,
+    min_cover_dim_by_partitions,
+    min_cover_dim_by_rich_flats,
     mixed_rational_point_set,
     random_point_set,
     record_cover_flats,
@@ -406,6 +409,42 @@ def test_search_agrees_with_oracle(gf101):
             if got.found:
                 assert verify_cover(gamma, got.config)
                 assert got.dim <= d and got.length <= ml
+
+
+def _oracle_sets(field, rng):
+    """Random and clustered sets of 2 to 9 points in P^2 .. P^5."""
+    for n in range(2, 6):
+        cap = 9 if not field.is_prime_field else min(9, (field.p ** (n + 1) - 1) // (field.p - 1))
+        for draw in [random_point_set] * 4 + [clustered_point_set] * 6:
+            yield draw(field, n, rng.randint(2, cap), rng)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, FieldSpec.prime(5), GF101, Q], ids=str)
+def test_min_cover_dim_matches_partition_and_rich_flat_oracles(field):
+    # Neither oracle reads candidate_flats: one minimises over the set
+    # partitions of gamma, the other over sets of rich flats of brute-force spans.
+    rng = random.Random(f"cover-dim-{field}")
+    rich = 0
+    for gamma in _oracle_sets(field, rng):
+        want = min_cover_dim_by_partitions(gamma)
+        assert min_cover_dim_by_rich_flats(gamma) == want, gamma.to_json()
+        res = min_cover(gamma)
+        assert res.dim == want and res.length <= res.dim, gamma.to_json()
+        assert exists_cover(gamma, want, want).found
+        assert not exists_cover(gamma, want - 1, max(want - 1, 1)).found
+        rich += want < (len(gamma) + 1) // 2
+    assert rich  # some set is covered below the cost of pairing its points on lines
+
+
+@pytest.mark.parametrize("field", [GF3, GF101, Q], ids=str)
+def test_min_cover_length_never_exceeds_its_dim(field):
+    sets = [gen_rnc(k, 4, field, seed=k) for k in (2, 3, 4)]
+    sets += [gen_skew_lines(2, (3, 3), field, seed=1)[0],
+             gen_skew_lines(3, (3, 3, 2), field, seed=2)[0]]
+    sets += [gen_two_plane_conics(4, field, seed=1)[0]] if field != GF3 else []
+    for gamma in sets:
+        res = min_cover(gamma)
+        assert res.found and 1 <= res.length <= res.dim
 
 
 def test_structured_sets_agree_with_oracle(gf101):

@@ -130,6 +130,22 @@ def test_rnc_rational():
     assert len(ps) == 10 and ps.ambient_dim == 2
 
 
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.prime(101),
+                                   FieldSpec.rational()], ids=str)
+def test_rnc_powers_are_the_plain_powers(field):
+    # Each point is (1 : t : ... : t^k), its powers taken mod p over GF(p);
+    # m = p + 1 over GF(p) takes every t in range(p).
+    mod = field.p if field.is_prime_field else None
+    draws = ((field.p + 1, 0), (min(5, field.p), 1)) if mod else ((5, 0), (9, 1))
+    for k in range(1, 7):
+        for m, seed in draws:
+            for pt in gen_rnc(k, m, field, seed=seed):
+                if pt.coords[0] == 0:  # the point at infinity
+                    continue
+                t = int(pt.coords[1])
+                assert pt.coords == tuple(t**i % mod if mod else t**i for i in range(k + 1))
+
+
 def test_skew_lines_families(gf101):
     pts, cfg = gen_skew_lines(2, (5, 5), gf101, seed=3)
     assert len(pts) == 10 and is_split(cfg)

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from cb_lab import FieldSpec
-from cb_lab.linalg import dot, in_row_space, kernel, rank, rref, rref_int, transpose
+from cb_lab import FieldSpec, cb, gen_rnc, gen_skew_lines, linalg
+from cb_lab.linalg import dot, echelon, in_row_space, kernel, primitive, rank, rref, transpose
 
 from helpers import fraction_ge_rref, rank_oracle, two_rref_kernel
 
@@ -178,10 +179,73 @@ def test_rref_int_with_planted_zero_repeated_and_proportional_rows():
                 row = [Fraction(rng.choice((-7, -2, 3, 5)), rng.randint(1, 9)) * x
                        for x in rng.choice(rows)]
             rows.insert(rng.randint(0, len(rows)), row)
-        ints, piv, scale = rref_int(rows)
+        ints, piv = echelon(rows, q)
+        scale = ints[0][piv[0]] if ints else 1
         basis, piv_oracle = fraction_ge_rref(rows)
         assert piv == piv_oracle
         assert all(type(x) is int for row in ints for x in row)
         assert [tuple(Fraction(x, scale) for x in row) for row in ints] == basis
         assert len(ints) == rank(rows, q) == rank_oracle(rows, q)
     assert kinds == {"zero", "repeated", "proportional"}
+
+
+def test_primitive_scales_to_content_one_with_a_positive_lead():
+    assert primitive((0, -4, 6, Fraction(-2))) == (0, 2, -3, 1)
+    assert primitive([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
+    assert primitive((0, 0, 0)) == (0, 0, 0) and primitive(()) == ()
+    rng = random.Random(41)
+    for _ in range(200):
+        row = [rng.choice((0, rng.randint(-50, 50))) for _ in range(rng.randint(1, 6))]
+        got = primitive(row)
+        assert all(type(x) is int for x in got)
+        if not any(row):
+            assert got == tuple(row)
+            continue
+        assert gcd(*got) == 1 and next(x for x in got if x) > 0
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+        assert primitive([scale * x for x in row]) == got  # one point, any representative
+
+
+def test_echelon_over_gf_p_takes_unreduced_ints():
+    # cb feeds unreduced evaluation rows; echelon returns the residue form of
+    # the reduced rows, every entry in range(p).
+    rng = random.Random(43)
+    for p in (2, 5, 101):
+        field = FieldSpec.prime(p)
+        for _ in range(60):
+            rows = _random_rows(field, rng.randint(1, 5), rng.randint(1, 6), rng)
+            lifted = [[x + p * rng.randint(-3, 3) for x in row] for row in rows]
+            got = echelon(lifted, field)
+            assert got == echelon(rows, field) == rref(rows, field)
+            assert all(0 <= x < p for row in got[0] for x in row)
+
+
+def test_echelon_rank_and_failing_indices_build_no_fraction_over_q(monkeypatch):
+    q = FieldSpec.rational()
+    rng = random.Random(47)
+    cases = []
+    for _ in range(60):
+        rows = _random_rows(q, rng.randint(1, 5), rng.randint(1, 5), rng)
+        if rng.random() < 0.5:
+            rows = [[int(x * 12) for x in row] for row in rows]
+        basis, piv = fraction_ge_rref(rows)
+        cases.append((rows, basis, piv))
+    gammas = [gen_rnc(2, 5, q, seed=1), gen_skew_lines(2, (3, 2), q, seed=2)[0]]
+    evals = [cb._rows(gamma, r) for gamma in gammas for r in (1, 2, 3)]
+    failing = [[i for i in range(len(rows))
+                if len(fraction_ge_rref(rows[:i] + rows[i + 1:])[0]) < len(fraction_ge_rref(rows)[0])]
+               for rows in evals]
+    assert any(failing) and not all(failing)
+
+    def no_fraction(*args):
+        raise AssertionError("linalg built a Fraction")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    for rows, basis, piv in cases:
+        ints, got_piv = echelon(rows, q)
+        assert got_piv == piv and rank(rows, q) == len(basis)
+        assert all(row[c] == ints[0][piv[0]] for row, c in zip(ints, piv))
+    for rows, want in zip(evals, failing):
+        assert cb._failing_indices(rows, q) == want
+    with pytest.raises(AssertionError, match="built a Fraction"):
+        rref([[1, 2]], q)

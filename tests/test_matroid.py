@@ -326,6 +326,15 @@ def test_flat_list_input_is_checked_where_it_enters():
         Matroid.from_json({"flats": sets})
 
 
+@pytest.mark.parametrize("obj", [
+    {}, [], {"flats": None}, {"flats": "01"}, {"flats": [[0, 1], "x"]}, {"flats": []},
+    {"flats": [[]]}, {"flats": [[0, -1], [0]]}, {"flats": [[0, 1.5]]}, {"flats": [[True]]},
+])
+def test_matroid_from_json_raises_typed_errors(obj):
+    with pytest.raises(ValueError, match="malformed matroid JSON"):
+        Matroid.from_json(obj)
+
+
 def test_ground_too_large(gf101):
     u = Matroid.uniform(2, 21)
     with pytest.raises(GroundTooLargeError):

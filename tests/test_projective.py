@@ -25,9 +25,15 @@ from cb_lab import (
     span,
 )
 from cb_lab.errors import DuplicatePointError, EmptyInputError, FieldTooSmallError
-from cb_lab.linalg import _clear_row, in_row_space, reduce_against
+from cb_lab.linalg import in_row_space, primitive, reduce_against
 
-from helpers import in_span_by_fractions, intersection_dim_oracle, random_point_set, rank_oracle
+from helpers import (
+    in_span_by_fractions,
+    intersection_dim_oracle,
+    mixed_rational_point_set,
+    random_point_set,
+    rank_oracle,
+)
 
 
 def _line(field, a, b):
@@ -67,7 +73,7 @@ def test_point_ints_is_the_primitive_vector(gf7):
         pt = ProjPoint(q, raw)
         ints = pt.ints
         assert all(type(x) is int for x in ints)
-        assert ints == tuple(_clear_row(pt.coords))
+        assert ints == primitive(pt.coords)
         assert math.gcd(*ints) == 1 and next(x for x in ints if x) > 0
         # Scaled by a negative or fractional factor, or given as ints: one point.
         scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
@@ -424,6 +430,22 @@ def test_configuration_invariants(gf101):
 def test_span_empty_input():
     with pytest.raises(EmptyInputError):
         span([])
+
+
+def test_span_errors_come_in_input_order_and_rows_are_the_integer_forms(gf7, gf101):
+    a, b = ProjPoint(gf7, (1, 2, 3)), ProjPoint(gf101, (1, 2, 3))
+    for objs, exc in (([a, "x"], TypeError), (["x", a], TypeError), ([a, b], ValueError),
+                      ([a, ProjPoint(gf7, (1, 2)), "x"], ValueError), ([a, b, "x"], ValueError)):
+        with pytest.raises(exc):
+            span(objs)
+    # Over Q a span of points and flats is the span of their Fraction rows.
+    q = FieldSpec.rational()
+    rng = random.Random(59)
+    for _ in range(20):
+        pts = list(mixed_rational_point_set(4, rng.randint(2, 5), rng))
+        flat = span(pts[:2])
+        rows = [pt.coords for pt in pts[2:]] + list(flat.basis)
+        assert span(pts[2:] + [flat]) == Flat.from_generators(q, 4, rows)
 
 
 def test_dimension_formula_rational():

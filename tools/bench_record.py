@@ -41,8 +41,8 @@ LOWER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == 
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 LAYER_SPLIT = ("linalg.reduce_against.calls", "linalg.dot.calls", "cover.candidate_flats.flats",
                "cover.candidate_flats.self_s", "cover.min_cover.self_s", "linalg.rref.self_s",
-               "linalg.in_row_space.self_s", "projective.self_s", "forms.eval_matrix.self_s",
-               "cb.is_cb.self_s", "generators.gen_rnc.self_s",
+               "linalg.rank.self_s", "linalg.in_row_space.self_s", "projective.self_s",
+               "forms.eval_matrix.self_s", "cb.is_cb.self_s", "generators.gen_rnc.self_s",
                "generators.gen_plane_curve_ci.self_s", "generators.gen_elliptic_quartic.self_s",
                "trace.traced_s")
 
