@@ -10,7 +10,7 @@ per free column f, supported on f and on the pivot columns whose reduced
 row is nonzero at f.  So the failing points are the pivot columns i whose
 reduced row is the unit vector e_i.  On failure the witness is the first
 canonical kernel vector of the punctured set that does not vanish at the
-omitted point.
+omitted point; the vectors are built one at a time, so none after it is.
 
 The evaluation rows are built unreduced from each point's ints (residues
 over GF(p), the primitive integer vector over Q) and linalg.echelon reduces
@@ -77,11 +77,10 @@ def _rows(gamma: PointSet, r: int):
 
 def _witness_for(rows, omit: int, field: FieldSpec, ncols: int) -> tuple:
     punctured = [row for i, row in enumerate(rows) if i != omit]
-    ker = linalg.kernel(punctured, ncols, field)
     target = rows[omit]
-    for vec in ker:
+    for vec in linalg._kernel_vectors(punctured, ncols, field):
         if linalg.dot(vec, target, field) != 0:
-            return tuple(vec)
+            return vec
     raise AssertionError("rank dropped but no separating kernel vector found")
 
 

@@ -708,15 +708,23 @@ def _has_three_collinear(pts, q1, q2, field: FieldSpec) -> bool:
     t (grad q(a) . b) + t^2 q(b).  When u and v are independent those planes
     meet in the only candidate line, which holds a (Euler: u.a = 2 q1(a) = 0)
     and lies in both quadrics iff both vanish at one more of its points b.
-    Where u and v are dependent, the lines through a and the other points
-    are compared instead.  Each test is O(1) per point outside that case.
+    With j the index of a's leading 1, b is the point where the line meets
+    x_j = 0: the cross product of u and v with coordinate j dropped, a 0
+    put back at j.  It is not a multiple of a (b_j = 0), and it is zero only
+    when u and v are dependent (a combination of them vanishing off j would
+    be nonzero at a, against Euler); then the lines through a and the other
+    points are compared instead.  Each test is O(1) per point outside that
+    case.
     """
     p = field.p
     for a in pts:
-        ker = linalg.kernel([_gradient(q1, a, p), _gradient(q2, a, p)], 4, field)
-        if len(ker) == 2:
-            # Kernel vectors and points both lead with 1: proportional means equal.
-            b = ker[1] if ker[0] == a else ker[0]
+        j = a.index(1)
+        u = _gradient(q1, a, p)
+        v = _gradient(q2, a, p)
+        (u0, u1, u2), (v0, v1, v2) = u[:j] + u[j + 1:], v[:j] + v[j + 1:]
+        b = [(u1 * v2 - u2 * v1) % p, (u2 * v0 - u0 * v2) % p, (u0 * v1 - u1 * v0) % p]
+        if any(b):
+            b.insert(j, 0)
             if _quadric_value(q1, b, p) == 0 and _quadric_value(q2, b, p) == 0:
                 return True
             continue

@@ -11,7 +11,10 @@ squares the residue, multiplies it by t + a (a shift, plus a times the
 residue) when the bit is set, and folds the top coefficients back with
 t^n = -(f_0 + ... + f_(n-1) t^(n-1)) for the monic f of degree n, taking one
 % p per coefficient.  A degree-n polynomial costs O(n^2 log p) field
-operations.
+operations.  A factor t^2 + bt + c of two roots is not split but solved:
+its roots are (-b +- s)/2, s a square root of the nonzero square b^2 - 4c
+taken by Tonelli-Shanks with the least quadratic non-residue, so this step
+draws nothing either.
 """
 
 from __future__ import annotations
@@ -119,6 +122,12 @@ def _split(g, p: int, found: list, start: int) -> None:
     if len(g) == 2:
         found.append(-g[0] % p)
         return
+    if len(g) == 3:
+        c, b = g[0], g[1]
+        s = _sqrt((b * b - 4 * c) % p, p)
+        half = (p + 1) // 2
+        found += [(-b + s) * half % p, (-b - s) * half % p]
+        return
     # Two roots r != s fall on opposite sides for about half of all shifts a
     # (quadratic character of r + a versus s + a), so p shifts always split.
     for a in range(start, start + p):
@@ -128,3 +137,29 @@ def _split(g, p: int, found: list, start: int) -> None:
             _split(quo_rem(g, d, p)[0], p, found, a + 1)
             return
     raise AssertionError("unreachable: no shift splits distinct roots")
+
+
+def _sqrt(a: int, p: int) -> int:
+    """A square root of the nonzero square a mod the odd prime p
+    (Tonelli-Shanks); the non-residue is the least one, found only when
+    a^q is not 1 for p - 1 = q 2^k, q odd."""
+    q, k = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        k += 1
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t == 1:
+        return r
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (k - i - 1), p)
+        k, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r

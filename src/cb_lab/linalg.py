@@ -21,7 +21,8 @@ the plain residual of a Fraction basis.
 dot and combine have one body for both fields: native int or Fraction
 products summed from the field's zero, reduced mod p once per output entry
 over GF(p).  The FieldSpec element ops are the reference they are tested
-against.  kernel reads its basis off a single rref.
+against.  kernel reads its basis off a single rref, one vector at a time
+for a reader that stops early (cb's witness).
 
 The reduced echelon basis (zero rows dropped) is the canonical form used
 everywhere for subspace identity: equal row spaces yield identical bases.
@@ -167,10 +168,14 @@ def kernel(rows, ncols: int, field: FieldSpec):
     columns to the right of it and zeros at every other free column, so the
     vectors taken with f descending are already the reduced echelon basis.
     """
+    return list(_kernel_vectors(rows, ncols, field))
+
+
+def _kernel_vectors(rows, ncols: int, field: FieldSpec):
+    """kernel's basis vectors in order, each built only when it is read."""
     basis, piv = rref([row[::-1] for row in rows], field)
     pivset = set(piv)
     zero, one = field.zero(), field.one()
-    vecs = []
     for f in range(ncols - 1, -1, -1):
         if f in pivset:
             continue
@@ -180,8 +185,7 @@ def kernel(rows, ncols: int, field: FieldSpec):
             if pc > f:
                 break
             v[ncols - 1 - pc] = field.neg(row[f])
-        vecs.append(tuple(v))
-    return vecs
+        yield tuple(v)
 
 
 def transpose(rows):

@@ -136,6 +136,37 @@ def test_witness_validity_fuzz(gf101):
     assert checked >= 20
 
 
+def test_witness_builds_kernel_vectors_only_up_to_the_first_separating_one(monkeypatch):
+    # three points of P^1 fail CB(r) for every r >= 1, and the punctured
+    # kernel has r - 1 vectors of length r + 1: the witness is the first
+    # vector that separates the omitted point, and no vector after it is built
+    from cb_lab import linalg
+
+    field = FieldSpec.prime(7)
+    gamma = PointSet(field, 1, tuple(ProjPoint(field, c) for c in [(1, 0), (0, 1), (1, 1)]))
+    built = []
+    kernel_vectors = linalg._kernel_vectors
+
+    def counting(rows, ncols, fld):
+        for vec in kernel_vectors(rows, ncols, fld):
+            built.append(vec)
+            yield vec
+
+    monkeypatch.setattr(linalg, "_kernel_vectors", counting)
+    for r in (2, 30, 4000):
+        built.clear()
+        rep = is_cb(gamma, r)
+        assert not rep.verdict
+        assert len(built) == 1
+        rows = eval_matrix(gamma, r).rows
+        omit = rep.witness.omitted_point_index
+        if r <= 30:
+            punctured = rows[:omit] + rows[omit + 1:]
+            want = next(v for v in kernel(punctured, r + 1, field) if dot(v, rows[omit], field))
+            assert rep.witness.form_coefficients == want
+        assert dot(rep.witness.form_coefficients, rows[omit], field) != 0
+
+
 def test_empty_and_degree_zero_conventions(gf101):
     empty = PointSet(gf101, 2, ())
     for r in range(4):

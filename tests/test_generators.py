@@ -615,12 +615,13 @@ def test_elliptic_quartic_large_prime_is_fast(monkeypatch):
     assert hashlib.sha256(_pointset_bytes(ps).encode()).hexdigest() == _LARGE_PRIME_QUARTIC
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
 def test_three_collinear_matches_pair_scan(p):
     field = FieldSpec.prime(p)
     sqrts = _sqrt_table(p)
     rng = random.Random(p)
     outcomes = set()
+    leads = set()  # the index of each curve point's leading 1, where the cross product drops it
     for i in range(120):
         q1, q2 = (tuple(rng.randrange(p) for _ in range(10)) for _ in range(2))
         if i % 3 == 0:  # no x0^2, x0x1, x1^2 terms: both contain the line x2 = x3 = 0
@@ -633,7 +634,9 @@ def test_three_collinear_matches_pair_scan(p):
         got = _has_three_collinear([pt.coords for pt in curve], q1, q2, field)
         assert got == has_three_collinear_by_pairs(curve, field), (q1, q2)
         outcomes.add(got)
+        leads.update(pt.coords.index(1) for pt in curve)
     assert outcomes == {True, False}
+    assert leads > {0}
 
 
 def test_line_key_matches_rref_key():

@@ -94,3 +94,39 @@ def test_arithmetic_identities(p):
             if bit == "1":
                 want = gfpoly.mod(poly_mul(want, base, p), g, p)
         assert gfpoly._linear_power(a, e, g, p) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 97, 193, 257, 7681, 65537])
+def test_sqrt_matches_brute_force(p):
+    # p - 1 = q 2^k with k up to 16 (65537 = 2^16 + 1): every Tonelli-Shanks
+    # step count is taken, and the early return when a^q = 1
+    rts = {}
+    for x in range(1, p):
+        rts.setdefault(x * x % p, set()).add(x)
+    squares = sorted(rts)
+    if p > 10000:
+        squares = random.Random(p).sample(squares, 3000)
+    for a in squares:
+        assert gfpoly._sqrt(a, p) in rts[a]
+
+
+def test_roots_of_every_product_of_two_distinct_linear_factors_over_gf17():
+    # the degree-2 factor left by the gcd is solved by the quadratic formula
+    p = 17
+    for r in range(p):
+        for s in range(r + 1, p):
+            for lead in (1, 3, p - 1):
+                f = _product([[-r, 1], [-s, 1], [lead]], p)
+                assert gfpoly.roots(f, p) == _brute_roots(f, p) == [r, s]
+
+
+@pytest.mark.parametrize("p, brute", [(257, 200), (100003, 3)])
+def test_roots_of_random_products_of_two_distinct_linear_factors(p, brute):
+    rng = random.Random(p)
+    for i in range(200):
+        r, s = rng.sample(range(p), 2)
+        f = _product([[-r, 1], [-s, 1], [rng.randrange(1, p)]], p)
+        got = gfpoly.roots(f, p)
+        assert got == sorted([r, s])
+        if i < brute:
+            assert got == _brute_roots(f, p)
