@@ -2,10 +2,12 @@
 
 Every subcommand is a thin adapter over the library and returns the same
 results as direct calls.  Exit codes: 0 success / verdict true, 1 asserted
-verdict false, 2 usage error, 3 search budget exceeded.  All randomness
-flows from the explicit --seed; --json switches stdout to machine-readable
-JSON.  The environment variable CB_LAB_NODE_BUDGET overrides the default
-search budget.
+verdict false, 2 usage error, 3 search budget exceeded.  A usage error is any
+bad flag combination or malformed input file, including a JSON object that
+repeats a key; each raises inside its command and main maps it to one
+`error:` line on stderr.  All randomness flows from the explicit --seed;
+--json switches stdout to machine-readable JSON.  The environment variable
+CB_LAB_NODE_BUDGET overrides the default search budget.
 """
 
 from __future__ import annotations
@@ -50,9 +52,19 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-def _load_points(path: str) -> PointSet:
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValueError(f"repeated JSON key {key!r}")
+        obj[key] = val
+    return obj
+
+
+def _read_json(path: str):
+    """One input file's JSON; an object that repeats a key is a ValueError."""
     with open(path) as fh:
-        return PointSet.from_json(json.load(fh))
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _emit(obj, as_json: bool, text_lines):
@@ -63,14 +75,21 @@ def _emit(obj, as_json: bool, text_lines):
             print(line)
 
 
+def _report(report, args, first_line: str) -> int:
+    """Print a campaign report, write it to --output, exit 1 on a violation."""
+    _emit(report.to_json(), args.json, [first_line, f"violations: {len(report.violations)}"])
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(report.dumps())
+    return EXIT_FALSE if report.violations else EXIT_OK
+
+
 def _cmd_generate(args) -> int:
     if args.spec:
-        with open(args.spec) as fh:
-            spec = GenSpec.from_json(json.load(fh))
+        spec = GenSpec.from_json(_read_json(args.spec))
+    elif not args.family:
+        raise ValueError("--family or --spec required")
     else:
-        if not args.family:
-            print("error: --family or --spec required", file=sys.stderr)
-            return EXIT_USAGE
         spec = GenSpec.make(
             args.family, _parse_params(args.params or ""),
             _parse_field(args.field), args.seed,
@@ -86,7 +105,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check_cb(args) -> int:
-    gamma = _load_points(args.input)
+    gamma = PointSet.from_json(_read_json(args.input))
     report = is_cb(gamma, args.r)
     obj = report.to_json(gamma.field)
     lines = [f"CB({args.r}): {'true' if report.verdict else 'false'}"]
@@ -98,7 +117,9 @@ def _cmd_check_cb(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    gamma = _load_points(args.input)
+    if not args.min and args.dim is None:
+        raise ValueError("--dim required unless --min")
+    gamma = PointSet.from_json(_read_json(args.input))
     if args.min:
         res = min_cover(gamma)
     else:
@@ -116,31 +137,23 @@ def _cmd_cover(args) -> int:
 
 def _cmd_verify_conjecture(args) -> int:
     if args.replay:
-        with open(args.replay) as fh:
-            record = json.load(fh)
-        out = replay_record(record)
+        out = replay_record(_read_json(args.replay))
         _emit(out, args.json, [f"replay matches: {out['matches']}"])
         return EXIT_OK if out["matches"] else EXIT_FALSE
+    if args.d is None or not args.r:
+        raise ValueError("--d and --r required (or --replay)")
     spec = CampaignSpec(
         target="conjecture", d_values=(args.d,), r_values=tuple(args.r),
         field=_parse_field(args.field), trials=args.trials, seed=args.seed,
     )
     report = run_campaign(spec)
-    obj = report.to_json()
-    nviol = len(report.violations)
-    _emit(obj, args.json, [
-        f"trials: {len(report.records)}",
-        f"violations: {nviol}",
-    ])
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(report.dumps())
-    return EXIT_OK if nviol == 0 else EXIT_FALSE
+    return _report(report, args, f"trials: {len(report.records)}")
 
 
 def _cmd_matroid(args) -> int:
-    gamma = _load_points(args.input)
-    m = Matroid.from_points(gamma)
+    if args.mcb is None and not args.flat_cover:
+        raise ValueError("need --mcb and/or --flat-cover")
+    m = Matroid.from_points(PointSet.from_json(_read_json(args.input)))
     code = EXIT_OK
     obj = {}
     lines = []
@@ -157,32 +170,20 @@ def _cmd_matroid(args) -> int:
         lines.append(f"flat cover {dims}: {'found ' + str(got) if got else 'none'}")
         if got is None:
             code = EXIT_FALSE
-    if not obj:
-        print("error: need --mcb and/or --flat-cover", file=sys.stderr)
-        return EXIT_USAGE
     _emit(obj, args.json, lines)
     return code
 
 
 def _cmd_search(args) -> int:
+    if args.mode == "counterexample" and (args.d is None or args.size_cap is None):
+        raise ValueError("counterexample mode needs --d and --size-cap")
     field = _parse_field(args.field)
     if args.mode == "lower-bound":
         report = exhaustive_lower_bound(field, args.ambient, args.r)
     else:
-        if args.d is None or args.size_cap is None:
-            print("error: counterexample mode needs --d and --size-cap", file=sys.stderr)
-            return EXIT_USAGE
         report = counterexample_search(field, args.ambient, args.r, args.d, args.size_cap)
-    obj = report.to_json()
-    nviol = len(report.violations)
-    _emit(obj, args.json, [
-        f"subsets examined: {sum(r.get('subsets', 0) for r in report.records)}",
-        f"violations: {nviol}",
-    ])
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(report.dumps())
-    return EXIT_OK if nviol == 0 else EXIT_FALSE
+    subsets = sum(r.get("subsets", 0) for r in report.records)
+    return _report(report, args, f"subsets examined: {subsets}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,31 +194,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="generate an example-family point set")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    g = command("generate", _cmd_generate, "generate an example-family point set")
     g.add_argument("--family", choices=tuple(FAMILIES))
     g.add_argument("--params", help="comma list key=value (lists as a:b:c)")
     g.add_argument("--field", default="101", help="prime p or Q")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--spec", help="GenSpec JSON file (overrides the flags)")
     g.add_argument("-o", "--output")
-    g.add_argument("--json", action="store_true")
-    g.set_defaults(func=_cmd_generate)
 
-    c = sub.add_parser("check-cb", help="decide CB(r) for a point set")
+    c = command("check-cb", _cmd_check_cb, "decide CB(r) for a point set")
     c.add_argument("-i", "--input", required=True)
     c.add_argument("--r", type=int, required=True)
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(func=_cmd_check_cb)
 
-    v = sub.add_parser("cover", help="search for a plane-configuration cover")
+    v = command("cover", _cmd_cover, "search for a plane-configuration cover")
     v.add_argument("-i", "--input", required=True)
     v.add_argument("--dim", type=int)
     v.add_argument("--max-length", type=int)
     v.add_argument("--min", action="store_true", help="minimal (dim, length) cover")
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(func=_cmd_cover)
 
-    j = sub.add_parser("verify-conjecture", help="run a covering-conjecture campaign")
+    j = command("verify-conjecture", _cmd_verify_conjecture,
+                "run a covering-conjecture campaign")
     j.add_argument("--d", type=int)
     j.add_argument("--r", type=int, action="append")
     j.add_argument("--trials", type=int, default=20)
@@ -225,17 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--field", default="101")
     j.add_argument("--replay", help="re-verify a single record JSON file")
     j.add_argument("-o", "--output")
-    j.add_argument("--json", action="store_true")
-    j.set_defaults(func=_cmd_verify_conjecture)
 
-    m = sub.add_parser("matroid", help="matroid CB condition and flat covers")
+    m = command("matroid", _cmd_matroid, "matroid CB condition and flat covers")
     m.add_argument("-i", "--input", required=True)
     m.add_argument("--mcb", type=int)
     m.add_argument("--flat-cover", help="comma list of flat dimensions")
-    m.add_argument("--json", action="store_true")
-    m.set_defaults(func=_cmd_matroid)
 
-    s = sub.add_parser("search", help="exhaustive lower-bound / counterexample scans")
+    s = command("search", _cmd_search, "exhaustive lower-bound / counterexample scans")
     s.add_argument("--mode", choices=("lower-bound", "counterexample"), required=True)
     s.add_argument("--field", required=True)
     s.add_argument("--ambient", type=int, required=True)
@@ -243,33 +240,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--d", type=int)
     s.add_argument("--size-cap", type=int)
     s.add_argument("-o", "--output")
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(func=_cmd_search)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "verify-conjecture" and not args.replay:
-        if args.d is None or not args.r:
-            print("error: --d and --r required (or --replay)", file=sys.stderr)
-            return EXIT_USAGE
-    if args.command == "cover" and not args.min and args.dim is None:
-        print("error: --dim required unless --min", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (CbLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (CbLabError, OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_USAGE
 
 
 def entry() -> None:

@@ -48,8 +48,8 @@ def _exponents(nvars: int, total: int):
 @lru_cache(maxsize=64)
 def monomial_basis(n: int, r: int) -> MonomialBasis:
     """The degree-r monomial basis on P^n; count is binomial(n+r, r)."""
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
+    if n < 0 or r < 0:
+        raise ValueError("need n >= 0 and r >= 0")
     monos = tuple(_exponents(n + 1, r))
     assert len(monos) == comb(n + r, r)
     return MonomialBasis(n, r, monos)

@@ -177,13 +177,9 @@ def _rand_point(field: FieldSpec, n: int, rng: random.Random) -> ProjPoint:
             return ProjPoint(field, coords)
 
 
-def _distinct_params(field: FieldSpec, count: int, rng: random.Random):
-    """count distinct scalars, seeded: residues over GF(p), small plain ints
+def _distinct_params(count: int, rng: random.Random):
+    """count distinct small plain ints, seeded: the curve and line parameters
     over Q (a ProjPoint built from them coerces its coordinates)."""
-    if field.kind == PRIME:
-        if count > field.p:
-            raise FieldTooSmallError(f"need {count} distinct elements of {field}")
-        return rng.sample(range(field.p), count)
     lo, hi = -5 * count - 5, 5 * count + 5
     return rng.sample(range(lo, hi + 1), count)
 
@@ -213,7 +209,7 @@ def gen_rnc(k: int, m: int, field: FieldSpec, seed: int) -> PointSet:
         else:
             ts = rng.sample(range(field.p), m)
     else:
-        ts = _distinct_params(field, m, rng)
+        ts = _distinct_params(m, rng)
     # The powers t**i as a running product, over GF(p) reduced at each step.
     step = (lambda a, b: a * b % field.p) if field.kind == PRIME else mul
     pts = [ProjPoint(field, list(accumulate(repeat(t, k), step, initial=1))) for t in ts]
@@ -243,7 +239,7 @@ def _line_points(line: Flat, count: int, rng: random.Random):
             raise FieldTooSmallError(f"a line has only {total} points over {field}")
         ts = rng.sample(range(total), count)
     else:
-        ts = _distinct_params(field, count, rng)
+        ts = _distinct_params(count, rng)
     return [_line_point(line.basis, t, field) for t in ts]
 
 

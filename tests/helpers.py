@@ -31,7 +31,6 @@ from cb_lab.generators import (
     _quadric_value,
     _rand_element,
     _split_quadric,
-    _sqrt_table,
 )
 from cb_lab.linalg import combine, dot, in_row_space, kernel, reduce_against, rref
 from cb_lab.projective import _prime_coeff_tuples, enumerate_points
@@ -450,7 +449,9 @@ def quadric_points_by_scan(q_vec, field):
     alpha*w^2 + beta*w + gamma in w, roots in quadratic-formula order, and
     (0:0:0:1) last when alpha = 0."""
     p = field.p
-    sqrts = _sqrt_table(p)
+    sqrts = {}
+    for x in range(p):  # the least square root of every square, by brute force
+        sqrts.setdefault(x * x % p, x)
     inv2 = (p + 1) // 2
     alpha = q_vec[-1]
     pts = []

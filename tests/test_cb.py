@@ -269,6 +269,20 @@ def test_max_cb(gf101):
     assert max_cb(one, 3) == 0
 
 
+@pytest.mark.parametrize("field", [FieldSpec.prime(7), FieldSpec.rational()], ids=str)
+def test_one_point_of_p0(field):
+    # P^0 is one point; the only degree-r monomial is x0^r, so CB(0) holds and
+    # CB(r >= 1) fails with the witness form x0^r
+    gamma = PointSet.from_coords(field, [[1]])
+    assert gamma.ambient_dim == 0 and len(monomial_basis(0, 3)) == 1
+    assert is_cb(gamma, 0).verdict
+    for r in (1, 2, 5):
+        rep = is_cb(gamma, r)
+        assert not rep.verdict
+        assert rep.witness.omitted_point_index == 0 and rep.witness.form_coefficients == (1,)
+    assert max_cb(gamma, 4) == 0
+
+
 def test_cb_report_json(gf101):
     gamma = PointSet.from_coords(gf101, [[1, 4, 9]])
     rep = is_cb(gamma, 1)

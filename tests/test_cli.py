@@ -189,6 +189,17 @@ def test_dimension_zero_runs(capsys, tmp_path, gf101):
                                "proof_of_minimality": True}
 
 
+def test_check_cb_on_one_point_of_p0(tmp_path, capsys):
+    path = tmp_path / "p0.json"
+    path.write_text(json.dumps({"field": {"kind": "prime", "p": 7}, "ambient_dim": 0,
+                                "points": [[1]]}))
+    code, out = _run(capsys, "check-cb", "-i", str(path), "--r", "0", "--json")
+    assert code == 0 and json.loads(out) == {"r": 0, "verdict": True}
+    code, out = _run(capsys, "check-cb", "-i", str(path), "--r", "1", "--json")
+    assert code == 1
+    assert json.loads(out) == {"r": 1, "verdict": False, "witness": {"omitted": 0, "form": [1]}}
+
+
 def test_usage_errors(capsys, tmp_path):
     assert main(["no-such-command"]) == 2
     assert main(["cover", "-i", "nope.json"]) == 2  # missing --dim
@@ -310,10 +321,46 @@ _MALFORMED = [
 ]
 
 
+# Raw file text, for inputs that json.dumps cannot write: every reader rejects
+# an object that repeats a key (at any depth), and truncated JSON.
+_GENSPEC_TEXT = '{"family": "rnc", "params": {"k": 2, "m": 6}, "field": {"kind": "prime", "p": 101}'
+_POINTS_TEXT = '{"field": {"kind": "prime", "p": 101}, "ambient_dim": 1, "points": [["1", "0"]]'
+_MALFORMED += [
+    pytest.param([cmd, "-i", "{path}", *extra], text.encode(), id=f"{cmd}-{name}")
+    for cmd, extra in (
+        ("check-cb", ["--r", "1"]), ("cover", ["--dim", "1"]), ("matroid", ["--mcb", "1"])
+    )
+    for name, text in (
+        ("repeated-points", _POINTS_TEXT + ', "points": [["0", "1"], ["1", "1"]]}'),
+        ("repeated-p", _POINTS_TEXT.replace('"p": 101', '"p": 101, "p": 7') + "}"),
+        ("truncated", _POINTS_TEXT[:-8]),
+    )
+] + [
+    pytest.param(["generate", "--spec", "{path}"],
+                 (_GENSPEC_TEXT + ', "seed": 1, "seed": 2}').encode(), id="genspec-repeated-seed"),
+    pytest.param(["generate", "--spec", "{path}"], _GENSPEC_TEXT.encode(), id="genspec-truncated"),
+    pytest.param(["verify-conjecture", "--replay", "{path}"],
+                 f'{{"points": {json.dumps(_POINTS)}, "r": 1, "r": 2, "cb": true}}'.encode(),
+                 id="replay-repeated-r"),
+    pytest.param(["verify-conjecture", "--replay", "{path}"], b'{"points": {"field": ',
+                 id="replay-truncated"),
+    # usage checks that run before any input is read
+    pytest.param(["generate"], None, id="generate-no-family-no-spec"),
+    pytest.param(["generate", "--family", "rnc", "--params", "k"], None, id="flags-params-no-equals"),
+    pytest.param(["matroid", "-i", "{path}"], _POINTS, id="matroid-no-mcb-no-flat-cover"),
+    # p >= 2**31 is past the residue limit, in a file and on the command line
+    pytest.param(["check-cb", "-i", "{path}", "--r", "1"],
+                 {"field": {"kind": "prime", "p": 2**31 + 11}, "ambient_dim": 1,
+                  "points": [["1", "0"]]}, id="check-cb-p-2-31"),
+    pytest.param(["search", "--mode", "lower-bound", "--field", str(2**31 + 11), "--ambient", "1",
+                  "--r", "1"], None, id="search-p-2-31"),
+]
+
+
 @pytest.mark.parametrize("argv, payload", _MALFORMED)
 def test_malformed_json_is_usage_error(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     code = main([arg.replace("{path}", str(path)) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2

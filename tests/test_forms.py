@@ -24,6 +24,7 @@ from helpers import random_invertible_matrix, random_point_set
 def test_monomial_counts():
     assert len(monomial_basis(2, 2)) == 6
     assert len(monomial_basis(3, 0)) == 1
+    assert monomial_basis(0, 4).monomials == ((4,),)  # P^0: one monomial per degree
     assert len(monomial_basis(3, 3)) == 20
     for n, r in [(1, 4), (4, 2), (5, 3)]:
         assert len(monomial_basis(n, r)) == comb(n + r, r)
