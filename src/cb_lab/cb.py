@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import MonotonicityError
 from .fields import FieldSpec
 from .forms import monomial_basis, monomial_values
 from .projective import PlaneConfiguration, PointSet
@@ -124,16 +123,17 @@ def excise(gamma: PointSet, cfg: PlaneConfiguration) -> PointSet:
 
 
 def max_cb(gamma: PointSet, r_cap: int) -> int:
-    """Largest r <= r_cap with CB(r) true.
+    """Largest r <= r_cap with CB(r) true, by one upward scan that stops at
+    the first false verdict.
 
-    Verdicts are expected to form a downward-closed interval; the scan checks
-    this and raises MonotonicityError otherwise (possible over tiny fields
-    where avoiding hyperplanes run out).
+    The verdicts are downward closed over every field: if a form f of degree
+    r - 1 vanishes on gamma but for a point x and not at x, then x_i f, for a
+    coordinate with x_i(x) != 0, does the same in degree r.  So CB(r)
+    implies CB(r - 1), and CB(0) always holds.
     """
     if r_cap < 0:
         raise ValueError("r_cap must be nonnegative")
-    verdicts = [is_cb(gamma, rr).verdict for rr in range(r_cap + 1)]
-    best = max(i for i, v in enumerate(verdicts) if v)
-    if not all(verdicts[: best + 1]):
-        raise MonotonicityError(f"CB verdicts not an interval: {verdicts}")
-    return best
+    for r in range(1, r_cap + 1):
+        if not is_cb(gamma, r).verdict:
+            return r - 1
+    return r_cap

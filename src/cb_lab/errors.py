@@ -43,7 +43,3 @@ class BudgetExceededError(CbLabError):
 
 class GroundTooLargeError(CbLabError):
     """Matroid ground set exceeds the desk-scale enumeration cap."""
-
-
-class MonotonicityError(CbLabError):
-    """CB verdicts did not form a downward-closed interval in the degree."""

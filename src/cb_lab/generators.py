@@ -19,18 +19,21 @@ by scanning the plane: a draw costs O(deg^4 log p) field operations for the
 degree-deg^2 resultant and its roots, against the p^2 + p + 1 points of
 P^2(GF(p)), so every p < 2^31 is practical (only a draw whose two curves
 share a component, or are both unions of lines through (0:0:1), visits all p
-slices).  An elliptic-quartic draw projects the curve from (0:0:0:1) and
-finds the zeros of the plane quartic Res_w(q1, q2) slice by slice: p + 1
-root findings on a quartic, O(p log p) field operations, not a solve at
-each of the p^2 + p + 1 prefixes.  Both resultants are one Bezout
-determinant whose entries are forms (_resultant).
+slices).  An elliptic-quartic draw lists the curve along the p + 1 lines of
+one ruling of a smooth split quadric in its pencil, one binary quadratic per
+line, O(p) field operations, not a solve at each of the p^2 + p + 1 prefixes
+of P^3.  A pencil with no such member (all cones or plane pairs, or some
+over the tiniest fields) is projected from (0:0:0:1) instead, and the zeros
+of the plane quartic Res_w(q1, q2) are found slice by slice: p + 1 root
+findings on a quartic.  Both resultants are one Bezout determinant whose
+entries are forms (_resultant).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul
 
 from . import gfpoly, linalg
@@ -639,8 +642,176 @@ def _w_roots(q, pre, p: int, sqrts: dict):
 
 
 def _quadric_curve(q1, q2, p: int, sqrts: dict) -> list:
-    """The rational points of q1 = q2 = 0 in P^3 (odd p), by projection from
-    (0:0:0:1).
+    """The rational points of q1 = q2 = 0 in P^3 (odd p), in the order of a
+    scan of every prefix: by the enumerate_points index of (x0:x1:x2), then
+    by the place of w in _w_roots(q1, prefix), with (0:0:0:1) last.
+
+    When the pencil has a smooth split member (_split_member), the points are
+    listed along one ruling of it (_ruling_points) and sorted into that
+    order: p + 1 binary quadratics.  Otherwise, as for pencils whose members
+    are all cones or plane pairs, and for some over the tiniest fields, the
+    plane quartic Res_w(q1, q2) is sliced (_sliced_curve).
+    """
+    split = _split_member(q1, q2, p, sqrts)
+    if split is None:
+        return _sliced_curve(q1, q2, p, sqrts)
+    pts = _ruling_points(*split, p, sqrts)
+    pts.sort(key=lambda x: _scan_place(q1, x, p))
+    return pts
+
+
+def _scan_place(q1, x, p: int) -> int:
+    """The place of the point x (leading 1) in the prefix scan of
+    _quadric_curve.  Two points share a prefix only as two roots of
+    _w_roots(q1, prefix), whose first is -beta plus the least square root of
+    the discriminant (2 alpha w + beta)^2 over 2 alpha, or as every w in
+    order when q1 vanishes on the line through the prefix and (0:0:0:1)."""
+    x0, x1, x2, w = x
+    if x0:
+        index = x1 * p + x2
+    elif x1:
+        index = p * p + x2
+    elif x2:
+        index = p * p + p
+    else:
+        return (p * p + p + 1) * p
+    alpha = q1[9]
+    beta = (q1[3] * x0 + q1[6] * x1 + q1[8] * x2) % p
+    if alpha == 0 and beta == 0:
+        return index * p + w
+    return index * p + (2 * ((2 * alpha * w + beta) % p) > p)
+
+
+def _polar(q, x, y, p: int) -> int:
+    """q(x + y) - q(x) - q(y): the symmetric bilinear form of q, twice over."""
+    return sum(a * b for a, b in zip(_gradient(q, x, p), y)) % p
+
+
+def _gram_det(q, p: int) -> int:
+    """det of the matrix of _polar for q, mod p: 16 times its Gram
+    determinant, so a nonzero square exactly when that is."""
+    a, b, c, d = (_gradient(q, unit, p) for unit in ((1, 0, 0, 0), (0, 1, 0, 0),
+                                                      (0, 0, 1, 0), (0, 0, 0, 1)))
+
+    def minor(r, s, i, j):
+        return r[i] * s[j] - r[j] * s[i]
+
+    # Laplace expansion along the first two rows
+    return (minor(a, b, 0, 1) * minor(c, d, 2, 3) - minor(a, b, 0, 2) * minor(c, d, 1, 3)
+            + minor(a, b, 0, 3) * minor(c, d, 1, 2) + minor(a, b, 1, 2) * minor(c, d, 0, 3)
+            - minor(a, b, 1, 3) * minor(c, d, 0, 2) + minor(a, b, 2, 3) * minor(c, d, 0, 1)) % p
+
+
+def _split_member(q1, q2, p: int, sqrts: dict):
+    """(q, other): the first smooth split member q of the pencil in the order
+    q1, q2, q1 + l q2 (l = 1, ..., p - 1), and a member other than q, so
+    that q = other = 0 is the curve q1 = q2 = 0; None when there is none.
+
+    A smooth quadric in P^3(GF(p)) is split, P^1 x P^1 with two rulings of
+    p + 1 rational lines, exactly when its Gram determinant is a nonzero
+    square (Hirschfeld, Finite Projective Spaces of Three Dimensions, 1985).
+    """
+    members = chain(((q1, q2), (q2, q1)),
+                    ((tuple((a + lam * b) % p for a, b in zip(q1, q2)), q2) for lam in range(1, p)))
+    for q, other in members:
+        det = _gram_det(q, p)
+        if det and det in sqrts:
+            return q, other
+    return None
+
+
+def _p1(p: int):
+    """The points (1, t), t = 0..p-1, then (0, 1) of P^1(GF(p))."""
+    for t in range(p):
+        yield 1, t
+    yield 0, 1
+
+
+def _binary_roots(a: int, b: int, c: int, p: int, sqrts: dict):
+    """The zeros (s, t) in P^1(GF(p)) of a s^2 + b s t + c t^2 (reduced
+    coefficients, odd p), one representative each; every point (_p1) when the
+    form is zero."""
+    if a == 0:
+        if b == 0:
+            return _p1(p) if c == 0 else ((1, 0),)
+        return ((1, 0), (-c, b))
+    disc = (b * b - 4 * a * c) % p
+    if disc not in sqrts:
+        return ()
+    rt = sqrts[disc]
+    return ((-b + rt, 2 * a),) if rt == 0 else ((-b + rt, 2 * a), (-b - rt, 2 * a))
+
+
+def _point_on(q, p: int, sqrts: dict) -> tuple:
+    """A rational point of the quadric q: (0:0:0:1) when q holds it, else one
+    on a line through it in the plane x2 = 0, whose conic has a rational
+    point (Chevalley-Warning)."""
+    if q[9] % p == 0:
+        return (0, 0, 0, 1)
+    for pre in _p1(p):
+        ws = _w_roots(q, pre + (0,), p, sqrts)
+        if ws:
+            return pre + (0, ws[0])
+    raise AssertionError("a ternary quadratic form over GF(p) has a zero")
+
+
+def _ruling_points(q, other, p: int, sqrts: dict) -> list:
+    """The rational points of q = other = 0, q smooth and split (odd p), each
+    once, normalised to a leading 1, line by line along one ruling of q.
+
+    From a point e of q: the tangent plane at e meets q in two lines through
+    e, and the line where it meets x_i = 0 (e_i != 0) meets them in h1 and
+    h2, the roots of one binary quadratic.  The line {x : h1.x = h2.x = 0}
+    (dots taken by _polar) holds e; its second point k on q comes by Vieta.
+    In the frame (e, k, h1, h2), q is lam a d + mu b c with lam = e.k and
+    mu = h1.h2 nonzero, so the lines s e + t h2, lam s h1 - mu t k, over
+    (s:t) in P^1, span the p + 1 lines of one ruling; they cover q, each
+    point once.  On the line at (s:t), other is a binary quadratic whose
+    coefficients are binary quadratics in (s, t), computed once.
+    """
+    e = _point_on(q, p, sqrts)
+    i = next(j for j, x in enumerate(e) if x)
+    rest = [j for j in range(4) if j != i]
+    v = _gradient(q, e, p)
+    j = next(j for j in rest if v[j])
+    f, g = ([v[j] if n == m else -v[m] if n == j else 0 for n in range(4)]
+            for m in rest if m != j)
+    (s1, t1), (s2, t2) = _binary_roots(_quadric_value(q, f, p), _polar(q, f, g, p),
+                                       _quadric_value(q, g, p), p, sqrts)
+    h1, h2 = ([(s * a + t * b) % p for a, b in zip(f, g)] for s, t in ((s1, t1), (s2, t2)))
+    (u0, u1, u2), (v0, v1, v2) = ([u[n] for n in rest] for u in
+                                  (_gradient(q, h1, p), _gradient(q, h2, p)))
+    y = [u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
+    y.insert(i, 0)
+    qy, ey = _quadric_value(q, y, p), _polar(q, e, y, p)
+    k = [(qy * a - ey * b) % p for a, b in zip(e, y)]
+    lam, mu = _polar(q, e, k, p), _polar(q, h1, h2, p)
+    lh1, mk = [lam * x % p for x in h1], [-mu * x % p for x in k]
+
+    def restricted(x, y):
+        return _quadric_value(other, x, p), _polar(other, x, y, p), _quadric_value(other, y, p)
+
+    # other(sig (s e + t h2) + tau (s lh1 + t mk)) = A sig^2 + B sig tau + C tau^2
+    (a0, a1, a2), (c0, c1, c2) = restricted(e, h2), restricted(lh1, mk)
+    b0, b1, b2 = (_polar(other, e, lh1, p), _polar(other, e, mk, p) + _polar(other, h2, lh1, p),
+                  _polar(other, h2, mk, p))
+    pts = []
+    for s, t in _p1(p):
+        ss, st, tt = s * s, s * t, t * t
+        roots = _binary_roots((a0 * ss + a1 * st + a2 * tt) % p, (b0 * ss + b1 * st + b2 * tt) % p,
+                              (c0 * ss + c1 * st + c2 * tt) % p, p, sqrts)
+        if roots:
+            u = [s * a + t * b for a, b in zip(e, h2)]
+            w = [s * a + t * b for a, b in zip(lh1, mk)]
+            for sig, tau in roots:
+                x = [sig * a + tau * b for a, b in zip(u, w)]
+                inv = pow(next(c for c in x if c % p), p - 2, p)
+                pts.append(tuple([c * inv % p for c in x]))
+    return pts
+
+
+def _sliced_curve(q1, q2, p: int, sqrts: dict) -> list:
+    """_quadric_curve by projection from (0:0:0:1), for any pencil.
 
     Only the prefixes (x0:x1:x2) where Res_w(q1, q2) vanishes can carry a
     point: the _resultant of the w-coefficients (gamma, beta, alpha) of

@@ -1,5 +1,6 @@
 """The CB(r) engine: verdicts, witnesses, excision, conventions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from cb_lab import (
     PointSet,
     ProjPoint,
     apply_matrix,
+    enumerate_points,
     excise,
     gen_plane_curve_ci,
     gen_rnc,
@@ -267,6 +269,21 @@ def test_max_cb(gf101):
     assert max_cb(gamma, 3) == 3
     one = PointSet.from_coords(gf101, [[1, 2, 3]])
     assert max_cb(one, 3) == 0
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (2, 2)])
+def test_cb_verdicts_are_downward_closed(p, n):
+    # every subset of P^1(GF(3)) and of P^2(GF(2)): CB(r) implies CB(r - 1),
+    # so max_cb's scan may stop at the first false verdict
+    field = FieldSpec.prime(p)
+    pts = enumerate_points(field, n)
+    for size in range(len(pts) + 1):
+        for subset in itertools.combinations(pts, size):
+            gamma = PointSet(field, n, subset)
+            verdicts = [is_cb(gamma, r).verdict for r in range(5)]
+            assert verdicts == sorted(verdicts, reverse=True), (subset, verdicts)
+            for cap in range(5):
+                assert max_cb(gamma, cap) == max(r for r in range(cap + 1) if verdicts[r])
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(7), FieldSpec.rational()], ids=str)

@@ -49,6 +49,8 @@ from cb_lab.generators import (
     _pencil_ci,
     _quadric_curve,
     _slice_table,
+    _sliced_curve,
+    _split_member,
     _split_quadric,
     _sqrt_table,
 )
@@ -421,7 +423,7 @@ def test_quartic_resultant_matches_sylvester(p):
     rng = random.Random(p)
     for _ in range(10):
         for name, (q1, q2) in _quadric_pair_cases(p, rng).items():
-            [table], _ = _sliced_zeros_input(lambda: _quadric_curve(q1, q2, p, sqrts))
+            [table], _ = _sliced_zeros_input(lambda: _sliced_curve(q1, q2, p, sqrts))
             n = 1 if q1[9] == q2[9] == 0 else 2
             prefixes = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(20)]
             got = [_form_value(table, x, p) for x in prefixes]
@@ -526,7 +528,14 @@ def _quadric_pair_cases(p, rng):
     def lin():
         return [rng.randrange(p) for _ in range(4)]
 
+    def combined(q, c, r):
+        return tuple((a + c * b) % p for a, b in zip(q, r))
+
     q, plane = rand(), lin()
+    # u1 u2 - u3 u4 is smooth and split when the u_i are independent; it holds
+    # the lines u1 = u3 = 0 and u1 = u4 = 0, one of each ruling
+    u1, u2, u3, u4 = (lin() for _ in range(4))
+    split = combined(_product_quadric(u1, u2), -1, _product_quadric(u3, u4))
     return {
         "random": (rand(), rand()),
         "alpha1-zero": (rand()[:9] + (0,), rand()),
@@ -539,6 +548,12 @@ def _quadric_pair_cases(p, rng):
         "cone-0001": (_no_beta(rand()[:9] + (0,)), rand()),
         "two-cones-0001": (_no_beta(rand()[:9] + (0,)), _no_beta(rand()[:9] + (0,))),
         "cone-1000": ((0, 0, 0, 0) + rand()[4:], rand()),
+        # two cones: only some q1 + l q2 with l != 0 can be smooth
+        "split-only-at-lambda": (_no_beta(rand()[:9] + (0,)), (0, 0, 0, 0) + rand()[4:]),
+        # q2 = u1 l + c u3 u4 holds both lines of split, so the curve does
+        "ruling-line": (split, combined(_product_quadric(u1, lin()), rng.randrange(1, p),
+                                        _product_quadric(u3, u4))),
+        "split-proportional": (split, tuple(c * 3 % p for c in split)),
     }
 
 
@@ -600,19 +615,62 @@ _LARGE_PRIME_QUARTIC = "f24530241991f2e4ae23d89acc97c91febf97ca52c28b22183281be7
 
 
 def test_elliptic_quartic_large_prime_is_fast(monkeypatch):
-    # a draw finds roots on the p + 1 slices of the plane quartic and solves
-    # for w over its zeros only (at most 4 a slice here), not over all
-    # p^2 + p + 1 prefixes
+    # every draw's pencil has a smooth split member, so each curve is listed
+    # along a ruling with p + 1 binary quadratics: no root finding, and no
+    # solve for w over the p^2 + p + 1 prefixes
     p = 1009
+    sqrts = _sqrt_table(p)
+    pencils = []
+    real_curve = generators._quadric_curve
+
+    def curve(q1, q2, p, sqrts):
+        pencils.append((q1, q2))
+        return real_curve(q1, q2, p, sqrts)
+
+    monkeypatch.setattr(generators, "_quadric_curve", curve)
     calls = {}
-    for module, name in ((generators, "_quadric_curve"), (generators, "_w_roots"),
-                         (gfpoly, "roots")):
+    for module, name in ((generators, "_w_roots"), (gfpoly, "roots")):
         _count_calls(monkeypatch, module, name, calls)
     ps = gen_elliptic_quartic(9, FieldSpec.prime(p), seed=1)
-    draws = calls["_quadric_curve"]
-    assert calls["roots"] <= (p + 1) * draws
-    assert calls["_w_roots"] <= 4 * (p + 1) * draws
+    assert pencils and all(_split_member(q1, q2, p, sqrts) for q1, q2 in pencils)
+    assert calls["roots"] == 0
+    assert calls["_w_roots"] <= (p + 1) * len(pencils)
     assert hashlib.sha256(_pointset_bytes(ps).encode()).hexdigest() == _LARGE_PRIME_QUARTIC
+
+
+def test_quadric_curve_path_follows_the_pencil(monkeypatch):
+    # a pencil with a smooth split member is listed along a ruling, without
+    # root finding, and one with none (all members cones or plane pairs) is
+    # sliced; a line of the ruling in the curve is a vanishing binary quadratic
+    p = 101
+    sqrts = _sqrt_table(p)
+    cases = _quadric_pair_cases(p, random.Random(p))
+    calls, full_lines = {}, []
+    for module, name in ((gfpoly, "roots"), (generators, "_sliced_zeros")):
+        _count_calls(monkeypatch, module, name, calls)
+    real_roots = generators._binary_roots
+
+    def binary_roots(a, b, c, p, sqrts):
+        roots = tuple(real_roots(a, b, c, p, sqrts))
+        full_lines.append(len(roots) == p + 1)
+        return roots
+
+    monkeypatch.setattr(generators, "_binary_roots", binary_roots)
+
+    def run(name):
+        calls.update(roots=0, _sliced_zeros=0)
+        full_lines.clear()
+        _quadric_curve(*cases[name], p, sqrts)
+        return calls["roots"], calls["_sliced_zeros"]
+
+    for name in ("random", "split-only-at-lambda", "ruling-line", "split-proportional"):
+        assert run(name) == (0, 0), name
+        assert any(full_lines) == (name in ("ruling-line", "split-proportional")), name
+    assert _split_member(*cases["split-only-at-lambda"], p, sqrts)[0] not in cases[
+        "split-only-at-lambda"]
+    for name in ("shared-plane", "two-cones-0001"):
+        assert _split_member(*cases[name], p, sqrts) is None
+        assert run(name)[1] == 1, name
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
