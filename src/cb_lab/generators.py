@@ -733,7 +733,7 @@ def _binary_roots(a: int, b: int, c: int, p: int, sqrts: dict):
     form is zero."""
     if a == 0:
         if b == 0:
-            return _p1(p) if c == 0 else ((1, 0),)
+            return list(_p1(p)) if c == 0 else ((1, 0),)
         return ((1, 0), (-c, b))
     disc = (b * b - 4 * a * c) % p
     if disc not in sqrts:
@@ -762,10 +762,11 @@ def _ruling_points(q, other, p: int, sqrts: dict) -> list:
     From a point e of q: the tangent plane at e meets q in two lines through
     e, and the line where it meets x_i = 0 (e_i != 0) meets them in h1 and
     h2, the roots of one binary quadratic.  The line {x : h1.x = h2.x = 0}
-    (dots taken by _polar) holds e; its second point k on q comes by Vieta.
-    In the frame (e, k, h1, h2), q is lam a d + mu b c with lam = e.k and
-    mu = h1.h2 nonzero, so the lines s e + t h2, lam s h1 - mu t k, over
-    (s:t) in P^1, span the p + 1 lines of one ruling; they cover q, each
+    (dots taken by _polar) holds e and meets x_i = 0 in y, a cross product;
+    Vieta on the line through e and y gives its second point k on q.  Then
+    q(a e + d k + b h1 + c h2) = lam a d + mu b c with lam = e.k and
+    mu = h1.h2 nonzero, so the lines through s e + t h2 and lam s h1 - mu t k,
+    over (s:t) in P^1, are the p + 1 lines of one ruling; they cover q, each
     point once.  On the line at (s:t), other is a binary quadratic whose
     coefficients are binary quadratics in (s, t), computed once.
     """

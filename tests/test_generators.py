@@ -651,7 +651,7 @@ def test_quadric_curve_path_follows_the_pencil(monkeypatch):
     real_roots = generators._binary_roots
 
     def binary_roots(a, b, c, p, sqrts):
-        roots = tuple(real_roots(a, b, c, p, sqrts))
+        roots = real_roots(a, b, c, p, sqrts)
         full_lines.append(len(roots) == p + 1)
         return roots
 
