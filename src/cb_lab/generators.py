@@ -692,14 +692,10 @@ def _gram_det(q, p: int) -> int:
     determinant, so a nonzero square exactly when that is."""
     a, b, c, d = (_gradient(q, unit, p) for unit in ((1, 0, 0, 0), (0, 1, 0, 0),
                                                       (0, 0, 1, 0), (0, 0, 0, 1)))
-
-    def minor(r, s, i, j):
-        return r[i] * s[j] - r[j] * s[i]
-
+    m, n = _minors(a, b), _minors(c, d)
     # Laplace expansion along the first two rows
-    return (minor(a, b, 0, 1) * minor(c, d, 2, 3) - minor(a, b, 0, 2) * minor(c, d, 1, 3)
-            + minor(a, b, 0, 3) * minor(c, d, 1, 2) + minor(a, b, 1, 2) * minor(c, d, 0, 3)
-            - minor(a, b, 1, 3) * minor(c, d, 0, 2) + minor(a, b, 2, 3) * minor(c, d, 0, 1)) % p
+    return (m[0] * n[5] - m[1] * n[4] + m[2] * n[3] + m[3] * n[2] - m[4] * n[1]
+            + m[5] * n[0]) % p
 
 
 def _split_member(q1, q2, p: int, sqrts: dict):
@@ -835,13 +831,19 @@ def _sliced_curve(q1, q2, p: int, sqrts: dict) -> list:
     return pts
 
 
-def _line_key(a, b, p: int) -> tuple:
-    """The line through two distinct points of P^3(GF(p)): its Pluecker
-    coordinates a_i*b_j - a_j*b_i (i < j), first nonzero one scaled to 1."""
+def _minors(a, b) -> tuple:
+    """The 2 x 2 minors a_i*b_j - a_j*b_i (i < j) of two rows of four, in the
+    order 01, 02, 03, 12, 13, 23."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    minors = (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
-              a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+    return (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+            a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+
+
+def _line_key(a, b, p: int) -> tuple:
+    """The line through two distinct points of P^3(GF(p)): its Pluecker
+    coordinates (_minors), first nonzero one scaled to 1."""
+    minors = _minors(a, b)
     for m in minors:
         if m % p:
             inv = pow(m, p - 2, p)
