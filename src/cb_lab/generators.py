@@ -908,9 +908,40 @@ def _has_three_collinear(pts, q1, q2, field: FieldSpec) -> bool:
     return False
 
 
+# 24 times the inverse of the Vandermonde matrix of the nodes 0, 1, 2, 3, 4:
+# row j gives 24 times the t^j coefficient of a quartic from its five values.
+_QUARTIC_FROM_VALUES = ((24, 0, 0, 0, 0), (-50, 96, -72, 32, -6), (35, -104, 114, -56, 11),
+                        (-10, 36, -48, 28, -6), (1, -4, 6, -4, 1))
+
+
+def _pencil_discriminant(q1, q2, p: int) -> list:
+    """g(l) = det(M1 + l M2) mod p (p >= 5) as a trimmed coefficient list,
+    M1 and M2 the matrices of _polar for q1 and q2: the degree-4 polynomial
+    through the values _gram_det(q1 + l q2) at l = 0, ..., 4."""
+    values = [_gram_det(tuple(a + lam * b for a, b in zip(q1, q2)), p) for lam in range(5)]
+    inv24 = pow(24, p - 2, p)
+    return gfpoly.trim([inv24 * sum(c * v for c, v in zip(row, values))
+                        for row in _QUARTIC_FROM_VALUES], p)
+
+
+def _is_smooth_pencil(q1, q2, p: int) -> bool:
+    """Whether the curve q1 = q2 = 0 is smooth (p >= 5).
+
+    It is exactly when det(l M1 + u M2) has four distinct roots (l:u) over
+    the algebraic closure, Segre symbol [1111] (M. Reid, The complete
+    intersection of two or more quadrics, 1972).  In g(l) =
+    _pencil_discriminant, a degree below 3 is a multiple root at l = infinity,
+    g = 0 makes every member singular, and otherwise the roots are distinct
+    when gcd(g, g') is constant (deg g < p).
+    """
+    g = _pencil_discriminant(q1, q2, p)
+    return len(g) > 3 and len(gfpoly.gcd(g, [i * c for i, c in enumerate(g)][1:], p)) == 1
+
+
 def _quartic_draw(m: int, field: FieldSpec, rng: random.Random, sqrts: dict):
     """One draw: m points sampled from the curve of two random quadrics, or
-    None when the draw is rejected."""
+    None when the draw is rejected.  A smooth curve skips the collinearity
+    scan: it is irreducible of genus 1, so it holds no line."""
     p = field.p
     nmono = len(monomial_basis(3, 2))
     q1 = tuple(rng.randrange(p) for _ in range(nmono))
@@ -918,7 +949,9 @@ def _quartic_draw(m: int, field: FieldSpec, rng: random.Random, sqrts: dict):
     if not any(q1) or not any(q2):
         return None
     curve = _quadric_curve(q1, q2, p, sqrts)
-    if len(curve) < m or _has_three_collinear(curve, q1, q2, field):
+    if len(curve) < m:
+        return None
+    if (p == 3 or not _is_smooth_pencil(q1, q2, p)) and _has_three_collinear(curve, q1, q2, field):
         return None
     return [ProjPoint(field, x) for x in rng.sample(curve, m)]
 

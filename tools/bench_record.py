@@ -10,11 +10,13 @@ sides run the same benchmark.  For every workload that ``BENCHMARK.json``
 lists, at seeds 1 and 2, ``perfbench/run.py --trace 0`` runs ``PAIRS`` times
 on each side for ``BENCHMARK.json``'s ``run_seconds``; within a pair the two
 sides run back to back, and the side that goes first alternates from pair to
-pair.  Then one ``--trace 1`` pass per side of every workload gives its
-layer split.  The record holds every run's metrics, attempted and failed counts,
-the per-metric medians and the number of pairs the working tree won, and for
-each end-to-end metric the relative change of its median against its
-``BENCHMARK.json`` bound.
+pair.  Then ``TRACE_PASSES`` ``--trace 1`` runs per side of every workload at
+seed 1, alternating in the same way, give its layer split: the median over
+those runs of each per-layer metric, since one traced pass of a short
+workload is too brief to time a layer.  The record holds every run's metrics,
+attempted and failed counts, the per-metric medians and the number of pairs
+the working tree won, and for each end-to-end metric the relative change of
+its median against its ``BENCHMARK.json`` bound.
 Nothing is written if any run reports ``correct: false`` or a failed item.
 """
 
@@ -36,15 +38,16 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
+TRACE_PASSES = 5
 SEEDS = (1, 2)
 LOWER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == "lower"}
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
-LAYER_SPLIT = ("linalg.reduce_against.calls", "linalg.dot.calls", "cover.candidate_flats.flats",
-               "cover.candidate_flats.self_s", "cover.min_cover.self_s", "linalg.rref.self_s",
-               "linalg.rank.self_s", "linalg.in_row_space.self_s", "projective.self_s",
-               "forms.eval_matrix.self_s", "cb.is_cb.self_s", "generators.gen_rnc.self_s",
-               "generators.gen_plane_curve_ci.self_s", "generators.gen_elliptic_quartic.self_s",
-               "trace.traced_s")
+LAYER_SPLIT = ("linalg.reduce_against.calls", "cover.candidate_flats.flats",
+               "cover.candidate_flats.self_s", "cover.exists_cover.self_s", "cover.min_cover.self_s",
+               "linalg.rref.self_s", "linalg.rank.self_s", "linalg.in_row_space.self_s",
+               "projective.self_s", "cb.is_cb.self_s", "matroid.is_mcb.self_s",
+               "generators.gen_rnc.self_s", "generators.gen_plane_curve_ci.self_s",
+               "generators.gen_elliptic_quartic.self_s", "trace.traced_s")
 
 
 def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -59,6 +62,26 @@ def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
                          "or failed items:\n" + proc.stdout + proc.stderr)
     return {"attempted": out["attempted"], "failed": out["failed"],
             "metrics": {name: m["value"] for name, m in out["metrics"].items()}}
+
+
+def alternating(sides: dict, workload: str, seed: int, trace: int, count: int) -> dict:
+    """count runs per side, back to back in pairs whose first side alternates."""
+    runs = {side: [] for side in sides}
+    for i in range(count):
+        for side in sides if i % 2 == 0 else reversed(sides):
+            runs[side].append(bench(sides[side], workload, seed, trace))
+    return runs
+
+
+def layer_split(sides: dict, workload: str) -> dict:
+    """TRACE_PASSES alternating traced runs per side at seed 1; per side, the
+    median of every per-layer metric, and the LAYER_SPLIT names side by side."""
+    runs = alternating(sides, workload, SEEDS[0], 1, TRACE_PASSES)
+    medians = {side: {name: statistics.median(run["metrics"][name] for run in side_runs)
+                      for name in side_runs[0]["metrics"]}
+               for side, side_runs in runs.items()}
+    return {"split": {name: {side: medians[side][name] for side in sides} for name in LAYER_SPLIT},
+            "medians": medians, **runs}
 
 
 def summarise(base: list, change: list) -> dict:
@@ -100,6 +123,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}"
                    " --trace T",
         "pairs": PAIRS,
+        "trace_passes": TRACE_PASSES,
         "trace0": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,24 +136,13 @@ def main(argv=None) -> int:
         sides = {"base": base_dir, "change": ROOT}
         for workload in WORKLOADS:
             for seed in SEEDS:
-                runs = {"base": [], "change": []}
-                for i in range(PAIRS):
-                    order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                    for side in order:
-                        runs[side].append(bench(sides[side], workload, seed, 0))
-                    print(f"{workload} seed {seed} pair {i + 1}: items_per_s "
-                          f"{runs['base'][-1]['metrics']['items_per_s']:.4g} -> "
-                          f"{runs['change'][-1]['metrics']['items_per_s']:.4g}", flush=True)
+                runs = alternating(sides, workload, seed, 0, PAIRS)
+                rates = (f"{b['metrics']['items_per_s']:.4g} -> {c['metrics']['items_per_s']:.4g}"
+                         for b, c in zip(runs["base"], runs["change"]))
+                print(f"{workload} seed {seed} items_per_s: {', '.join(rates)}", flush=True)
                 record["trace0"].setdefault(workload, {})[str(seed)] = {
                     "summary": summarise(runs["base"], runs["change"]), **runs}
-        record["trace1"] = {}
-        for workload in WORKLOADS:
-            layers = {side: bench(path, workload, SEEDS[0], 1) for side, path in sides.items()}
-            record["trace1"][workload] = {
-                "split": {name: {side: layers[side]["metrics"][name] for side in sides}
-                          for name in LAYER_SPLIT},
-                **layers,
-            }
+        record["trace1"] = {workload: layer_split(sides, workload) for workload in WORKLOADS}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0
