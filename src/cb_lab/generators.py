@@ -25,7 +25,9 @@ line, O(p) field operations, not a solve at each of the p^2 + p + 1 prefixes
 of P^3.  A pencil with no such member (all cones or plane pairs, or some
 over the tiniest fields) is projected from (0:0:0:1) instead, and the zeros
 of the plane quartic Res_w(q1, q2) are found slice by slice: p + 1 root
-findings on a quartic.  Both resultants are one Bezout determinant whose
+findings on a quartic.  A draw whose pencil is smooth (for p >= 5, its
+discriminant det(q1 + l q2) has four distinct roots) skips the
+no-three-collinear scan.  Both resultants are one Bezout determinant whose
 entries are forms (_resultant).
 """
 
@@ -925,15 +927,17 @@ def _pencil_discriminant(q1, q2, p: int) -> list:
 
 
 def _is_smooth_pencil(q1, q2, p: int) -> bool:
-    """Whether the curve q1 = q2 = 0 is smooth (p >= 5).
+    """Whether the curve q1 = q2 = 0 is certified smooth; never for p = 3.
 
-    It is exactly when det(l M1 + u M2) has four distinct roots (l:u) over
-    the algebraic closure, Segre symbol [1111] (M. Reid, The complete
+    It is smooth exactly when det(l M1 + u M2) has four distinct roots (l:u)
+    over the algebraic closure, Segre symbol [1111] (M. Reid, The complete
     intersection of two or more quadrics, 1972).  In g(l) =
     _pencil_discriminant, a degree below 3 is a multiple root at l = infinity,
     g = 0 makes every member singular, and otherwise the roots are distinct
-    when gcd(g, g') is constant (deg g < p).
+    when gcd(g, g') is constant (p >= 5 > deg g).
     """
+    if p < 5:
+        return False
     g = _pencil_discriminant(q1, q2, p)
     return len(g) > 3 and len(gfpoly.gcd(g, [i * c for i, c in enumerate(g)][1:], p)) == 1
 
@@ -951,7 +955,7 @@ def _quartic_draw(m: int, field: FieldSpec, rng: random.Random, sqrts: dict):
     curve = _quadric_curve(q1, q2, p, sqrts)
     if len(curve) < m:
         return None
-    if (p == 3 or not _is_smooth_pencil(q1, q2, p)) and _has_three_collinear(curve, q1, q2, field):
+    if not _is_smooth_pencil(q1, q2, p) and _has_three_collinear(curve, q1, q2, field):
         return None
     return [ProjPoint(field, x) for x in rng.sample(curve, m)]
 
@@ -960,8 +964,12 @@ def gen_elliptic_quartic(m: int, field: FieldSpec, seed: int) -> PointSet:
     """m points on the intersection curve of two random quadrics in P^3.
 
     Certificate: at least m distinct rational points and no three collinear
-    (a line in the curve would put p+1 collinear points in it).  The CB(2)
-    verdict of the sampled points is the caller's final genericity signal.
+    (a line in the curve would put p+1 collinear points in it).  For p >= 5
+    a smooth pencil is certified by its discriminant (_is_smooth_pencil): a
+    smooth curve is irreducible of genus 1 and holds no line.  The
+    collinearity scan (_has_three_collinear) runs only for singular pencils
+    and for p = 3.  The CB(2) verdict of the sampled points is the caller's
+    final genericity signal.
     """
     if m < 1:
         raise ValueError("need m >= 1")

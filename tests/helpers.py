@@ -395,6 +395,30 @@ def has_three_collinear_by_pairs(pts, field):
     return False
 
 
+def pencil_discriminant_by_leibniz(q1, q2, p: int) -> list:
+    """det(M1 + l M2) mod p, trimmed, constant term first: M is the symmetric
+    matrix with 2 c_ii on the diagonal and c_ij off it, c_ij the coefficient
+    of x_i x_j (monomial_basis(3, 2) order), and the determinant is the
+    Leibniz sum over the 24 permutations of products of linear polynomials
+    (reference for the interpolated discriminant of the elliptic-quartic
+    generator)."""
+    pairs = itertools.combinations_with_replacement(range(4), 2)
+    m1, m2 = [[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)]
+    for (i, j), a, b in zip(pairs, q1, q2):
+        for m, c in ((m1, a), (m2, b)):
+            m[i][j] += c
+            m[j][i] += c
+    total = [0] * 5
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
+        term = [(-1) ** inversions]
+        for i, j in enumerate(perm):
+            term = poly_mul(term, [m1[i][j], m2[i][j]], p)
+        for k, c in enumerate(term):
+            total[k] += c
+    return trim(total, p)
+
+
 def _whole_curve_zeros(deg_lo, deg_hi, field, rng):
     """One draw of the unequal-degree plane-curve sampler by a whole-curve scan:
     list all p+1 points of the line or conic, sample deg_lo*deg_hi of them,

@@ -45,9 +45,12 @@ from cb_lab.generators import (
     _conic_through_origin_point,
     _form_mul,
     _has_three_collinear,
+    _is_smooth_pencil,
     _line_key,
     _pencil_ci,
+    _pencil_discriminant,
     _quadric_curve,
+    _quartic_draw,
     _slice_table,
     _sliced_curve,
     _split_member,
@@ -61,6 +64,7 @@ from helpers import (
     common_zeros_by_scan,
     has_three_collinear_by_pairs,
     pencil_ci_by_scan,
+    pencil_discriminant_by_leibniz,
     plane_curve_ci_by_scan,
     quadric_curve_by_scan,
     quadric_points_by_scan,
@@ -695,6 +699,104 @@ def test_three_collinear_matches_pair_scan(p):
         leads.update(pt.coords.index(1) for pt in curve)
     assert outcomes == {True, False}
     assert leads > {0}
+
+
+def _pencils(p, rng, rounds, randoms):
+    """(name, (q1, q2)): the _quadric_pair_cases of rounds draws, each with
+    u a + v b and the plane pair u v (both hold the line u = v = 0, and
+    det(M1 + l M2) has a double root at l = infinity), then randoms random
+    pencils."""
+    for _ in range(rounds):
+        yield from _quadric_pair_cases(p, rng).items()
+        u, v, a, b = ([rng.randrange(p) for _ in range(4)] for _ in range(4))
+        q1 = tuple(x + y for x, y in zip(_product_quadric(u, a), _product_quadric(v, b)))
+        yield "line-in-plane-pair", (q1, _product_quadric(u, v))
+    for _ in range(randoms):
+        yield "random", tuple(tuple(rng.randrange(p) for _ in range(10)) for _ in range(2))
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_pencil_discriminant_matches_leibniz(p):
+    # also a pencil with a plane pair q2 = u.x v.x, of rank 2: a double root
+    # at l = infinity, so deg g = 2
+    rng = random.Random(p)
+    degrees = set()
+    for name, (q1, q2) in _pencils(p, rng, 5, 20):
+        pair = _product_quadric(*([rng.randrange(p) for _ in range(4)] for _ in range(2)))
+        for pencil in ((q1, q2), (q1, pair)):
+            g = _pencil_discriminant(*pencil, p)
+            assert g == pencil_discriminant_by_leibniz(*pencil, p), (name, pencil)
+            degrees.add(len(g) - 1)
+            if len(g) < 4:  # a multiple root at infinity
+                assert not _is_smooth_pencil(*pencil, p), (name, pencil)
+    assert {-1, 2, 3, 4} <= degrees
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_smooth_pencil_curve_has_no_three_collinear(p):
+    field = FieldSpec.prime(p)
+    sqrts = _sqrt_table(p)
+    smooth_seen = set()
+    for name, (q1, q2) in _pencils(p, random.Random(p), *((4, 60) if p < 101 else (1, 8))):
+        smooth = _is_smooth_pencil(q1, q2, p)
+        smooth_seen.add(smooth)
+        if smooth:
+            curve = [ProjPoint(field, x) for x in _quadric_curve(q1, q2, p, sqrts)]
+            assert not has_three_collinear_by_pairs(curve, field), (name, q1, q2)
+    assert smooth_seen == {True, False}
+
+
+class _ScriptedPencil(random.Random):
+    """A Random whose randrange draws are the coefficients of q1, then q2."""
+
+    def __init__(self, q1, q2):
+        super().__init__(0)
+        self._coeffs = iter(q1 + q2)
+
+    def randrange(self, *args):
+        return next(self._coeffs)
+
+
+def test_collinearity_scan_runs_where_smoothness_is_not_certified(monkeypatch):
+    # singular pencils at p = 11: over GF(101) the proportional pencil of a
+    # non-split quadric would compare all pairs of its ~p^2 points
+    calls = {}
+    _count_calls(monkeypatch, generators, "_has_three_collinear", calls)
+    for p, names in ((11, ("shared-plane", "two-cones-0001", "proportional", "ruling-line",
+                           "split-proportional")), (101, ("random",))):
+        cases = _quadric_pair_cases(p, random.Random(p))
+        for name in names:
+            calls["_has_three_collinear"] = 0
+            _quartic_draw(1, FieldSpec.prime(p), _ScriptedPencil(*cases[name]), _sqrt_table(p))
+            assert calls["_has_three_collinear"] == (name != "random"), (p, name)
+    # over GF(3) every draw whose curve has m = 4 points reaches the scan
+    reached = []
+    real_curve = generators._quadric_curve
+
+    def curve(q1, q2, p, sqrts):
+        pts = real_curve(q1, q2, p, sqrts)
+        reached.append(len(pts) >= 4)
+        return pts
+
+    monkeypatch.setattr(generators, "_quadric_curve", curve)
+    calls["_has_three_collinear"] = 0
+    for seed in range(20):
+        _outcome(lambda: gen_elliptic_quartic(4, FieldSpec.prime(3), seed))
+    assert calls["_has_three_collinear"] == sum(reached) > 0
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_smooth_pencil_skip_keeps_the_bytes(p, monkeypatch):
+    # the draws with the scan run on every pencil give the same points
+    field = FieldSpec.prime(p)
+    m = 4 if p < 11 else 9
+
+    def runs():
+        return [_outcome(lambda: gen_elliptic_quartic(m, field, seed)) for seed in range(30)]
+
+    got = runs()
+    monkeypatch.setattr(generators, "_is_smooth_pencil", lambda q1, q2, p: False)
+    assert got == runs()
 
 
 def test_line_key_matches_rref_key():

@@ -11,9 +11,9 @@ lists, at seeds 1 and 2, ``perfbench/run.py --trace 0`` runs ``PAIRS`` times
 on each side for ``BENCHMARK.json``'s ``run_seconds``; within a pair the two
 sides run back to back, and the side that goes first alternates from pair to
 pair.  Then ``TRACE_PASSES`` ``--trace 1`` runs per side of every workload at
-seed 1, alternating in the same way, give its layer split: the median over
-those runs of each per-layer metric, since one traced pass of a short
-workload is too brief to time a layer.  The record holds every run's metrics,
+seed 1, of ``TRACE_SECONDS`` each and alternating in the same way, give its
+layer split: the least value over those runs of each per-layer metric, since
+one traced pass is too brief to time a layer on a shared host.  The record holds every run's metrics,
 attempted and failed counts, the per-metric medians and the number of pairs
 the working tree won, and for each end-to-end metric the relative change of
 its median against its ``BENCHMARK.json`` bound.
@@ -38,7 +38,11 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
-TRACE_PASSES = 5
+TRACE_PASSES = 11
+# A traced run's untraced passes only warm the caches.  Short traced runs keep
+# the two sides' traced passes close in time, so that a drift in host speed
+# moves both alike.
+TRACE_SECONDS = 1
 SEEDS = (1, 2)
 LOWER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == "lower"}
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
@@ -53,7 +57,7 @@ LAYER_SPLIT = ("linalg.reduce_against.calls", "cover.candidate_flats.flats",
 def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run in checkout: attempted, failed and the metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
+           "--seconds", str(TRACE_SECONDS if trace else SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     out = json.loads(lines[-1]) if lines else {"correct": False}
@@ -75,13 +79,15 @@ def alternating(sides: dict, workload: str, seed: int, trace: int, count: int) -
 
 def layer_split(sides: dict, workload: str) -> dict:
     """TRACE_PASSES alternating traced runs per side at seed 1; per side, the
-    median of every per-layer metric, and the LAYER_SPLIT names side by side."""
+    least value of every per-layer metric over them, and the LAYER_SPLIT
+    names side by side.  Other load on the host makes a run slower, never
+    faster, so the least time is the one that resolves a layer."""
     runs = alternating(sides, workload, SEEDS[0], 1, TRACE_PASSES)
-    medians = {side: {name: statistics.median(run["metrics"][name] for run in side_runs)
-                      for name in side_runs[0]["metrics"]}
-               for side, side_runs in runs.items()}
-    return {"split": {name: {side: medians[side][name] for side in sides} for name in LAYER_SPLIT},
-            "medians": medians, **runs}
+    least = {side: {name: min(run["metrics"][name] for run in side_runs)
+                    for name in side_runs[0]["metrics"]}
+             for side, side_runs in runs.items()}
+    return {"split": {name: {side: least[side][name] for side in sides} for name in LAYER_SPLIT},
+            "least": least, **runs}
 
 
 def summarise(base: list, change: list) -> dict:
@@ -120,8 +126,8 @@ def main(argv=None) -> int:
         "change": f"working tree on {git('rev-parse', 'HEAD')}",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}"
-                   " --trace T",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0;"
+                   f" --seconds {TRACE_SECONDS} --trace 1 for the layer split",
         "pairs": PAIRS,
         "trace_passes": TRACE_PASSES,
         "trace0": {},
