@@ -91,18 +91,20 @@ def layer_split(sides: dict, workload: str) -> dict:
 
 
 def summarise(base: list, change: list) -> dict:
-    """Medians per metric and how many pairs the change won; for an
-    end-to-end metric also the relative change of the median, its bound and
-    whether the change's median is worse by no more than that bound."""
+    """Medians per metric, how many pairs the change won and the distance
+    between the base's quartiles; for an end-to-end metric also the relative
+    change of the median, its bound and whether the change's median is worse
+    by no more than that bound."""
     summary = {}
     for name in base[0]["metrics"]:
         b = [run["metrics"][name] for run in base]
         c = [run["metrics"][name] for run in change]
         lower = name in LOWER_IS_BETTER
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
+        q1, _, q3 = statistics.quantiles(b, n=4)
         row = summary[name] = {"base_median": statistics.median(b),
                                "change_median": statistics.median(c),
-                               "change_wins": f"{wins}/{len(b)}"}
+                               "change_wins": f"{wins}/{len(b)}", "base_iqr": q3 - q1}
         if name in BOUNDS:
             rel = row["change_median"] / row["base_median"] - 1
             row.update(rel_change=rel, bound=BOUNDS[name],
