@@ -944,8 +944,7 @@ def _is_smooth_pencil(q1, q2, p: int) -> bool:
 
 def _quartic_draw(m: int, field: FieldSpec, rng: random.Random, sqrts: dict):
     """One draw: m points sampled from the curve of two random quadrics, or
-    None when the draw is rejected.  A smooth curve skips the collinearity
-    scan: it is irreducible of genus 1, so it holds no line."""
+    None when the draw is rejected."""
     p = field.p
     nmono = len(monomial_basis(3, 2))
     q1 = tuple(rng.randrange(p) for _ in range(nmono))

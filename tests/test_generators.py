@@ -704,7 +704,7 @@ def test_three_collinear_matches_pair_scan(p):
 def _pencils(p, rng, rounds, randoms):
     """(name, (q1, q2)): the _quadric_pair_cases of rounds draws, each with
     u a + v b and the plane pair u v (both hold the line u = v = 0, and
-    det(M1 + l M2) has a double root at l = infinity), then randoms random
+    det(M1 + l M2) has a multiple root at l = infinity), then randoms random
     pencils."""
     for _ in range(rounds):
         yield from _quadric_pair_cases(p, rng).items()

@@ -13,10 +13,11 @@ sides run back to back, and the side that goes first alternates from pair to
 pair.  Then ``TRACE_PASSES`` ``--trace 1`` runs per side of every workload at
 seed 1, of ``TRACE_SECONDS`` each and alternating in the same way, give its
 layer split: the least value over those runs of each per-layer metric, since
-one traced pass is too brief to time a layer on a shared host.  The record holds every run's metrics,
-attempted and failed counts, the per-metric medians and the number of pairs
-the working tree won, and for each end-to-end metric the relative change of
-its median against its ``BENCHMARK.json`` bound.
+one traced pass is too brief to time a layer on a shared host.  The record
+holds every run's metrics, attempted and failed counts, the per-metric
+medians, the base's interquartile distances and the number of pairs the
+working tree won, and for each end-to-end metric the relative change of its
+median against its ``BENCHMARK.json`` bound.
 Nothing is written if any run reports ``correct: false`` or a failed item.
 """
 
@@ -47,11 +48,12 @@ SEEDS = (1, 2)
 LOWER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == "lower"}
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 LAYER_SPLIT = ("linalg.reduce_against.calls", "cover.candidate_flats.flats",
-               "cover.candidate_flats.self_s", "cover.exists_cover.self_s", "cover.min_cover.self_s",
-               "linalg.rref.self_s", "linalg.rank.self_s", "linalg.in_row_space.self_s",
-               "projective.self_s", "cb.is_cb.self_s", "matroid.is_mcb.self_s",
-               "generators.gen_rnc.self_s", "generators.gen_plane_curve_ci.self_s",
-               "generators.gen_elliptic_quartic.self_s", "trace.traced_s")
+               "cover.candidate_flats.self_s", "cover.exists_cover.self_s",
+               "cover.min_cover.self_s", "linalg.rref.self_s", "linalg.rank.self_s",
+               "linalg.in_row_space.self_s", "projective.self_s", "cb.is_cb.self_s",
+               "matroid.is_mcb.self_s", "generators.gen_rnc.self_s",
+               "generators.gen_plane_curve_ci.self_s", "generators.gen_elliptic_quartic.self_s",
+               "trace.traced_s")
 
 
 def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
