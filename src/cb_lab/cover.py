@@ -36,6 +36,12 @@ length budgets plus a knapsack-style coverage bound, and memoize failed
 set means the space was exhausted, never truncated.  The same core covers a
 target mask by any weighted candidate masks, so it also serves
 matroid.is_mcb (flats of cost 1).
+
+The coverage bound reads only the candidates' masks and costs, and many
+queries end at the root on it.  So exists_cover grows the candidate levels'
+masks and decides its root from them; the top level's bases, that level's
+sort, the CandidateFlats and the by_point index are built at the first node
+that branches, from the residuals the growth already took.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
@@ -143,21 +150,42 @@ def candidate_flats(gamma: PointSet, max_dim: int):
 
     Returned in canonical order (dimension, then basis bytes).
     """
+    return _flats(gamma.field, *_grow(gamma, max_dim))
+
+
+def _flats(field, found, top) -> list:
+    """The candidate_flats list of _grow's (found, top): each top-level
+    child's basis is its parent's plus one pivot insert of its residual."""
+    insert = _residual_ops(field)[1]
+    top = _sorted_level(field, [insert(basis, piv, r) + (mask,) for basis, piv, r, mask in top])
+    return [CandidateFlat(field, basis, mask) for basis, _piv, mask in found + top]
+
+
+def _grow(gamma: PointSet, max_dim: int):
+    """The mask growth of candidate_flats: (found, top).
+
+    found holds the finished (basis, pivots, mask) triples of every level
+    below the top one, each level sorted.  top holds the top level's
+    children as (parent basis, parent pivots, residual, mask) in discovery
+    order: their masks are final, but no basis is built and the level is not
+    sorted; _flats does both.
+    """
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
     fld = gamma.field
-    n = gamma.ambient_dim
-    prime = fld.kind == PRIME
     coords = [pt.ints for pt in gamma]
     residual, insert = _residual_ops(fld)
     # (basis, pivot columns, point mask): a point's basis is itself
     level = [((c,), (_lead(c),), 1 << i) for i, c in enumerate(coords)]
     full = (1 << len(coords)) - 1
-    found = []
-    for dim in range(min(max_dim, n)):
+    found, top = [], []
+    for dim in range(min(max_dim, gamma.ambient_dim)):
+        if dim:
+            level = [insert(basis, piv, r) + (mask,) for basis, piv, r, mask in top]
+            found.extend(_sorted_level(fld, level))
         inside = {}  # parent mask -> union of this level's independent children on it
         holding = [[] for _ in coords]  # point -> this level's dependent children on it
-        grown = []
+        top = []
         for basis, piv, mask in level:
             done = mask | inside.get(mask, 0)
             for g in holding[(mask & -mask).bit_length() - 1]:
@@ -168,7 +196,7 @@ def candidate_flats(gamma: PointSet, max_dim: int):
                 r = residual(coords[i], basis, piv)
                 groups[r] = groups.get(r, mask) | 1 << i
             for r, child in groups.items():
-                grown.append(insert(basis, piv, r) + (child,))
+                top.append((basis, piv, r, child))
                 points = _elements(child)
                 if len(points) == dim + 2:
                     for i in points:
@@ -177,12 +205,17 @@ def candidate_flats(gamma: PointSet, max_dim: int):
                 else:
                     for i in points:
                         holding[i].append(child)
-        level = grown
-        # A level has one dimension, so sorting each level orders the whole
-        # list.  The next pass reads the level in discovery order: another
-        # order changes which parent finds each child and skips fewer points.
-        found.extend(sorted(grown, key=None if prime else _rational_key(grown)))
-    return [CandidateFlat(fld, basis, mask) for basis, _piv, mask in found]
+    return found, top
+
+
+def _sorted_level(field, level) -> list:
+    """One level's (basis, pivots, mask) triples in canonical basis order.
+
+    A level has one dimension, so sorting each level orders the whole list.
+    _grow reads a level in discovery order: another order changes which
+    parent finds each child and skips fewer points.
+    """
+    return sorted(level, key=None if field.kind == PRIME else _rational_key(level))
 
 
 def _rational_key(entries):
@@ -289,28 +322,39 @@ class _CoverSearch:
     max_length candidates of total cost <= d and returns their items in
     pick order, or None.  Each run counts its own nodes against the node
     budget.
+
+    The coverage bound reads only the (mask, cost) pair of each candidate,
+    from weights.  items() returns the triples in branching order; it is
+    called, and the by_point index built from it, at the first node that
+    branches, so a search whose runs are all decided at the root builds
+    neither.
     """
 
-    def __init__(self, cands, target: int, node_budget):
-        self.cands = cands
+    def __init__(self, weights, target: int, node_budget, items):
         self.target = target
-        self.points = _elements(target)
-        self.max_cost = max((k for _m, k, _item in cands), default=0)
         self.node_budget = node_budget
-        self.by_point = {i: [] for i in self.points}
-        for c in cands:
-            for i in _elements(c[0] & target):
-                self.by_point[i].append(c)
+        self.items = items
+        self.best = {}  # cost -> the most points on one candidate of that cost
+        for mask, k in weights:
+            self.best[k] = max(self.best.get(k, 0), mask.bit_count())
+        self.max_cost = max(self.best, default=0)
+
+    @cached_property
+    def by_point(self) -> dict:
+        """Each target point's candidate triples, in branching order."""
+        by_point = {i: [] for i in _elements(self.target)}
+        for c in self.items():
+            for i in _elements(c[0] & self.target):
+                by_point[i].append(c)
+        return by_point
 
     def _coverage_bound(self, d: int, length: int):
         # best[b][l]: most points coverable with cost budget b and l
         # candidates, overestimated from the best single candidate of each cost.
         best_at = [0] * (d + 1)
-        for mask, k, _item in self.cands:
+        for k, cnt in self.best.items():
             if k <= d:
-                cnt = mask.bit_count()
-                if cnt > best_at[k]:
-                    best_at[k] = cnt
+                best_at[k] = cnt
         for k in range(1, d + 1):
             best_at[k] = max(best_at[k], best_at[k - 1])
         table = [[0] * (length + 1) for _ in range(d + 1)]
@@ -332,7 +376,7 @@ class _CoverSearch:
         # Capping both budgets there shifts every budget in the tree by a
         # constant and leaves each prune unchanged, but keeps the bound
         # table small for huge budgets.
-        length = min(length, len(self.points))
+        length = min(length, self.target.bit_count())
         d = min(d, length * self.max_cost)
         self.bound = self._coverage_bound(d, length)
         self.memo = set()
@@ -357,9 +401,9 @@ class _CoverSearch:
             return False
         pick = -1
         fewest = None
-        for i in self.points:
+        for i, cands in self.by_point.items():
             if uncovered >> i & 1:
-                options = sum(1 for c in self.by_point[i] if c[1] <= cost_left)
+                options = sum(1 for c in cands if c[1] <= cost_left)
                 if fewest is None or options < fewest:
                     fewest = options
                     pick = i
@@ -383,19 +427,33 @@ def _point_search(gamma: PointSet, top: Flat, max_dim: int, node_budget: int,
     others contribute at least 1 each), and a single covering plane shrinks
     to span(gamma); so spans of subsets up to dim max_dim-1 plus the total
     span are a complete candidate set.  cands, when given, is that
-    candidate_flats list, already built; it is not modified.
+    candidate_flats list, already built; it is not modified.  Otherwise the
+    levels are grown here, and the top level's bases are built and sorted
+    only if the search branches.
     """
     full = (1 << len(gamma)) - 1
     cap = min(max_dim - 1, gamma.ambient_dim)
     if cands is None:
-        cands = candidate_flats(gamma, cap) if cap >= 1 else []
-    items = [(c.mask, c.dim, c) for c in cands]
+        found, grown = _grow(gamma, cap) if cap >= 1 else ([], [])
+        weights = [(mask, len(basis) - 1) for basis, _piv, mask in found]
+        weights += [(mask, cap) for *_parent, mask in grown]
+    else:
+        weights = [(c.mask, c.dim) for c in cands]
     # The candidates hold every span of a subset up to dim cap, top among
     # them when top.dim <= cap; otherwise top outranks them all in
     # (dim, basis) order and goes last.
-    if cap < top.dim <= max_dim:
-        items.append((full, top.dim, CandidateFlat(top.field, top.basis, full, top)))
-    return _CoverSearch(items, full, node_budget)
+    with_top = cap < top.dim <= max_dim
+    if with_top:
+        weights.append((full, top.dim))
+
+    def items():
+        flats = _flats(gamma.field, found, grown) if cands is None else cands
+        out = [(c.mask, c.dim, c) for c in flats]
+        if with_top:
+            out.append((full, top.dim, CandidateFlat(top.field, top.basis, full, top)))
+        return out
+
+    return _CoverSearch(weights, full, node_budget, items)
 
 
 def _result_from_chosen(gamma: PointSet, chosen, nodes: int, minimal: bool) -> CoverResult:
@@ -419,6 +477,9 @@ def exists_cover(
 
     found=False always comes with proof_of_minimality=True (the search space
     was exhausted); a truncated search raises BudgetExceededError instead.
+    The root's coverage bound reads only the candidates' masks, so a query
+    it refuses (found=False, nodes_explored=1) builds no candidate basis and
+    no index.
     A 0-dimensional configuration is empty, so d <= 0 succeeds only for empty
     gamma; that answer comes before the length check, so any max_length is
     accepted there.  For d >= 1 a max_length below 1 raises ValueError.
@@ -455,9 +516,10 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
 
 
 def _min_cover(gamma: PointSet, node_budget: int | None, cands=None) -> CoverResult:
-    """min_cover, over cands = candidate_flats(gamma, dim span(gamma) - 1)
-    when the caller has built that list already (a point Matroid's lattice
-    is read from the same list)."""
+    """min_cover, over cands = candidate_flats(gamma, dim span(gamma) - 1),
+    built here unless the caller has built that list already (a point
+    Matroid's lattice is read from the same list).  Every sweep ends in a
+    query that branches, so nothing is gained by deferring a level."""
     if len(gamma) == 0:
         raise ValueError("min_cover needs a nonempty point set")
     if node_budget is None:
@@ -465,6 +527,8 @@ def _min_cover(gamma: PointSet, node_budget: int | None, cands=None) -> CoverRes
     if len(gamma) == 1:
         return replace(exists_cover(gamma, 1, 1, node_budget), proof_of_minimality=True)
     top = span(list(gamma))
+    if cands is None:
+        cands = candidate_flats(gamma, top.dim - 1) if top.dim >= 2 else []
     search = _point_search(gamma, top, top.dim, node_budget, cands)
     total_nodes = 0
     for dim in range(1, top.dim + 1):

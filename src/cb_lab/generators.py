@@ -887,8 +887,20 @@ def _has_three_collinear(pts, q1, q2, field: FieldSpec) -> bool:
     be nonzero at a, against Euler); then the lines through a and the other
     points are compared instead.  Each test is O(1) per point outside that
     case.
+
+    That case holds at every point when q2 is a multiple of q1: the curve is
+    the quadric q1 = 0, and the answer is read from q1 alone.  A quadric
+    surface holds a rational line exactly when it is singular (a cone over a
+    conic, two planes, or two conjugate planes through a rational line) or
+    smooth and split, that is, when _gram_det(q1) is 0 or a nonzero square;
+    a smooth non-split quadric holds none (Hirschfeld, Finite Projective
+    Spaces of Three Dimensions, 1985).
     """
     p = field.p
+    i = next(j for j, c in enumerate(q1) if c % p)
+    if not any((q1[i] * b - q2[i] * a) % p for a, b in zip(q1, q2)):
+        det = _gram_det(q1, p)
+        return det == 0 or pow(det, (p - 1) // 2, p) == 1
     for a in pts:
         j = a.index(1)
         u = _gradient(q1, a, p)

@@ -231,7 +231,8 @@ class McbReport:
 def is_mcb(m: Matroid, r: int) -> McbReport:
     """Matroid Cayley-Bacharach: no union of r flats holds all elements but one.
 
-    For each element x the search covers the rest by hyperplanes avoiding x.
+    For each element x the search covers the rest by hyperplanes avoiding x,
+    unless r times the most elements on one of them is already too few.
     Nothing is lost: a flat avoiding x is the intersection of the hyperplanes
     containing it, one of which must avoid x, so the hyperplanes avoiding x
     are exactly the maximal proper flats avoiding x.
@@ -241,9 +242,16 @@ def is_mcb(m: Matroid, r: int) -> McbReport:
     full_rank = m.full_rank
     hyperplanes = flats(m, full_rank - 1).get(full_rank - 1, ())
     ground = (1 << m.size) - 1
+    # r flats avoiding x hold at most r times the most elements on one of
+    # them, which settles most elements without a search.
+    by_size = sorted(hyperplanes, key=int.bit_count, reverse=True)
     for x in range(m.size):
+        most = next((h.bit_count() for h in by_size if not h >> x & 1), 0)
+        if r * most < m.size - 1:
+            continue
         candidates = [h for h in hyperplanes if not h >> x & 1]
-        search = _CoverSearch([(f, 1, f) for f in candidates], ground & ~(1 << x), math.inf)
+        search = _CoverSearch([(f, 1) for f in candidates], ground & ~(1 << x), math.inf,
+                              lambda: [(f, 1, f) for f in candidates])
         got = search.run(r, r)
         if got is not None:
             if not got and candidates:

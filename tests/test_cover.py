@@ -225,15 +225,26 @@ def test_candidate_flats_match_oracle_on_flag_sets(field):
     assert top_level >= 3
 
 
+def _triple_key(c):
+    """A search triple with its CandidateFlat item (if any) replaced by its basis."""
+    mask, cost, item = c
+    return mask, cost, getattr(item, "_basis", item)
+
+
 def test_by_point_lists_every_candidate_on_each_target_point_in_order():
+    # items() builds fresh CandidateFlats on each call: compare their bases
     def by_membership(search):
-        return {i: [c for c in search.cands if c[0] >> i & 1] for i in search.points}
+        points = [i for i in range(search.target.bit_length()) if search.target >> i & 1]
+        return {i: [_triple_key(c) for c in search.items() if c[0] >> i & 1] for i in points}
+
+    def indexed(search):
+        return {i: [_triple_key(c) for c in cands] for i, cands in search.by_point.items()}
 
     rng = random.Random(5)
     for field in (GF3, GF101, Q):
         gamma = _flag_set(field, 4, 10, rng)
         search = cover._point_search(gamma, span(list(gamma)), 4, 10**6)
-        assert search.by_point == by_membership(search)
+        assert indexed(search) == by_membership(search)
         m = Matroid.from_points(gamma)
         hyperplanes = flats(m, m.full_rank - 1)[m.full_rank - 1]
         ground = (1 << m.size) - 1
@@ -241,9 +252,10 @@ def test_by_point_lists_every_candidate_on_each_target_point_in_order():
             # as is_mcb builds it (no candidate holds x), and with every
             # hyperplane, so that candidate masks reach outside the target
             for hs in ([h for h in hyperplanes if not h >> x & 1], hyperplanes):
-                search = cover._CoverSearch([(h, 1, h) for h in hs], ground & ~(1 << x), 10)
+                search = cover._CoverSearch([(h, 1) for h in hs], ground & ~(1 << x), 10,
+                                            lambda hs=hs: [(h, 1, h) for h in hs])
                 assert x not in search.by_point
-                assert search.by_point == by_membership(search)
+                assert indexed(search) == by_membership(search)
 
 
 def test_candidates_three_collinear(gf101):
@@ -508,3 +520,139 @@ def test_rational_cover_search():
     res = min_cover(pts)
     assert (res.dim, res.length) == (2, 2)
     assert res.config == cfg
+
+
+def _exists_cover_built(gamma, d, max_length, node_budget=10**7):
+    """exists_cover with every candidate flat, basis and sort included, and
+    the by_point index, built before the search starts (the reference for
+    the mask-only root bound)."""
+    if d <= 0 or len(gamma) < 2:
+        return exists_cover(gamma, d, max_length, node_budget)
+    cap = min(d - 1, gamma.ambient_dim)
+    cands = candidate_flats(gamma, cap) if cap >= 1 else []
+    search = cover._point_search(gamma, span(list(gamma)), d, node_budget, cands)
+    assert search.by_point is not None
+    chosen = search.run(d, max_length)
+    if chosen is None:
+        return cover.CoverResult(False, None, 0, 0, search.nodes, True)
+    return cover._result_from_chosen(gamma, chosen, search.nodes, minimal=False)
+
+
+def _three_collinear(field, n, rng):
+    """A random set of P^n with three points on one line."""
+    gamma = random_point_set(field, n, rng.randint(3, 7), rng)
+    a, b = gamma[0].coords, gamma[1].coords
+    third = [x + y for x, y in zip(a, b)]
+    pts = [pt for pt in gamma if pt != ProjPoint(field, third)]
+    return PointSet(field, n, (pts[0], pts[1], ProjPoint(field, third), *pts[2:]))
+
+
+def _low_span(field, n, k, rng):
+    """A random set of P^n inside the span of k + 1 random points."""
+    gens = [pt.coords for pt in random_point_set(field, n, k + 1, rng)]
+    pts, seen = [], set()
+    for _ in range(12):
+        coeffs = [rng.randint(0, 3) for _ in gens]
+        v = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n + 1)]
+        if any(field.coerce(x) for x in v):
+            pt = ProjPoint(field, v)
+            if pt.coords not in seen:
+                seen.add(pt.coords)
+                pts.append(pt)
+    return PointSet(field, n, tuple(pts))
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF101, Q], ids=["gf2", "gf3", "gf101", "q"])
+def test_mask_root_bound_changes_no_byte(field):
+    # exists_cover decides its root from masks and builds the top level's
+    # bases and the index only when it branches: the JSON, nodes_explored
+    # and config included, equals that of the search with all built first
+    rng = random.Random(27 + (field.p or 0))
+    roots = set()
+    for t in range(30):
+        n = rng.randint(2, 4)
+        kind = t % 3
+        if kind == 0:
+            gamma = random_point_set(field, n, rng.randint(2, 9), rng)
+        elif kind == 1:
+            gamma = _three_collinear(field, n, rng)
+        else:
+            gamma = _low_span(field, n, rng.randint(1, 3), rng)
+        for d in (1, 2, 3):
+            for ml in (1, 2, 3):
+                got = exists_cover(gamma, d, ml).to_json()
+                assert got == _exists_cover_built(gamma, d, ml).to_json(), (d, ml, gamma.to_json())
+                roots.add(got["nodes_explored"] == 1 and not got["found"])
+    assert roots == {True, False}
+
+
+class _CountedFlat(cover.CandidateFlat):
+    made = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        _CountedFlat.made += 1
+
+
+def _recorded_searches(monkeypatch) -> list:
+    """Every _CoverSearch that cb_lab.cover makes from here on; CandidateFlat
+    constructions are counted in _CountedFlat.made."""
+    searches = []
+
+    class Recorded(cover._CoverSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(cover, "_CoverSearch", Recorded)
+    monkeypatch.setattr(cover, "CandidateFlat", _CountedFlat)
+    _CountedFlat.made = 0
+    return searches
+
+
+def test_root_pruned_cover_builds_no_candidate_and_no_index(monkeypatch):
+    from cb_lab import gen_elliptic_quartic
+
+    quartic = gen_elliptic_quartic(9, GF101, 1)
+    rnc = gen_rnc(3, 8, GF101, seed=2)  # (d, r) = (2, 2) tightness set
+    searches = _recorded_searches(monkeypatch)
+    for gamma in (quartic, rnc):
+        searches.clear()
+        res = exists_cover(gamma, 2, 2)
+        assert (res.found, res.nodes_explored, res.proof_of_minimality) == (False, 1, True)
+        assert len(searches) == 1 and "by_point" not in vars(searches[0])
+        assert _CountedFlat.made == 0
+    # the node-budget check at the root stays
+    with pytest.raises(BudgetExceededError):
+        exists_cover(quartic, 2, 2, node_budget=0)
+
+
+@pytest.mark.parametrize("gamma,d", [(gen_skew_lines(2, (5, 5), GF101, seed=3)[0], 2),
+                                     (gen_two_plane_conics(6, GF101, seed=12)[0], 4),
+                                     (gen_skew_lines(2, (4, 3), Q, seed=7)[0], 2),
+                                     (gen_two_plane_conics(5, Q, seed=3)[0], 4)],
+                         ids=["gf101-skew-lines", "gf101-conics", "q-skew-lines", "q-conics"])
+def test_branching_cover_takes_the_residuals_of_candidate_flats_once(gamma, d, monkeypatch):
+    # the root branches, so the top level is finished from the residuals
+    # its mask growth took, not taken again
+    cap = min(d - 1, gamma.ambient_dim)
+    _cands, alone = _residual_calls(gamma, cap, monkeypatch)
+    monkeypatch.undo()
+    calls = []
+    residual_ops = cover._residual_ops
+
+    def counted_ops(field):
+        residual, insert = residual_ops(field)
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        return counted, insert
+
+    searches = _recorded_searches(monkeypatch)
+    monkeypatch.setattr(cover, "_residual_ops", counted_ops)
+    res = exists_cover(gamma, d, d)
+    assert res.found and res.nodes_explored > 1
+    assert "by_point" in vars(searches[0])
+    assert len(calls) == alone > 0

@@ -44,6 +44,7 @@ from cb_lab.generators import (
     _common_zeros,
     _conic_through_origin_point,
     _form_mul,
+    _gram_det,
     _has_three_collinear,
     _is_smooth_pencil,
     _line_key,
@@ -701,6 +702,45 @@ def test_three_collinear_matches_pair_scan(p):
     assert leads > {0}
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_proportional_pencil_collinearity_is_read_from_the_quadric(p):
+    # q2 = c q1 makes the curve the whole quadric q1 = 0: smooth ones, cones
+    # (no x3 terms) and plane pairs, against every c
+    field = FieldSpec.prime(p)
+    sqrts = _sqrt_table(p)
+    rng = random.Random(27 + p)
+    outcomes = set()
+    for i in range(30):
+        q1 = tuple(rng.randrange(p) for _ in range(10))
+        if i % 3 == 1:
+            q1 = _no_beta(q1[:9] + (0,))
+        elif i % 3 == 2:
+            q1 = tuple(c % p for c in _product_quadric(*([rng.randrange(p) for _ in range(4)]
+                                                          for _ in range(2))))
+        if not any(q1):
+            continue
+        curve = [ProjPoint(field, x) for x in _quadric_curve(q1, q1, p, sqrts)]
+        expect = has_three_collinear_by_pairs(curve, field)
+        for c in range(1, p):
+            q2 = tuple(c * a % p for a in q1)
+            got = _has_three_collinear([pt.coords for pt in curve], q1, q2, field)
+            assert got == expect, (q1, c)
+        outcomes.add((expect, _gram_det(q1, p) == 0))
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_proportional_pencils_at_p101_are_decided_at_once():
+    # the scan would compare the lines through each of ~p^2 points
+    p = 101
+    cases = _quadric_pair_cases(p, random.Random(p))
+    for name, expect in (("proportional", False), ("split-proportional", True)):
+        q1, q2 = cases[name]
+        curve = _quadric_curve(q1, q2, p, _sqrt_table(p))
+        start = time.perf_counter()
+        assert _has_three_collinear(curve, q1, q2, FieldSpec.prime(p)) is expect
+        assert time.perf_counter() - start < 1.0, name
+
+
 def _pencils(p, rng, rounds, randoms):
     """(name, (q1, q2)): the _quadric_pair_cases of rounds draws, each with
     u a + v b and the plane pair u v (both hold the line u = v = 0, and
@@ -758,8 +798,7 @@ class _ScriptedPencil(random.Random):
 
 
 def test_collinearity_scan_runs_where_smoothness_is_not_certified(monkeypatch):
-    # singular pencils at p = 11: over GF(101) the proportional pencil of a
-    # non-split quadric would compare all pairs of its ~p^2 points
+    # singular pencils at p = 11
     calls = {}
     _count_calls(monkeypatch, generators, "_has_three_collinear", calls)
     for p, names in ((11, ("shared-plane", "two-cones-0001", "proportional", "ruling-line",

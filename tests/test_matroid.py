@@ -1,5 +1,6 @@
 """Matroids: rank oracles, flats, MCB(r), flat covers."""
 
+import math
 import random
 import time
 
@@ -20,10 +21,11 @@ from cb_lab import (
     is_mcb,
     min_cover,
 )
+from cb_lab import cover
 from cb_lab.errors import GroundTooLargeError
-from cb_lab.matroid import _elements, _mask_of
+from cb_lab.matroid import McbReport, _elements, _mask_of
 
-from helpers import random_point_set
+from helpers import clustered_point_set, random_point_set
 
 GF2, GF3 = FieldSpec.prime(2), FieldSpec.prime(3)
 GF101, Q = FieldSpec.prime(101), FieldSpec.rational()
@@ -346,3 +348,37 @@ def test_ground_too_large(gf101):
 def test_mask_helpers():
     assert _mask_of([0, 2, 5]) == 0b100101
     assert _elements(0b100101) == [0, 2, 5]
+
+
+def _is_mcb_by_searches(m: Matroid, r: int) -> McbReport:
+    """is_mcb with a full cover search, index built first, for every element
+    (the reference for its per-element size pre-check)."""
+    rk = m.full_rank
+    hyperplanes = flats(m, rk - 1).get(rk - 1, ())
+    ground = (1 << m.size) - 1
+    for x in range(m.size):
+        candidates = [h for h in hyperplanes if not h >> x & 1]
+        search = cover._CoverSearch([(h, 1) for h in candidates], ground & ~(1 << x), math.inf,
+                                    lambda hs=candidates: [(h, 1, h) for h in hs])
+        assert search.by_point is not None
+        got = search.run(r, r)
+        if got is not None:
+            if not got and candidates:
+                got = (candidates[0],)
+            return McbReport(r, False, tuple(tuple(_elements(f)) for f in got), x)
+    return McbReport(r, True)
+
+
+def test_is_mcb_pre_check_matches_every_search_built():
+    rng = random.Random(27)
+    cases = _hyperplane_cases()
+    for field in (GF3, GF101, Q):
+        for _ in range(6):
+            cases.append(Matroid.from_points(clustered_point_set(field, 3, rng.randint(4, 9), rng)))
+    verdicts = set()
+    for m in cases:
+        for r in (1, 2, 3, 4):
+            got = is_mcb(m, r)
+            assert got == _is_mcb_by_searches(m, r), (m.label, r)
+            verdicts.add(got.verdict)
+    assert verdicts == {True, False}
