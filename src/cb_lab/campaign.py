@@ -375,9 +375,9 @@ def _mcb_trial(rec, rng, field, budget):
     mcb = is_mcb(matroid, rec["r"])
     rec["mcb"] = mcb.verdict
     try:
-        # is_mcb built the matroid's lattice from the candidate flats that
-        # min_cover needs: candidate_flats(gamma, full_rank - 2).
-        mc = _min_cover(gamma, budget, matroid._candidates)
+        # is_mcb built the matroid's lattice from the candidate levels that
+        # min_cover needs: those of gamma up to dim full_rank - 2.
+        mc = _min_cover(gamma, budget, matroid._levels)
         dims = sorted((pl.dim for pl in mc.config.planes), reverse=True)
         flat_cover = exists_flat_cover(matroid, dims)
         rec.update(

@@ -25,9 +25,9 @@ Fractions do.  A candidate keeps its mask, dimension and raw echelon
 basis; its Flat (over Q the rows divided by D, linalg.unit_pivots) is
 built on the first .flat read, which the searches and the matroid lattice
 never make: only the chosen planes of a cover are read.
-min_cover spans gamma once and keeps one candidate list and one by_point
-table for its whole (dim, length) sweep; an MCB campaign trial hands it
-the list its matroid's lattice was read from.
+min_cover keeps one set of candidate levels and one search for its whole
+(dim, length) sweep; an MCB campaign trial hands it the levels its
+matroid's lattice was read from.
 
 The search is depth-first branch and bound: branch on the uncovered point
 lying on the fewest candidate flats, bound by the remaining dimension and
@@ -37,20 +37,22 @@ set means the space was exhausted, never truncated.  The same core covers a
 target mask by any weighted candidate masks, so it also serves
 matroid.is_mcb (flats of cost 1).
 
-The coverage bound reads only the candidates' masks and costs, and many
-queries end at the root on it.  So exists_cover grows the candidate levels'
-masks and decides its root from them; the top level's bases, that level's
-sort, the CandidateFlats and the by_point index are built at the first node
-that branches, from the residuals the growth already took.
+The coverage bound and the branching counts read only the candidates'
+masks and costs, so the growth keeps every level's masks but builds a basis
+only for a parent with points left to reduce.  A level's other bases, its
+sort, its CandidateFlats and its by-point index wait for the first node that
+tries one of its candidates; levels are tried in ascending cost, so a query
+that succeeds on a plane never sorts the solids.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm
+from operator import add
 
 from . import linalg
 from .errors import BudgetExceededError
@@ -140,63 +142,74 @@ def candidate_flats(gamma: PointSet, max_dim: int):
       lead column cleared, plus the residual as a pivot row, which is the
       unique reduced echelon form of span(F, p_i).
 
-    Over Q the whole loop runs on integers.  Each point is its primitive
-    integer vector (ProjPoint.ints: content 1, lead > 0), each basis is its reduced echelon
-    form times the lcm D of its denominators (every pivot equals D and the
-    entries have content 1), and a residual is the fraction-free D*v -
-    sum(v[c_k] * B_k), made primitive (linalg.primitive).
-    A candidate keeps that integer basis; its Fraction Flat is built on the
-    first .flat read.
+    Over Q the loop runs on integers: primitive points (ProjPoint.ints),
+    bases times the lcm D of their denominators (every pivot equals D, the
+    entries have content 1) and fraction-free residuals D*v - sum(v[c_k] *
+    B_k), made primitive (linalg.primitive).
 
     Returned in canonical order (dimension, then basis bytes).
     """
-    return _flats(gamma.field, *_grow(gamma, max_dim))
+    return [c for level in _grow(gamma, max_dim) for _mask, c in level.items()]
 
 
-def _flats(field, found, top) -> list:
-    """The candidate_flats list of _grow's (found, top): each top-level
-    child's basis is its parent's plus one pivot insert of its residual."""
-    insert = _residual_ops(field)[1]
-    top = _sorted_level(field, [insert(basis, piv, r) + (mask,) for basis, piv, r, mask in top])
-    return [CandidateFlat(field, basis, mask) for basis, _piv, mask in found + top]
+class _Level:
+    """The candidate flats of one dimension (cost) in discovery order, which
+    _grow keeps (another order skips fewer points): each child's parent
+    (basis, pivots) and residual, and its point mask.  A child's basis, its
+    parent's plus one pivot insert, is made on its first basis() read;
+    items() builds the rest and sorts the level by basis."""
+
+    def __init__(self, field, cost: int, insert):
+        self.field, self.cost, self.insert = field, cost, insert
+        self.children, self.masks, self.built = [], [], {}
+
+    def basis(self, j: int) -> tuple:
+        """The (basis, pivot columns) of child j."""
+        got = self.built.get(j)
+        if got is None:
+            got = self.built[j] = self.insert(*self.children[j])
+        return got
+
+    def items(self) -> list:
+        """The (mask, CandidateFlat) pairs of the level in canonical basis order."""
+        level = [self.basis(j) + (mask,) for j, mask in enumerate(self.masks)]
+        level.sort(key=None if self.field.kind == PRIME else _rational_key(level))
+        return [(mask, CandidateFlat(self.field, basis, mask)) for basis, _piv, mask in level]
 
 
-def _grow(gamma: PointSet, max_dim: int):
-    """The mask growth of candidate_flats: (found, top).
-
-    found holds the finished (basis, pivots, mask) triples of every level
-    below the top one, each level sorted.  top holds the top level's
-    children as (parent basis, parent pivots, residual, mask) in discovery
-    order: their masks are final, but no basis is built and the level is not
-    sorted; _flats does both.
-    """
+def _grow(gamma: PointSet, max_dim: int) -> list:
+    """The levels of candidate_flats, dims 1..min(max_dim, ambient dim), as
+    _Levels: their masks are final, and a child's basis is built only when
+    it is read (as a parent with points to reduce, or by items())."""
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
     fld = gamma.field
     coords = [pt.ints for pt in gamma]
     residual, insert = _residual_ops(fld)
-    # (basis, pivot columns, point mask): a point's basis is itself
-    level = [((c,), (_lead(c),), 1 << i) for i, c in enumerate(coords)]
+    # the parents of the first level: a point's basis is itself
+    masks = [1 << i for i in range(len(coords))]
+    basis_of = [((c,), (_lead(c),)) for c in coords].__getitem__
     full = (1 << len(coords)) - 1
-    found, top = [], []
+    levels = []
     for dim in range(min(max_dim, gamma.ambient_dim)):
-        if dim:
-            level = [insert(basis, piv, r) + (mask,) for basis, piv, r, mask in top]
-            found.extend(_sorted_level(fld, level))
+        level = _Level(fld, dim + 1, insert)
         inside = {}  # parent mask -> union of this level's independent children on it
         holding = [[] for _ in coords]  # point -> this level's dependent children on it
-        top = []
-        for basis, piv, mask in level:
+        for j, mask in enumerate(masks):
             done = mask | inside.get(mask, 0)
             for g in holding[(mask & -mask).bit_length() - 1]:
                 if g & mask == mask:
                     done |= g
+            if done == full:
+                continue
+            basis, piv = basis_of(j)
             groups = {}
             for i in _elements(full & ~done):
                 r = residual(coords[i], basis, piv)
                 groups[r] = groups.get(r, mask) | 1 << i
             for r, child in groups.items():
-                top.append((basis, piv, r, child))
+                level.children.append((basis, piv, r))
+                level.masks.append(child)
                 points = _elements(child)
                 if len(points) == dim + 2:
                     for i in points:
@@ -205,17 +218,9 @@ def _grow(gamma: PointSet, max_dim: int):
                 else:
                     for i in points:
                         holding[i].append(child)
-    return found, top
-
-
-def _sorted_level(field, level) -> list:
-    """One level's (basis, pivots, mask) triples in canonical basis order.
-
-    A level has one dimension, so sorting each level orders the whole list.
-    _grow reads a level in discovery order: another order changes which
-    parent finds each child and skips fewer points.
-    """
-    return sorted(level, key=None if field.kind == PRIME else _rational_key(level))
+        levels.append(level)
+        masks, basis_of = level.masks, level.basis
+    return levels
 
 
 def _rational_key(entries):
@@ -317,55 +322,64 @@ def _single_point_line(gamma: PointSet) -> Flat | None:
 
 
 class _CoverSearch:
-    """Branch and bound covering the points of a target mask by candidates,
-    each a (mask, cost >= 1, item) triple: run(d, max_length) looks for at most
-    max_length candidates of total cost <= d and returns their items in
-    pick order, or None.  Each run counts its own nodes against the node
-    budget.
+    """Branch and bound covering the points of a target mask by candidates
+    in levels (cost >= 1, masks, items), one per cost and in ascending cost,
+    items() giving the level's (mask, item) pairs in branching order:
+    run(d, max_length) looks for at most max_length candidates of total cost
+    <= d and returns their items in pick order, or None.  Each run counts
+    its own nodes against the node budget.
 
-    The coverage bound reads only the (mask, cost) pair of each candidate,
-    from weights.  items() returns the triples in branching order; it is
-    called, and the by_point index built from it, at the first node that
-    branches, so a search whose runs are all decided at the root builds
-    neither.
+    The coverage bound and the option counts that pick the branching point
+    read only the masks.  A level's items() is called, and its by-point
+    index built, at the first node that tries one of its candidates.  The
+    cheapest level's counts are read off its index: the first node that
+    branches on a point cover tries a line, and is_mcb has one level.
     """
 
-    def __init__(self, weights, target: int, node_budget, items):
+    def __init__(self, levels, target: int, node_budget):
         self.target = target
         self.node_budget = node_budget
-        self.items = items
-        self.best = {}  # cost -> the most points on one candidate of that cost
-        for mask, k in weights:
-            self.best[k] = max(self.best.get(k, 0), mask.bit_count())
+        self.levels = levels
+        self.costs = [cost for cost, _masks, _items in levels]
+        self.index = [None] * len(levels)  # per level: point -> its (mask, item) pairs
+        self.counts = [None] * len(levels)  # per level: point -> its number of candidates
+        self.options = {0: [0] * target.bit_length()}  # levels read -> per point, the sum
+        # cost -> the most points on one candidate of that cost
+        self.best = {cost: max(map(int.bit_count, masks)) for cost, masks, _i in levels if masks}
         self.max_cost = max(self.best, default=0)
 
-    @cached_property
-    def by_point(self) -> dict:
-        """Each target point's candidate triples, in branching order."""
-        by_point = {i: [] for i in _elements(self.target)}
-        for c in self.items():
-            for i in _elements(c[0] & self.target):
-                by_point[i].append(c)
-        return by_point
+    def _index(self, k: int) -> list:
+        if self.index[k] is None:
+            by_point = self.index[k] = [[] for _ in range(self.target.bit_length())]
+            for pair in self.levels[k][2]():
+                for i in _elements(pair[0] & self.target):
+                    by_point[i].append(pair)
+        return self.index[k]
+
+    def _options(self, read: int) -> list:
+        """Per point, its candidates on the first read levels: the cheapest
+        level's counts are read off its index, the others' off their masks."""
+        if read not in self.options:
+            k = read - 1
+            if k:
+                counts = [0] * self.target.bit_length()
+                for mask in self.levels[k][1]:
+                    for i in _elements(mask & self.target):
+                        counts[i] += 1
+            else:
+                counts = list(map(len, self._index(0)))
+            self.counts[k] = counts
+            self.options[read] = list(map(add, self._options(k), counts))
+        return self.options[read]
 
     def _coverage_bound(self, d: int, length: int):
         # best[b][l]: most points coverable with cost budget b and l
         # candidates, overestimated from the best single candidate of each cost.
-        best_at = [0] * (d + 1)
-        for k, cnt in self.best.items():
-            if k <= d:
-                best_at[k] = cnt
-        for k in range(1, d + 1):
-            best_at[k] = max(best_at[k], best_at[k - 1])
+        best_at = list(accumulate((self.best.get(k, 0) for k in range(d + 1)), max))
         table = [[0] * (length + 1) for _ in range(d + 1)]
         for b in range(1, d + 1):
             for l in range(1, length + 1):
-                best = 0
-                for k in range(1, b + 1):
-                    got = best_at[k] + table[b - k][l - 1]
-                    if got > best:
-                        best = got
-                table[b][l] = best
+                table[b][l] = max(best_at[k] + table[b - k][l - 1] for k in range(1, b + 1))
         return table
 
     def run(self, d: int, max_length: int):
@@ -399,61 +413,48 @@ class _CoverSearch:
         key = (uncovered, cost_left, len_left)
         if key in self.memo:
             return False
-        pick = -1
-        fewest = None
-        for i, cands in self.by_point.items():
-            if uncovered >> i & 1:
-                options = sum(1 for c in cands if c[1] <= cost_left)
-                if fewest is None or options < fewest:
-                    fewest = options
-                    pick = i
-        for mask, k, item in self.by_point[pick]:
-            if k > cost_left:
+        read = bisect_right(self.costs, cost_left)
+        pick = min(_elements(uncovered), key=self._options(read).__getitem__)
+        for k in range(read):
+            if not self.counts[k][pick]:
                 continue
-            stack.append(item)
-            if self._dfs(uncovered & ~mask, cost_left - k, len_left - 1, stack):
-                return True
-            stack.pop()
+            cost = self.costs[k]
+            for mask, item in self._index(k)[pick]:
+                stack.append(item)
+                if self._dfs(uncovered & ~mask, cost_left - cost, len_left - 1, stack):
+                    return True
+                stack.pop()
         self.memo.add(key)
         return False
 
 
-def _point_search(gamma: PointSet, top: Flat, max_dim: int, node_budget: int,
-                  cands=None) -> _CoverSearch:
-    """The cover search of gamma (at least two points, spanning top) for dim
-    budgets <= max_dim, over its candidate flats with cost = dimension.
+def _point_search(gamma: PointSet, top_dim: int, max_dim: int, node_budget: int,
+                  levels=None) -> _CoverSearch:
+    """The cover search of gamma (at least two points, spanning a dim-top_dim
+    flat) for dim budgets <= max_dim, over its candidate flats with cost =
+    dimension.
 
     A cover by two or more planes uses planes of dimension <= max_dim-1 (the
     others contribute at least 1 each), and a single covering plane shrinks
     to span(gamma); so spans of subsets up to dim max_dim-1 plus the total
-    span are a complete candidate set.  cands, when given, is that
-    candidate_flats list, already built; it is not modified.  Otherwise the
-    levels are grown here, and the top level's bases are built and sorted
-    only if the search branches.
+    span are a complete candidate set: _grow's levels, grown here unless given.
     """
     full = (1 << len(gamma)) - 1
     cap = min(max_dim - 1, gamma.ambient_dim)
-    if cands is None:
-        found, grown = _grow(gamma, cap) if cap >= 1 else ([], [])
-        weights = [(mask, len(basis) - 1) for basis, _piv, mask in found]
-        weights += [(mask, cap) for *_parent, mask in grown]
-    else:
-        weights = [(c.mask, c.dim) for c in cands]
-    # The candidates hold every span of a subset up to dim cap, top among
-    # them when top.dim <= cap; otherwise top outranks them all in
-    # (dim, basis) order and goes last.
-    with_top = cap < top.dim <= max_dim
-    if with_top:
-        weights.append((full, top.dim))
+    if levels is None:
+        levels = _grow(gamma, cap) if cap >= 1 else []
+    levels = [(level.cost, level.masks, level.items) for level in levels]
+    # The levels hold every span of a subset up to dim cap, span(gamma)
+    # among them when top_dim <= cap; otherwise it outranks them all in
+    # (dim, basis) order and goes last, built only if the search tries it.
+    if cap < top_dim <= max_dim:
 
-    def items():
-        flats = _flats(gamma.field, found, grown) if cands is None else cands
-        out = [(c.mask, c.dim, c) for c in flats]
-        if with_top:
-            out.append((full, top.dim, CandidateFlat(top.field, top.basis, full, top)))
-        return out
+        def top():
+            flat = span(list(gamma))
+            return [(full, CandidateFlat(flat.field, flat.basis, full, flat))]
 
-    return _CoverSearch(weights, full, node_budget, items)
+        levels.append((top_dim, [full], top))
+    return _CoverSearch(levels, full, node_budget)
 
 
 def _result_from_chosen(gamma: PointSet, chosen, nodes: int, minimal: bool) -> CoverResult:
@@ -478,8 +479,8 @@ def exists_cover(
     found=False always comes with proof_of_minimality=True (the search space
     was exhausted); a truncated search raises BudgetExceededError instead.
     The root's coverage bound reads only the candidates' masks, so a query
-    it refuses (found=False, nodes_explored=1) builds no candidate basis and
-    no index.
+    it refuses (found=False, nodes_explored=1) builds no candidate basis, no
+    index and no span.
     A 0-dimensional configuration is empty, so d <= 0 succeeds only for empty
     gamma; that answer comes before the length check, so any max_length is
     accepted there.  For d >= 1 a max_length below 1 raises ValueError.
@@ -499,7 +500,8 @@ def exists_cover(
         return _result_from_chosen(
             gamma, [CandidateFlat(line.field, line.basis, 1, line)], nodes=1, minimal=False
         )
-    search = _point_search(gamma, span(list(gamma)), d, node_budget)
+    top_dim = linalg.rank([pt.ints for pt in gamma], gamma.field) - 1
+    search = _point_search(gamma, top_dim, d, node_budget)
     chosen = search.run(d, max_length)
     if chosen is None:
         return CoverResult(False, None, 0, 0, search.nodes, True)
@@ -515,23 +517,21 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
     return _min_cover(gamma, node_budget)
 
 
-def _min_cover(gamma: PointSet, node_budget: int | None, cands=None) -> CoverResult:
-    """min_cover, over cands = candidate_flats(gamma, dim span(gamma) - 1),
-    built here unless the caller has built that list already (a point
-    Matroid's lattice is read from the same list).  Every sweep ends in a
-    query that branches, so nothing is gained by deferring a level."""
+def _min_cover(gamma: PointSet, node_budget: int | None, levels=None) -> CoverResult:
+    """min_cover, over the _grow levels of gamma up to dim span(gamma) - 1,
+    grown here unless the caller has grown them already (a point Matroid's
+    lattice is read from the same levels).  Each level's bases, sort and
+    index are built by the first query that tries one of its candidates."""
     if len(gamma) == 0:
         raise ValueError("min_cover needs a nonempty point set")
     if node_budget is None:
         node_budget = node_budget_default()
     if len(gamma) == 1:
         return replace(exists_cover(gamma, 1, 1, node_budget), proof_of_minimality=True)
-    top = span(list(gamma))
-    if cands is None:
-        cands = candidate_flats(gamma, top.dim - 1) if top.dim >= 2 else []
-    search = _point_search(gamma, top, top.dim, node_budget, cands)
+    top_dim = linalg.rank([pt.ints for pt in gamma], gamma.field) - 1
+    search = _point_search(gamma, top_dim, top_dim, node_budget, levels)
     total_nodes = 0
-    for dim in range(1, top.dim + 1):
+    for dim in range(1, top_dim + 1):
         for length in range(1, dim + 1):
             chosen = search.run(dim, length)
             total_nodes += search.nodes

@@ -3,10 +3,10 @@
 A matroid here is a ground set 0..n-1 with an exact rank oracle, backed by a
 representing point set, by a list of flats, or analytically (uniform
 matroids).  Its flat lattice is a plain {rank: sorted tuple of masks} dict,
-built once per matroid.  The flats of a point matroid are read from
-cover.candidate_flats: a rank-(k+1) flat is the point mask of a dim-k span of
-a subset.  Closure enumeration is used only for abstract matroids, which have
-no points to span.
+built once per matroid.  The flats of a point matroid are the masks of
+cover's candidate levels, read with no basis built: a rank-(k+1) flat is the
+point mask of a dim-k span of a subset.  Closure enumeration is used only
+for abstract matroids, which have no points to span.
 
 Only from_flat_list (behind from_json's "flats") spot-checks the rank axioms,
 as its ranks come from an input family that may not be a flat lattice; matrix
@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .cover import _CoverSearch, _elements, candidate_flats
+from .cover import _CoverSearch, _elements, _grow
 from .errors import GroundTooLargeError
 from .fields import FieldSpec
 from .projective import PointSet
@@ -47,8 +47,8 @@ class Matroid:
     """Ground set {0..size-1} with a memoized exact rank oracle; rank_fn is trusted
     (only from_flat_list spot-checks).  points is set by from_points.  The
     rank -> masks dict of its flats up to rank full_rank - 1 is built once,
-    by the first flats() call, and kept, with the candidate_flats list a
-    point matroid reads it from."""
+    by the first flats() call, and kept, with the candidate levels a point
+    matroid reads it from."""
 
     def __init__(self, size: int, rank_fn, label: str = "matroid", points=None):
         if size < 1:
@@ -59,7 +59,7 @@ class Matroid:
         self._rank_fn = rank_fn
         self._cache = {}
         self._lattice = None  # {rank: masks} up to full_rank - 1, built by flats()
-        self._candidates = None  # a point matroid's candidate_flats, built with the lattice
+        self._levels = None  # a point matroid's candidate levels, grown with the lattice
 
     # -- construction ------------------------------------------------------
 
@@ -175,9 +175,9 @@ class Matroid:
 
 def flats(m: Matroid, max_rank: int) -> dict:
     """All flats of rank <= max_rank (rank 0 at least) as {rank: sorted tuple
-    of masks}: from candidate_flats for a point matroid, else grown by closing
-    one-element extensions.  Raises GroundTooLargeError above GROUND_CAP
-    elements.
+    of masks}: from the candidate levels' masks for a point matroid, else
+    grown by closing one-element extensions.  Raises GroundTooLargeError
+    above GROUND_CAP elements.
 
     The lattice is built once per matroid, up to rank full_rank - 1, and
     later calls filter it: the ground set is the only flat of full rank.
@@ -198,9 +198,9 @@ def _build_flats(m: Matroid, max_rank: int) -> dict:
         # Points are distinct and nonzero: the empty set and the singletons
         # are closed, and each span holds the points of gamma it contains.
         masks = {0: [0], 1: [1 << i for i in range(m.size)]}
-        m._candidates = candidate_flats(m.points, max_rank - 1) if max_rank >= 2 else []
-        for c in m._candidates:
-            masks.setdefault(c.dim + 1, []).append(c.mask)
+        m._levels = _grow(m.points, max_rank - 1) if max_rank >= 2 else []
+        for level in m._levels:
+            masks[level.cost + 1] = level.masks
         return {rk: tuple(sorted(ms)) for rk, ms in masks.items()}
     # Every rank below the full rank has a proper flat to extend.
     by_rank = {0: (m.closure(0),)}
@@ -250,8 +250,8 @@ def is_mcb(m: Matroid, r: int) -> McbReport:
         if r * most < m.size - 1:
             continue
         candidates = [h for h in hyperplanes if not h >> x & 1]
-        search = _CoverSearch([(f, 1) for f in candidates], ground & ~(1 << x), math.inf,
-                              lambda: [(f, 1, f) for f in candidates])
+        search = _CoverSearch([(1, candidates, lambda: zip(candidates, candidates))],
+                              ground & ~(1 << x), math.inf)
         got = search.run(r, r)
         if got is not None:
             if not got and candidates:

@@ -613,3 +613,135 @@ def record_cover_flats(monkeypatch) -> list:
 
     monkeypatch.setattr(cb_lab.cover, "Flat", recorded)
     return built
+
+
+class EagerCoverSearch:
+    """The cover branch and bound with every candidate built, sorted and
+    indexed before the search starts: the reference for the library's
+    search, which reads candidate levels only when it tries them.
+
+    triples are (mask, cost, item) in branching order; by_point lists each
+    target point's triples in that order.  The pick, the bound, the memo and
+    the node count follow the library's search step for step, so the two
+    agree on nodes_explored as well as on the cover.
+    """
+
+    def __init__(self, triples, target: int, node_budget):
+        self.target = target
+        self.node_budget = node_budget
+        self.by_point = {i: [c for c in triples if c[0] >> i & 1]
+                         for i in range(target.bit_length()) if target >> i & 1}
+        self.best = {}
+        for mask, cost, _item in triples:
+            self.best[cost] = max(self.best.get(cost, 0), mask.bit_count())
+        self.max_cost = max(self.best, default=0)
+
+    def _coverage_bound(self, d: int, length: int):
+        best_at = [0] * (d + 1)
+        for cost, cnt in self.best.items():
+            if cost <= d:
+                best_at[cost] = cnt
+        for k in range(1, d + 1):
+            best_at[k] = max(best_at[k], best_at[k - 1])
+        table = [[0] * (length + 1) for _ in range(d + 1)]
+        for b in range(1, d + 1):
+            for l in range(1, length + 1):
+                table[b][l] = max(best_at[k] + table[b - k][l - 1] for k in range(1, b + 1))
+        return table
+
+    def run(self, d: int, max_length: int):
+        from cb_lab.errors import BudgetExceededError
+
+        self.nodes = 0
+        length = min(max_length, d, self.target.bit_count())
+        d = min(d, length * self.max_cost)
+        bound = self._coverage_bound(d, length)
+        memo = set()
+
+        def dfs(uncovered, cost_left, len_left, stack):
+            self.nodes += 1
+            if self.nodes > self.node_budget:
+                raise BudgetExceededError(f"cover search exceeded {self.node_budget} nodes")
+            if uncovered == 0:
+                return list(stack)
+            if cost_left < 1 or len_left < 1 or bound[cost_left][len_left] < uncovered.bit_count():
+                return None
+            if (uncovered, cost_left, len_left) in memo:
+                return None
+            options = {i: sum(1 for c in cands if c[1] <= cost_left)
+                       for i, cands in self.by_point.items() if uncovered >> i & 1}
+            pick = min(options, key=options.__getitem__)
+            for mask, cost, item in self.by_point[pick]:
+                if cost <= cost_left:
+                    got = dfs(uncovered & ~mask, cost_left - cost, len_left - 1, stack + [item])
+                    if got is not None:
+                        return got
+            memo.add((uncovered, cost_left, len_left))
+            return None
+
+        return dfs(self.target, d, length, [])
+
+
+def eager_point_search(gamma: PointSet, max_dim: int, node_budget=10**7) -> EagerCoverSearch:
+    """The cover search of gamma (two points at least) for dim budgets <=
+    max_dim over candidate_flats up to dim max_dim - 1 and span(gamma), all
+    built first."""
+    from cb_lab.cover import CandidateFlat, candidate_flats
+
+    cap = min(max_dim - 1, gamma.ambient_dim)
+    full = (1 << len(gamma)) - 1
+    triples = [(c.mask, c.dim, c) for c in (candidate_flats(gamma, cap) if cap >= 1 else [])]
+    top = span(list(gamma))
+    if cap < top.dim <= max_dim:
+        triples.append((full, top.dim, CandidateFlat(top.field, top.basis, full, top)))
+    return EagerCoverSearch(triples, full, node_budget)
+
+
+def exists_cover_eager(gamma: PointSet, d: int, max_length: int, node_budget=10**7):
+    """exists_cover over an EagerCoverSearch."""
+    from cb_lab import cover
+
+    if d <= 0 or len(gamma) < 2:
+        return cover.exists_cover(gamma, d, max_length, node_budget)
+    search = eager_point_search(gamma, d, node_budget)
+    chosen = search.run(d, max_length)
+    if chosen is None:
+        return cover.CoverResult(False, None, 0, 0, search.nodes, True)
+    return cover._result_from_chosen(gamma, chosen, search.nodes, minimal=False)
+
+
+def min_cover_eager(gamma: PointSet, node_budget=10**7):
+    """min_cover over one EagerCoverSearch for its whole (dim, length) sweep."""
+    from cb_lab import cover
+
+    if len(gamma) < 2:
+        return cover.min_cover(gamma, node_budget)
+    top = span(list(gamma)).dim
+    search = eager_point_search(gamma, top, node_budget)
+    total = 0
+    for dim in range(1, top + 1):
+        for length in range(1, dim + 1):
+            chosen = search.run(dim, length)
+            total += search.nodes
+            if chosen is not None:
+                return cover._result_from_chosen(gamma, chosen, total, minimal=True)
+    raise AssertionError("the span of gamma always covers it")
+
+
+def is_mcb_eager(m, r: int):
+    """is_mcb with an EagerCoverSearch over the hyperplanes avoiding x for
+    every element x, none settled by size first."""
+    from cb_lab.matroid import McbReport, _elements, flats
+
+    rk = m.full_rank
+    hyperplanes = flats(m, rk - 1).get(rk - 1, ())
+    ground = (1 << m.size) - 1
+    for x in range(m.size):
+        candidates = [h for h in hyperplanes if not h >> x & 1]
+        got = EagerCoverSearch([(h, 1, h) for h in candidates], ground & ~(1 << x),
+                               float("inf")).run(r, r)
+        if got is not None:
+            if not got and candidates:
+                got = (candidates[0],)
+            return McbReport(r, False, tuple(tuple(_elements(f)) for f in got), x)
+    return McbReport(r, True)

@@ -136,15 +136,16 @@ def test_mcb_campaign(gf101):
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), FieldSpec.rational()],
                          ids=["gf101", "q"])
 def test_mcb_trial_builds_candidate_flats_once(field, monkeypatch):
-    # The matroid's lattice and min_cover read one candidate list per trial.
+    # The matroid's lattice and min_cover read one growth of the candidate
+    # levels per trial.
     import cb_lab.cover
     import cb_lab.matroid
 
     calls = []
-    build = cb_lab.cover.candidate_flats
-    counted = lambda *args: calls.append(args) or build(*args)  # noqa: E731
-    monkeypatch.setattr(cb_lab.cover, "candidate_flats", counted)
-    monkeypatch.setattr(cb_lab.matroid, "candidate_flats", counted)
+    grow = cb_lab.cover._grow
+    counted = lambda *args: calls.append(args) or grow(*args)  # noqa: E731
+    monkeypatch.setattr(cb_lab.cover, "_grow", counted)
+    monkeypatch.setattr(cb_lab.matroid, "_grow", counted)
     checked = 0
     for seed in range(8):
         calls.clear()

@@ -1,5 +1,6 @@
 """Cover search: candidates, existence, minimality, the brute-force oracle."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from cb_lab import (
     gen_rnc,
     gen_skew_lines,
     gen_two_plane_conics,
+    is_mcb,
     min_cover,
     span,
     verify_cover,
@@ -30,9 +32,12 @@ from helpers import (
     candidate_flats_oracle,
     clustered_point_set,
     cover_oracle,
+    exists_cover_eager,
     first_containing_plane,
+    is_mcb_eager,
     min_cover_dim_by_partitions,
     min_cover_dim_by_rich_flats,
+    min_cover_eager,
     mixed_rational_point_set,
     random_point_set,
     record_cover_flats,
@@ -225,26 +230,32 @@ def test_candidate_flats_match_oracle_on_flag_sets(field):
     assert top_level >= 3
 
 
-def _triple_key(c):
-    """A search triple with its CandidateFlat item (if any) replaced by its basis."""
-    mask, cost, item = c
-    return mask, cost, getattr(item, "_basis", item)
+def _pair_key(pair):
+    """A search pair with its CandidateFlat item (if any) replaced by its basis."""
+    mask, item = pair
+    return mask, getattr(item, "_basis", item)
 
 
 def test_by_point_lists_every_candidate_on_each_target_point_in_order():
-    # items() builds fresh CandidateFlats on each call: compare their bases
-    def by_membership(search):
-        points = [i for i in range(search.target.bit_length()) if search.target >> i & 1]
-        return {i: [_triple_key(c) for c in search.items() if c[0] >> i & 1] for i in points}
-
-    def indexed(search):
-        return {i: [_triple_key(c) for c in cands] for i, cands in search.by_point.items()}
+    # items() builds fresh CandidateFlats on each call: compare their bases.
+    # The counts agree with the index whether read off it (the cheapest
+    # level) or from the masks (the others).
+    def check(search):
+        target = search.target
+        search._options(len(search.levels))
+        for k, (_cost, masks, items) in enumerate(search.levels):
+            want = [[_pair_key(c) for c in items() if c[0] >> i & 1] if target >> i & 1 else []
+                    for i in range(target.bit_length())]
+            assert search.counts[k] == [len(cands) for cands in want]
+            assert [[_pair_key(c) for c in cands] for cands in search._index(k)] == want
+            assert sorted(masks) == sorted(c[0] for c in items())
 
     rng = random.Random(5)
     for field in (GF3, GF101, Q):
         gamma = _flag_set(field, 4, 10, rng)
-        search = cover._point_search(gamma, span(list(gamma)), 4, 10**6)
-        assert indexed(search) == by_membership(search)
+        search = cover._point_search(gamma, span(list(gamma)).dim, 4, 10**6)
+        assert [cost for cost, _m, _i in search.levels] == [1, 2, 3, 4][:len(search.levels)]
+        check(search)
         m = Matroid.from_points(gamma)
         hyperplanes = flats(m, m.full_rank - 1)[m.full_rank - 1]
         ground = (1 << m.size) - 1
@@ -252,10 +263,11 @@ def test_by_point_lists_every_candidate_on_each_target_point_in_order():
             # as is_mcb builds it (no candidate holds x), and with every
             # hyperplane, so that candidate masks reach outside the target
             for hs in ([h for h in hyperplanes if not h >> x & 1], hyperplanes):
-                search = cover._CoverSearch([(h, 1) for h in hs], ground & ~(1 << x), 10,
-                                            lambda hs=hs: [(h, 1, h) for h in hs])
-                assert x not in search.by_point
-                assert indexed(search) == by_membership(search)
+                search = cover._CoverSearch([(1, hs, lambda hs=hs: zip(hs, hs))],
+                                            ground & ~(1 << x), 10)
+                index = search._index(0)
+                assert x >= len(index) or index[x] == []
+                check(search)
 
 
 def test_candidates_three_collinear(gf101):
@@ -522,22 +534,6 @@ def test_rational_cover_search():
     assert res.config == cfg
 
 
-def _exists_cover_built(gamma, d, max_length, node_budget=10**7):
-    """exists_cover with every candidate flat, basis and sort included, and
-    the by_point index, built before the search starts (the reference for
-    the mask-only root bound)."""
-    if d <= 0 or len(gamma) < 2:
-        return exists_cover(gamma, d, max_length, node_budget)
-    cap = min(d - 1, gamma.ambient_dim)
-    cands = candidate_flats(gamma, cap) if cap >= 1 else []
-    search = cover._point_search(gamma, span(list(gamma)), d, node_budget, cands)
-    assert search.by_point is not None
-    chosen = search.run(d, max_length)
-    if chosen is None:
-        return cover.CoverResult(False, None, 0, 0, search.nodes, True)
-    return cover._result_from_chosen(gamma, chosen, search.nodes, minimal=False)
-
-
 def _three_collinear(field, n, rng):
     """A random set of P^n with three points on one line."""
     gamma = random_point_set(field, n, rng.randint(3, 7), rng)
@@ -564,9 +560,9 @@ def _low_span(field, n, k, rng):
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF101, Q], ids=["gf2", "gf3", "gf101", "q"])
 def test_mask_root_bound_changes_no_byte(field):
-    # exists_cover decides its root from masks and builds the top level's
-    # bases and the index only when it branches: the JSON, nodes_explored
-    # and config included, equals that of the search with all built first
+    # exists_cover decides its root from masks and builds a level's bases
+    # and index only when it tries that level: the JSON, nodes_explored and
+    # config included, equals that of the search with all built first
     rng = random.Random(27 + (field.p or 0))
     roots = set()
     for t in range(30):
@@ -581,9 +577,83 @@ def test_mask_root_bound_changes_no_byte(field):
         for d in (1, 2, 3):
             for ml in (1, 2, 3):
                 got = exists_cover(gamma, d, ml).to_json()
-                assert got == _exists_cover_built(gamma, d, ml).to_json(), (d, ml, gamma.to_json())
+                assert got == exists_cover_eager(gamma, d, ml).to_json(), (d, ml, gamma.to_json())
                 roots.add(got["nodes_explored"] == 1 and not got["found"])
     assert roots == {True, False}
+
+
+def _two_conic_sets(field, rng):
+    """Small two-plane-conic sets in P^5 (a conic over GF(p) has p + 1 points;
+    smooth conics are sampled in odd characteristic only)."""
+    if field.p == 2:
+        return []
+    most = min(4, field.p + 1) if field.p else 4
+    return [gen_two_plane_conics(rng.randint(2, most), field, rng.randrange(10**6))[0]
+            for _ in range(2)]
+
+
+def _skew_line_sets(field, rng):
+    most = min(4, field.p + 1) if field.p else 4
+    return [gen_skew_lines(d, [rng.randint(1, most) for _ in range(d)], field,
+                           rng.randrange(10**6))[0] for d in (2, 2, 3)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF101, Q], ids=["gf2", "gf3", "gf101", "q"])
+def test_lazy_levels_change_no_byte(field):
+    # min_cover, its MCB-trial form over the matroid's levels, and is_mcb
+    # read each candidate level only when they try it; their JSON equals
+    # that of the searches with every level sorted and indexed first
+    rng = random.Random(28 + (field.p or 0))
+    sets = [random_point_set(field, rng.randint(2, 4), rng.randint(2, 7), rng) for _ in range(6)]
+    sets += _two_conic_sets(field, rng) + _skew_line_sets(field, rng)
+    verdicts = set()
+    for gamma in sets:
+        want = min_cover_eager(gamma).to_json()
+        assert min_cover(gamma).to_json() == want, gamma.to_json()
+        m = Matroid.from_points(gamma)
+        for r in (1, 2, 3, 4):
+            got = is_mcb(m, r)
+            assert got.to_json() == is_mcb_eager(m, r).to_json(), (r, gamma.to_json())
+            verdicts.add(got.verdict)
+        assert cover._min_cover(gamma, None, m._levels).to_json() == want
+    assert verdicts == {True, False}
+
+
+def _conics_cover_item(seed: int, k: int):
+    """Item k of the benchmark's conics_cover workload at a seed: 16 points on
+    two conics in P^5 over GF(101), drawn from the top 63 bits of
+    sha256("conics_cover/<seed>/<k>")."""
+    digest = hashlib.sha256(f"conics_cover/{seed}/{k}".encode()).digest()
+    return gen_two_plane_conics(8, GF101, int.from_bytes(digest[:8], "big") >> 1)[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_conics_min_cover_reads_only_lines_and_planes(seed, monkeypatch):
+    # The sweep ends at (dim, length) = (4, 2), on a conic's plane tried
+    # before any solid: levels 3 and 4 are counted from their masks, never
+    # sorted, and only the parents with points left to reduce get a basis.
+    gamma = _conics_cover_item(seed, 0)
+    candidates = len(candidate_flats(gamma, 4))
+    inserts, read = [], []
+    residual_ops, items = cover._residual_ops, cover._Level.items
+
+    def counted_ops(field):
+        residual, insert = residual_ops(field)
+        return residual, lambda *args: inserts.append(args) or insert(*args)
+
+    def recorded_items(level):
+        read.append(level.cost)
+        return items(level)
+
+    monkeypatch.setattr(cover, "_residual_ops", counted_ops)
+    monkeypatch.setattr(cover._Level, "items", recorded_items)
+    got = min_cover(gamma)
+    assert (got.dim, got.length) == (4, 2)
+    assert read == [1, 2]
+    # every line and plane, and the 35 solids with points left to reduce
+    assert len(inserts) == 605 < candidates == 1426
+    monkeypatch.undo()
+    assert got.to_json() == min_cover_eager(gamma).to_json()
 
 
 class _CountedFlat(cover.CandidateFlat):
@@ -616,12 +686,14 @@ def test_root_pruned_cover_builds_no_candidate_and_no_index(monkeypatch):
     quartic = gen_elliptic_quartic(9, GF101, 1)
     rnc = gen_rnc(3, 8, GF101, seed=2)  # (d, r) = (2, 2) tightness set
     searches = _recorded_searches(monkeypatch)
+    spans = []
+    monkeypatch.setattr(cover, "span", lambda objs: spans.append(objs) or span(objs))
     for gamma in (quartic, rnc):
         searches.clear()
         res = exists_cover(gamma, 2, 2)
         assert (res.found, res.nodes_explored, res.proof_of_minimality) == (False, 1, True)
-        assert len(searches) == 1 and "by_point" not in vars(searches[0])
-        assert _CountedFlat.made == 0
+        assert len(searches) == 1 and searches[0].index == [None] * len(searches[0].levels)
+        assert _CountedFlat.made == 0 and spans == []
     # the node-budget check at the root stays
     with pytest.raises(BudgetExceededError):
         exists_cover(quartic, 2, 2, node_budget=0)
@@ -654,5 +726,5 @@ def test_branching_cover_takes_the_residuals_of_candidate_flats_once(gamma, d, m
     monkeypatch.setattr(cover, "_residual_ops", counted_ops)
     res = exists_cover(gamma, d, d)
     assert res.found and res.nodes_explored > 1
-    assert "by_point" in vars(searches[0])
+    assert searches[0].index[0] is not None
     assert len(calls) == alone > 0

@@ -10,7 +10,6 @@ from cb_lab import (
     FieldSpec,
     Matroid,
     PointSet,
-    candidate_flats,
     enumerate_points,
     exists_flat_cover,
     flats,
@@ -121,8 +120,8 @@ def test_mcb_then_flat_cover_builds_the_lattice_once(gf101, monkeypatch):
     import cb_lab.matroid
 
     calls = []
-    monkeypatch.setattr(cb_lab.matroid, "candidate_flats",
-                        lambda *args: calls.append(args) or candidate_flats(*args))
+    grow = cb_lab.matroid._grow
+    monkeypatch.setattr(cb_lab.matroid, "_grow", lambda *args: calls.append(args) or grow(*args))
     m = Matroid.from_points(gen_rnc(3, 7, gf101, seed=5))
     assert m.full_rank == 4
     flats(m, 2)  # a low first rank still builds the whole lattice
@@ -358,9 +357,9 @@ def _is_mcb_by_searches(m: Matroid, r: int) -> McbReport:
     ground = (1 << m.size) - 1
     for x in range(m.size):
         candidates = [h for h in hyperplanes if not h >> x & 1]
-        search = cover._CoverSearch([(h, 1) for h in candidates], ground & ~(1 << x), math.inf,
-                                    lambda hs=candidates: [(h, 1, h) for h in hs])
-        assert search.by_point is not None
+        search = cover._CoverSearch([(1, candidates, lambda hs=candidates: zip(hs, hs))],
+                                    ground & ~(1 << x), math.inf)
+        assert search._index(0) is not None
         got = search.run(r, r)
         if got is not None:
             if not got and candidates:
