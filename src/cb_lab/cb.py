@@ -4,19 +4,22 @@ A finite set satisfies CB(r) when every degree-r form vanishing at all but
 one of its points also vanishes at the last one.  Equivalently, dropping any
 single row from the evaluation matrix must not lower its rank; that rank
 characterization is what is computed here, from one reduced echelon form of
-the transposed matrix: a row can be removed without losing rank exactly when
-some left-kernel vector is nonzero on it, and the left kernel has one vector
-per free column f, supported on f and on the pivot columns whose reduced
-row is nonzero at f.  So the failing points are the pivot columns i whose
-reduced row is the unit vector e_i.  On failure the witness is the first
-canonical kernel vector of the punctured set that does not vanish at the
-omitted point; the vectors are built one at a time, so none after it is.
+the monomial-major matrix (one list over the points per monomial, the
+transpose of the evaluation matrix): a point can be removed without losing
+rank exactly when some left-kernel vector is nonzero on it, and the left
+kernel has one vector per free column f, supported on f and on the pivot
+columns whose reduced row is nonzero at f.  So the failing points are the
+pivot columns i whose reduced row is the unit vector e_i.  On failure the
+witness is the first canonical kernel vector of the punctured set that does
+not vanish at the omitted point; the vectors are built one at a time, so
+none after it is.
 
-The evaluation rows are built unreduced from each point's ints (residues
-over GF(p), the primitive integer vector over Q) and linalg.echelon reduces
-them for the field, on integers over Q.  Scaling a point scales its row,
-which moves neither the failing set nor the kernel, so the verdict and the
-witness are those of the Fraction rows.
+forms.monomial_columns builds the matrix one monomial at a time from each
+point's ints (residues over GF(p), the primitive integer vector over Q), and
+linalg.echelon reduces it for the field, on integers over Q.  The point
+rows exist only for a witness, as that matrix's transpose.  Scaling a point
+scales its values, which moves neither the failing set nor the kernel, so
+the verdict and the witness are those of the Fraction rows.
 
 Conventions (the definitional edge cases are not forced by the mathematics
 and are fixed here for consistency with the minimum-count bound |Gamma| >= r+2):
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .fields import FieldSpec
-from .forms import monomial_basis, monomial_values
+from .forms import monomial_basis, monomial_columns
 from .projective import PlaneConfiguration, PointSet
 
 
@@ -59,19 +62,18 @@ class CbReport:
         return obj
 
 
-def _failing_indices(rows, field: FieldSpec):
-    """Row indices whose removal lowers the rank, ascending: the pivot columns
-    of the transposed matrix whose reduced row is a unit vector (integer rows
-    over Q)."""
-    basis, piv = linalg.echelon(linalg.transpose(rows), field)
+def _failing_points(cols, field: FieldSpec):
+    """Point indices whose removal lowers the rank, ascending, read off the
+    monomial-major matrix (one list over the points per monomial): its pivot
+    columns whose reduced row is a unit vector."""
+    basis, piv = linalg.echelon(cols, field)
     return [c for row, c in zip(basis, piv) if not any(row[c + 1:])]
 
 
-def _rows(gamma: PointSet, r: int):
-    """The unreduced int evaluation rows of gamma, from each point's ints (over
-    Q a nonzero multiple of its Fraction row)."""
-    basis = monomial_basis(gamma.ambient_dim, r)
-    return [monomial_values(pt.ints, basis) for pt in gamma]
+def _failing_indices(rows, field: FieldSpec):
+    """Row indices whose removal lowers the rank, ascending (rows of ints over
+    Q or of field elements)."""
+    return _failing_points(linalg.transpose(rows), field)
 
 
 def _witness_for(rows, omit: int, field: FieldSpec, ncols: int) -> tuple:
@@ -100,12 +102,14 @@ def is_cb(gamma: PointSet, r: int) -> CbReport:
         raise ValueError("degree must be nonnegative")
     if len(gamma) == 0 or r == 0:
         return CbReport(r, True)
-    rows = _rows(gamma, r)
-    failing = _failing_indices(rows, gamma.field)
+    field = gamma.field
+    basis = monomial_basis(gamma.ambient_dim, r)
+    cols = monomial_columns([pt.ints for pt in gamma], basis, field.p)
+    failing = _failing_points(cols, field)
     if not failing:
         return CbReport(r, True)
     omit = failing[0]
-    form = _witness_for(rows, omit, gamma.field, len(rows[0]))
+    form = _witness_for(linalg.transpose(cols), omit, field, len(cols))
     return CbReport(r, False, CbWitness(omit, form))
 
 

@@ -9,8 +9,11 @@ statement.
 evaluation_row has one body for both fields: monomial_values takes native
 int or Fraction products of coordinate powers, reduced mod p once per entry
 over GF(p).  The FieldSpec element ops are the reference it is tested
-against.  cb feeds monomial_values each point's ints for an unreduced
-all-int row.
+against.  cb builds the transpose instead, monomial by monomial:
+monomial_columns forms each coordinate's power columns over the points and
+multiplies them into one list per monomial, sharing exponent prefixes and
+reducing each product mod p over GF(p).  That is (n + 1) * r power columns
+and at most two products per monomial, for any r.
 """
 
 from __future__ import annotations
@@ -81,6 +84,58 @@ def monomial_values(coords, basis: MonomialBasis, one=1) -> list:
                 val *= col[e]
         row.append(val)
     return row
+
+
+def monomial_columns(points, basis: MonomialBasis, p: int | None = None) -> list:
+    """The evaluation matrix monomial-major: for each basis monomial, in
+    order, the list of its values at every int vector of points, reduced mod
+    p when p is given.  It runs _column_program for the basis."""
+    steps, out = _column_program(basis.n, basis.r)
+    ones = [1] * len(points)
+    slots = [ones] + [_product(ones, [pt[i] for pt in points], p) for i in range(basis.n + 1)]
+    for a, b in steps:
+        slots.append(_product(slots[a], slots[b], p))
+    return [slots[k] for k in out]
+
+
+@lru_cache(maxsize=64)
+def _column_program(n: int, r: int):
+    """(steps, out), a straight-line program for monomial_columns on P^n in
+    degree r.  Slot 0 holds the ones column and slot 1 + i the column of x_i;
+    step (a, b) appends the product of slots a and b; out[j] is the slot of
+    the j-th basis monomial.
+
+    The powers x_i^e, e <= r, come first.  Then the column of an exponent
+    prefix (e_0, ..., e_k) is that of (e_0, ..., e_{k-1}) times x_k^(e_k),
+    made once, and only when e_k and an earlier exponent are nonzero.  Such a
+    prefix with k < n also starts one monomial, the one in which x_n takes
+    the rest of the degree, so there are at most two products per monomial,
+    for any r.
+    """
+    steps = []
+    power = [[0, 1 + i] for i in range(n + 1)]  # power[i][e]: the slot of x_i^e
+    for i in range(n + 1):
+        for _ in range(r - 1):
+            steps.append((power[i][-1], 1 + i))
+            power[i].append(n + 1 + len(steps))
+    prefix, out = {(): 0}, []
+    for expo in monomial_basis(n, r).monomials:
+        for k in range(n + 1):
+            head = expo[:k + 1]
+            if head not in prefix:
+                left, e = prefix[expo[:k]], expo[k]
+                if e and left:
+                    steps.append((left, power[k][e]))
+                    prefix[head] = n + 1 + len(steps)
+                else:
+                    prefix[head] = power[k][e] if e else left
+        out.append(prefix[expo])
+    return tuple(steps), tuple(out)
+
+
+def _product(u, v, p: int | None) -> list:
+    """Entrywise u * v, reduced mod p when p is given."""
+    return [a * b % p for a, b in zip(u, v)] if p else [a * b for a, b in zip(u, v)]
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from cb_lab import (
     monomial_basis,
     span,
 )
+from cb_lab.cb import CbReport, CbWitness, _witness_for
 from cb_lab.errors import DegenerateConicError, ResampleBudgetExceededError
-from cb_lab.forms import evaluation_row
+from cb_lab.forms import evaluation_row, monomial_values
 from cb_lab.gfpoly import trim
 from cb_lab.generators import (
     RESAMPLE_BUDGET,
@@ -32,7 +33,16 @@ from cb_lab.generators import (
     _rand_element,
     _split_quadric,
 )
-from cb_lab.linalg import combine, dot, in_row_space, kernel, reduce_against, rref
+from cb_lab.linalg import (
+    combine,
+    dot,
+    echelon,
+    in_row_space,
+    kernel,
+    reduce_against,
+    rref,
+    transpose,
+)
 from cb_lab.projective import _prime_coeff_tuples, enumerate_points
 
 
@@ -149,6 +159,29 @@ def is_cb_by_definition(gamma: PointSet, r: int) -> bool:
         if rank_oracle_fast(sub, gamma.field) != full:
             return False
     return True
+
+
+def evaluation_rows(gamma: PointSet, r: int) -> list:
+    """The point-major evaluation matrix from each point's ints: one unreduced
+    monomial_values row per point (over Q a nonzero multiple of its Fraction
+    row)."""
+    basis = monomial_basis(gamma.ambient_dim, r)
+    return [monomial_values(pt.ints, basis) for pt in gamma]
+
+
+def is_cb_by_rows(gamma: PointSet, r: int) -> CbReport:
+    """is_cb by the row path: evaluation_rows, one echelon of their transpose,
+    the failing points read off its unit rows, and the witness from the
+    unreduced rows."""
+    if len(gamma) == 0 or r == 0:
+        return CbReport(r, True)
+    rows = evaluation_rows(gamma, r)
+    basis, piv = echelon(transpose(rows), gamma.field)
+    failing = [c for row, c in zip(basis, piv) if not any(row[c + 1:])]
+    if not failing:
+        return CbReport(r, True)
+    form = _witness_for(rows, failing[0], gamma.field, len(rows[0]))
+    return CbReport(r, False, CbWitness(failing[0], form))
 
 
 def rank_oracle_fast(rows, field):
@@ -510,7 +543,23 @@ def quadric_curve_by_scan(q1, q2, field):
     return [x for x in quadric_points_by_scan(q1, field) if _quadric_value(q2, x, field.p) == 0]
 
 
+def _check_count(field: FieldSpec, n: int, count: int) -> None:
+    """Raise ValueError when count exceeds the number of points of P^n:
+    (p^(n+1) - 1) / (p - 1) over GF(p), one for P^0 over Q."""
+    if field.is_prime_field:
+        have = (field.p ** (n + 1) - 1) // (field.p - 1)
+    elif n == 0:
+        have = 1
+    else:
+        return
+    if count > have:
+        raise ValueError(f"P^{n} has only {have} points over {field}, asked for {count}")
+
+
 def random_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -> PointSet:
+    """count distinct uniformly drawn points of P^n (coordinates in -9..9 over
+    Q); a count above the number of points of P^n raises ValueError."""
+    _check_count(field, n, count)
     pts = []
     seen = set()
     while len(pts) < count:
@@ -529,10 +578,11 @@ def random_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -
 
 
 def clustered_point_set(field: FieldSpec, n: int, count: int, rng: random.Random) -> PointSet:
-    """count distinct points of P^n (at most the number of points of P^n over
-    GF(p)): past the first two, about half are nonzero combinations of two or
-    three earlier points, so lines and planes hold more points than their
-    generators."""
+    """count distinct points of P^n (a count above the number of points of P^n
+    raises ValueError): past the first two, about half are nonzero
+    combinations of two or three earlier points, so lines and planes hold
+    more points than their generators."""
+    _check_count(field, n, count)
     pts, seen = [], set()
     while len(pts) < count:
         if len(pts) < 2 or rng.random() < 0.5:

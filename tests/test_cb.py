@@ -27,7 +27,9 @@ from cb_lab import (
 from cb_lab.cb import _failing_indices, is_cb_rows
 from cb_lab.linalg import dot, kernel
 from helpers import (
+    clustered_point_set,
     is_cb_by_definition,
+    is_cb_by_rows,
     mixed_rational_point_set,
     random_invertible_matrix,
     random_point_set,
@@ -358,3 +360,32 @@ def test_rational_is_cb_matches_fraction_rows():
             assert rep.witness.form_coefficients == tuple(form)
             assert all(type(c) is Fraction for c in rep.witness.form_coefficients)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, None], ids=["gf2", "gf3", "gf101", "q"])
+def test_is_cb_matches_the_row_path(p):
+    # the monomial-major matrix gives the bytes of the point-major rows and
+    # their transpose, witness included
+    field = FieldSpec.rational() if p is None else FieldSpec.prime(p)
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(30):
+        n, r = rng.randint(1, 3), rng.randint(1, 4)
+        most = (p ** (n + 1) - 1) // (p - 1) if p else 9
+        for make in (random_point_set, clustered_point_set):
+            gamma = make(field, n, rng.randint(1, min(9, most)), rng)
+            got = is_cb(gamma, r)
+            assert got.to_json(field) == is_cb_by_rows(gamma, r).to_json(field)
+            seen.add(got.verdict)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("make", [random_point_set, clustered_point_set])
+def test_point_set_helpers_refuse_more_points_than_the_space_has(make):
+    rng = random.Random(3)
+    for field, n, count in ((FieldSpec.prime(2), 2, 8), (FieldSpec.prime(3), 1, 5),
+                            (FieldSpec.rational(), 0, 2)):
+        with pytest.raises(ValueError, match="has only"):
+            make(field, n, count, rng)
+    assert len(make(FieldSpec.prime(2), 2, 7, rng)) == 7
+    assert len(make(FieldSpec.rational(), 0, 1, rng)) == 1

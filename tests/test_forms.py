@@ -15,8 +15,8 @@ from cb_lab import (
     gen_plane_curve_ci,
     monomial_basis,
 )
-from cb_lab import linalg
-from cb_lab.forms import EvalMatrix, evaluation_row
+from cb_lab import forms, linalg
+from cb_lab.forms import EvalMatrix, evaluation_row, monomial_columns, monomial_values
 
 from helpers import random_invertible_matrix, random_point_set
 
@@ -220,3 +220,35 @@ def test_rational_kernels_match_field_ops():
                 out = linalg.combine(w, rows, q)
                 assert out == _ops_combine(w, rows, q) and len(out) == n + 1
                 assert all(type(x) is Fraction for x in out)
+
+
+@pytest.mark.parametrize("p, n, r", [
+    (2, 2, 3), (2, 3, 2), (3, 2, 4), (3, 3, 3), (101, 3, 4), (101, 1, 300),
+    (None, 3, 4), (None, 2, 5), (None, 1, 300),
+], ids=lambda x: str(x))
+def test_monomial_columns_are_the_transposed_rows(p, n, r, monkeypatch):
+    # the monomial-major matrix is the transpose of the monomial_values rows,
+    # reduced mod p, on residues and on unreduced and negative ints alike;
+    # it makes (n + 1) * r power columns and at most two products per monomial
+    field = FieldSpec.rational() if p is None else FieldSpec.prime(p)
+    basis = monomial_basis(n, r)
+    products = []
+
+    def counted(u, v, modulus):
+        products.append(len(u))
+        return real(u, v, modulus)
+
+    real = forms._product
+    monkeypatch.setattr(forms, "_product", counted)
+    rng = random.Random(r * 31 + n)
+    for count in (1, 2, 5):
+        points = [pt.ints for pt in random_point_set(field, n, min(count, 2 ** (n + 1) - 1), rng)]
+        points.append(tuple(rng.randint(-3 * (p or 3), 3 * (p or 3)) for _ in range(n + 1)))
+        want = [[x % p if p else x for x in monomial_values(pt, basis)] for pt in points]
+        del products[:]
+        cols = monomial_columns(points, basis, p)
+        assert len(cols) == len(basis) and linalg.transpose(cols) == want
+        assert len(products) <= (n + 1) * r + 2 * len(basis)
+        if n == 1:  # 2r power columns and one product per mixed monomial
+            assert len(products) == 2 * r + r - 1
+    assert monomial_columns([], basis, p) == [[]] * len(basis)

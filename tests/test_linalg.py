@@ -7,9 +7,10 @@ from math import gcd
 import pytest
 
 from cb_lab import FieldSpec, cb, gen_rnc, gen_skew_lines, linalg
+from cb_lab.forms import monomial_basis, monomial_columns
 from cb_lab.linalg import dot, echelon, in_row_space, kernel, primitive, rank, rref, transpose
 
-from helpers import fraction_ge_rref, rank_oracle, two_rref_kernel
+from helpers import evaluation_rows, fraction_ge_rref, rank_oracle, two_rref_kernel
 
 
 def _random_rows(field, nrows, ncols, rng):
@@ -231,7 +232,9 @@ def test_echelon_rank_and_failing_indices_build_no_fraction_over_q(monkeypatch):
         basis, piv = fraction_ge_rref(rows)
         cases.append((rows, basis, piv))
     gammas = [gen_rnc(2, 5, q, seed=1), gen_skew_lines(2, (3, 2), q, seed=2)[0]]
-    evals = [cb._rows(gamma, r) for gamma in gammas for r in (1, 2, 3)]
+    evals = [evaluation_rows(gamma, r) for gamma in gammas for r in (1, 2, 3)]
+    cols = [monomial_columns([pt.ints for pt in gamma], monomial_basis(gamma.ambient_dim, r))
+            for gamma in gammas for r in (1, 2, 3)]
     failing = [[i for i in range(len(rows))
                 if len(fraction_ge_rref(rows[:i] + rows[i + 1:])[0]) < len(fraction_ge_rref(rows)[0])]
                for rows in evals]
@@ -245,7 +248,8 @@ def test_echelon_rank_and_failing_indices_build_no_fraction_over_q(monkeypatch):
         ints, got_piv = echelon(rows, q)
         assert got_piv == piv and rank(rows, q) == len(basis)
         assert all(row[c] == ints[0][piv[0]] for row, c in zip(ints, piv))
-    for rows, want in zip(evals, failing):
+    for rows, col, want in zip(evals, cols, failing):
         assert cb._failing_indices(rows, q) == want
+        assert cb._failing_points(col, q) == want
     with pytest.raises(AssertionError, match="built a Fraction"):
         rref([[1, 2]], q)
