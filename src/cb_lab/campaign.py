@@ -22,11 +22,11 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .cb import excise, is_cb, is_cb_rows
+from .cb import _failing_points, excise, is_cb
 from .cover import _min_cover, exists_cover, min_cover, node_budget_default
 from .errors import BudgetExceededError, FieldTooSmallError, ResampleBudgetExceededError
 from .fields import FieldSpec
-from .forms import evaluation_row, monomial_basis
+from .forms import monomial_basis, monomial_columns
 from .generators import SUPPORTED_CI_DEGREES, GenSpec, generate
 from .matroid import Matroid, exists_flat_cover, is_mcb
 from .projective import PlaneConfiguration, PointSet, enumerate_points, merge_intersecting, span
@@ -238,7 +238,7 @@ def _run_trials(spec: CampaignSpec, trial) -> CampaignReport:
         raise ValueError("no (d, r) pair with r >= 1")
     master = random.Random(spec.seed)
     seeds = [master.randrange(2**63) for _ in range(spec.trials)]
-    budget = spec.node_budget or node_budget_default()
+    budget = node_budget_default() if spec.node_budget is None else spec.node_budget
     records, violations = [], []
     t0 = time.perf_counter()
     for i, trial_seed in enumerate(seeds):
@@ -441,19 +441,19 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
         raise ValueError(f"r must be >= 0, got {r}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    budget = node_budget or node_budget_default()
+    budget = node_budget_default() if node_budget is None else node_budget
     t0 = time.perf_counter()
     records, violations = [], []
     if size_cap > 0:
         pts = enumerate_points(field, n)
         basis = monomial_basis(n, r)
-        rows = [evaluation_row(pt.coords, basis, field) for pt in pts]
+        cols = monomial_columns([pt.ints for pt in pts], basis, field.p)
         for size in range(1, size_cap + 1):
             checked = 0
             cb_count = 0
             for idx in itertools.combinations(range(len(pts)), size):
                 checked += 1
-                if r >= 1 and not is_cb_rows([rows[i] for i in idx], field):
+                if r >= 1 and _failing_points([[col[i] for i in idx] for col in cols], field):
                     continue
                 cb_count += 1
                 gamma = PointSet(field, n, tuple(pts[i] for i in idx))

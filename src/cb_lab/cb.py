@@ -20,6 +20,9 @@ linalg.echelon reduces it for the field, on integers over Q.  The point
 rows exist only for a witness, as that matrix's transpose.  Scaling a point
 scales its values, which moves neither the failing set nor the kernel, so
 the verdict and the witness are those of the Fraction rows.
+_failing_points is the one reader of the failing set: the exhaustive scan
+in campaign builds the columns of every point of the space once and hands
+it each subset's column slices.
 
 Conventions (the definitional edge cases are not forced by the mathematics
 and are fixed here for consistency with the minimum-count bound |Gamma| >= r+2):
@@ -70,12 +73,6 @@ def _failing_points(cols, field: FieldSpec):
     return [c for row, c in zip(basis, piv) if not any(row[c + 1:])]
 
 
-def _failing_indices(rows, field: FieldSpec):
-    """Row indices whose removal lowers the rank, ascending (rows of ints over
-    Q or of field elements)."""
-    return _failing_points(linalg.transpose(rows), field)
-
-
 def _witness_for(rows, omit: int, field: FieldSpec, ncols: int) -> tuple:
     punctured = [row for i, row in enumerate(rows) if i != omit]
     target = rows[omit]
@@ -83,17 +80,6 @@ def _witness_for(rows, omit: int, field: FieldSpec, ncols: int) -> tuple:
         if linalg.dot(vec, target, field) != 0:
             return vec
     raise AssertionError("rank dropped but no separating kernel vector found")
-
-
-def is_cb_rows(rows, field: FieldSpec) -> bool:
-    """Verdict-only CB check on prebuilt evaluation rows (degree >= 1).
-
-    Used by exhaustive campaigns that precompute one row per ambient point
-    and re-slice them across many subsets.
-    """
-    if not rows:
-        return True
-    return not _failing_indices(rows, field)
 
 
 def is_cb(gamma: PointSet, r: int) -> CbReport:

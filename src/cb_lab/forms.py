@@ -6,14 +6,16 @@ variable first).  Its kernel is the space of degree-r forms vanishing on
 the whole set, which is what makes the Cayley-Bacharach condition a rank
 statement.
 
-evaluation_row has one body for both fields: monomial_values takes native
-int or Fraction products of coordinate powers, reduced mod p once per entry
-over GF(p).  The FieldSpec element ops are the reference it is tested
-against.  cb builds the transpose instead, monomial by monomial:
-monomial_columns forms each coordinate's power columns over the points and
-multiplies them into one list per monomial, sharing exponent prefixes and
-reducing each product mod p over GF(p).  That is (n + 1) * r power columns
-and at most two products per monomial, for any r.
+monomial_columns is the one builder, for both fields and every caller: it
+builds the matrix monomial-major, forming each coordinate's power columns
+over the points and multiplying them into one list per monomial, sharing
+exponent prefixes and reducing each product mod p over GF(p).  That is
+(n + 1) * r power columns and at most two products per monomial, for any r.
+Over Q the entries are products of the coordinates, Fractions from
+Fractions and ints from a point's ints.  eval_matrix is its transpose and
+evaluation_row its one-point read; cb, the campaign scan and the pencil
+draw read the columns themselves.  The FieldSpec element ops are the
+reference the builder is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .fields import PRIME, FieldSpec
+from .fields import FieldSpec
 from .projective import PointSet, ProjPoint
 
 
@@ -60,38 +62,16 @@ def monomial_basis(n: int, r: int) -> MonomialBasis:
 
 def evaluation_row(coords, basis: MonomialBasis, field: FieldSpec):
     """Values of every basis monomial at one coordinate vector."""
-    row = monomial_values(coords, basis, field.one())
-    if field.kind == PRIME:
-        p = field.p
-        return tuple(x % p for x in row)
-    return tuple(row)
-
-
-def monomial_values(coords, basis: MonomialBasis, one=1) -> list:
-    """Unreduced native products: every basis monomial at coords, starting
-    each product from one (int coordinates give int values)."""
-    pows = []
-    for c in coords:
-        col = [one]
-        for _ in range(basis.r):
-            col.append(col[-1] * c)
-        pows.append(col)
-    row = []
-    for expo in basis.monomials:
-        val = one
-        for col, e in zip(pows, expo):
-            if e:
-                val *= col[e]
-        row.append(val)
-    return row
+    return tuple(col[0] for col in monomial_columns([coords], basis, field.p))
 
 
 def monomial_columns(points, basis: MonomialBasis, p: int | None = None) -> list:
     """The evaluation matrix monomial-major: for each basis monomial, in
-    order, the list of its values at every int vector of points, reduced mod
-    p when p is given.  It runs _column_program for the basis."""
+    order, the list of its values at every coordinate vector of points (ints,
+    or Fractions over Q), reduced mod p when p is given.  It runs
+    _column_program for the basis."""
     steps, out = _column_program(basis.n, basis.r)
-    ones = [1] * len(points)
+    ones = [pt[0] ** 0 for pt in points]  # 1 in the coordinates' type
     slots = [ones] + [_product(ones, [pt[i] for pt in points], p) for i in range(basis.n + 1)]
     for a, b in steps:
         slots.append(_product(slots[a], slots[b], p))
@@ -161,8 +141,8 @@ def eval_matrix(gamma: PointSet, r: int) -> EvalMatrix:
     if r < 0:
         raise ValueError("degree must be nonnegative")
     basis = monomial_basis(gamma.ambient_dim, r)
-    rows = tuple(evaluation_row(pt.coords, basis, gamma.field) for pt in gamma)
-    return EvalMatrix(gamma.field, basis, rows)
+    cols = monomial_columns([pt.coords for pt in gamma], basis, gamma.field.p)
+    return EvalMatrix(gamma.field, basis, tuple(zip(*cols)))
 
 
 def evaluate_form(coeffs, basis: MonomialBasis, pt: ProjPoint):

@@ -46,7 +46,7 @@ from .errors import (
     ResampleBudgetExceededError,
 )
 from .fields import PRIME, FieldSpec
-from .forms import evaluation_row, monomial_basis
+from .forms import monomial_basis, monomial_columns
 from .projective import (
     Flat,
     PlaneConfiguration,
@@ -524,7 +524,7 @@ def _pencil_ci(deg: int, field: FieldSpec, rng: random.Random):
     need = deg * deg
     base_idx = rng.sample(range(p * p + p + 1), need - 1)
     basis = monomial_basis(2, deg)
-    rows = [evaluation_row(_plane_point(i, p), basis, field) for i in base_idx]
+    rows = linalg.transpose(monomial_columns([_plane_point(i, p) for i in base_idx], basis, p))
     ker = linalg.kernel(rows, len(basis), field)
     if len(ker) < 2:
         return None

@@ -23,7 +23,7 @@ from cb_lab import (
 )
 from cb_lab.cb import CbReport, CbWitness, _witness_for
 from cb_lab.errors import DegenerateConicError, ResampleBudgetExceededError
-from cb_lab.forms import evaluation_row, monomial_values
+from cb_lab.forms import MonomialBasis, evaluation_row
 from cb_lab.gfpoly import trim
 from cb_lab.generators import (
     RESAMPLE_BUDGET,
@@ -159,6 +159,25 @@ def is_cb_by_definition(gamma: PointSet, r: int) -> bool:
         if rank_oracle_fast(sub, gamma.field) != full:
             return False
     return True
+
+
+def monomial_values(coords, basis: MonomialBasis, one=1) -> list:
+    """Unreduced native products: every basis monomial at coords, starting
+    each product from one (int coordinates give int values)."""
+    pows = []
+    for c in coords:
+        col = [one]
+        for _ in range(basis.r):
+            col.append(col[-1] * c)
+        pows.append(col)
+    row = []
+    for expo in basis.monomials:
+        val = one
+        for col, e in zip(pows, expo):
+            if e:
+                val *= col[e]
+        row.append(val)
+    return row
 
 
 def evaluation_rows(gamma: PointSet, r: int) -> list:

@@ -1,6 +1,7 @@
 """Campaign orchestration: determinism, replay, exhaustive scans."""
 
 import gc
+import itertools
 import json
 
 import pytest
@@ -16,13 +17,15 @@ from cb_lab import (
     exhaustive_lower_bound,
     gen_rnc,
     generate,
+    is_cb,
     replay_record,
     run_campaign,
     span,
 )
 from cb_lab.cli import main
 from cb_lab.cover import CoverResult
-from cb_lab.errors import FieldTooSmallError
+from cb_lab.errors import BudgetExceededError, FieldTooSmallError
+from cb_lab.projective import enumerate_points
 
 from helpers import record_cover_flats
 
@@ -292,6 +295,23 @@ def test_counterexample_search_at_d0_finds_the_lines_of_the_plane():
     assert len({json.dumps(v["points"], sort_keys=True) for v in report.violations}) == 7
 
 
+@pytest.mark.parametrize("p, n, r, cap", [(2, 2, 1, 7), (2, 2, 2, 7), (3, 1, 1, 4),
+                                          (3, 1, 2, 4), (5, 1, 3, 6)])
+def test_scan_counts_match_is_cb_over_every_subset(p, n, r, cap):
+    # the scan slices one column matrix per subset; is_cb builds each
+    # subset's matrix afresh, so the counts per size must agree
+    field = FieldSpec.prime(p)
+    pts = enumerate_points(field, n)
+    report = counterexample_search(field, n, r, n, size_cap=cap)
+    want = []
+    for size in range(1, cap + 1):
+        subsets = list(itertools.combinations(pts, size))
+        cb_true = sum(is_cb(PointSet(field, n, sub), r).verdict for sub in subsets)
+        want.append((size, len(subsets), cb_true))
+    assert [(rec["size"], rec["subsets"], rec["cb_true"]) for rec in report.records] == want
+    assert any(c for _, _, c in want) and any(c < s for _, s, c in want)
+
+
 @pytest.mark.parametrize("p, n, r", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2),
                                      (3, 2, 1), (3, 2, 2)])
 def test_lower_bound_is_the_d0_counterexample_search(p, n, r):
@@ -370,6 +390,17 @@ def test_budget_exceeded_recorded_not_raised(gf101):
     assert all(r["status"] in ("ok", "budget_exceeded", "no_cb_sample")
                for r in report.records)
     assert any(r["status"] == "budget_exceeded" for r in report.records)
+
+
+def test_node_budget_zero_is_a_budget_not_the_default(gf101):
+    # a node budget of 0 admits no search node; it is not read as "unset"
+    spec = CampaignSpec("conjecture", (2,), (2,), gf101, 2, 1, node_budget=0)
+    report = run_campaign(spec)
+    assert [r["status"] for r in report.records] == ["budget_exceeded"] * 2
+    assert report.spec.to_json()["node_budget"] == 0
+    gf2 = FieldSpec.prime(2)
+    with pytest.raises(BudgetExceededError):
+        counterexample_search(gf2, 2, 1, 1, size_cap=3, node_budget=0)
 
 
 def test_report_json_shape(gf101):

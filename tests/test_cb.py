@@ -24,8 +24,8 @@ from cb_lab import (
     evaluate_form,
     span,
 )
-from cb_lab.cb import _failing_indices, is_cb_rows
-from cb_lab.linalg import dot, kernel
+from cb_lab.cb import _failing_points
+from cb_lab.linalg import dot, kernel, transpose
 from helpers import (
     clustered_point_set,
     is_cb_by_definition,
@@ -104,7 +104,7 @@ def test_failing_indices_match_rank_definition(p):
         gamma = random_point_set(field, n, rng.randint(1, min(7, 2 ** (n + 1) - 1)), rng)
         rows = eval_matrix(gamma, rng.randint(1, 3)).rows
         want = _failing_by_definition(rows, field)
-        assert _failing_indices(rows, field) == want
+        assert _failing_points(transpose(rows), field) == want
         seen.add(bool(want))
 
         ncols = rng.randint(1, 5)
@@ -113,8 +113,7 @@ def test_failing_indices_match_rank_definition(p):
         raw.insert(rng.randint(0, len(raw)), [field.zero()] * ncols)
         raw.insert(rng.randint(0, len(raw)), list(rng.choice(raw)))
         want = _failing_by_definition(raw, field)
-        assert _failing_indices(raw, field) == want
-        assert is_cb_rows(raw, field) == (not want)
+        assert _failing_points(transpose(raw), field) == want
         seen.add(bool(want))
     assert seen == {True, False}
 

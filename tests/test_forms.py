@@ -16,9 +16,9 @@ from cb_lab import (
     monomial_basis,
 )
 from cb_lab import forms, linalg
-from cb_lab.forms import EvalMatrix, evaluation_row, monomial_columns, monomial_values
+from cb_lab.forms import EvalMatrix, evaluation_row, monomial_columns
 
-from helpers import random_invertible_matrix, random_point_set
+from helpers import monomial_values, random_invertible_matrix, random_point_set
 
 
 def test_monomial_counts():
@@ -136,6 +136,26 @@ def test_deterministic_profiles(gf101):
     b = eval_matrix(gamma, 2)
     assert a == b
     assert linalg.kernel(a.rows, a.ncols, gf101) == linalg.kernel(b.rows, b.ncols, gf101)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, None], ids=["gf2", "gf3", "gf101", "q"])
+def test_eval_matrix_rows_are_the_reference_rows(p):
+    # eval_matrix (one column build, transposed) and evaluation_row (its
+    # one-point read) against monomial_values reduced mod p; over Q every
+    # entry is a Fraction, r = 0 included
+    field = FieldSpec.rational() if p is None else FieldSpec.prime(p)
+    rng = random.Random(61)
+    for r in range(4):
+        for n, count in ((1, 0), (1, 3), (2, 5), (3, 7)):
+            gamma = random_point_set(field, n, count, rng)
+            basis = monomial_basis(n, r)
+            ref = [monomial_values(pt.coords, basis, field.one()) for pt in gamma]
+            want = tuple(tuple(x % p if p else x for x in row) for row in ref)
+            m = eval_matrix(gamma, r)
+            assert m.rows == want and m.basis == basis and m.nrows == count
+            assert tuple(evaluation_row(pt.coords, basis, field) for pt in gamma) == want
+            if p is None:
+                assert all(type(x) is Fraction for row in m.rows for x in row)
 
 
 # Reference results built from the FieldSpec element ops alone, to check the

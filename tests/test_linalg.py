@@ -249,7 +249,7 @@ def test_echelon_rank_and_failing_indices_build_no_fraction_over_q(monkeypatch):
         assert got_piv == piv and rank(rows, q) == len(basis)
         assert all(row[c] == ints[0][piv[0]] for row, c in zip(ints, piv))
     for rows, col, want in zip(evals, cols, failing):
-        assert cb._failing_indices(rows, q) == want
+        assert cb._failing_points(transpose(rows), q) == want
         assert cb._failing_points(col, q) == want
     with pytest.raises(AssertionError, match="built a Fraction"):
         rref([[1, 2]], q)

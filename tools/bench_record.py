@@ -49,8 +49,7 @@ LOWER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == 
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 # cover.self_s sums the cover layer, whichever of its public functions the
 # candidate growth is charged to.
-LAYER_SPLIT = ("linalg.reduce_against.calls", "cover.candidate_flats.flats",
-               "cover.candidate_flats.self_s", "cover.exists_cover.self_s",
+LAYER_SPLIT = ("linalg.reduce_against.calls", "cover.exists_cover.self_s",
                "cover.min_cover.self_s", "cover.self_s", "linalg.rref.self_s",
                "linalg.rank.self_s", "linalg.in_row_space.self_s", "projective.self_s", "cb.is_cb.self_s",
                "matroid.is_mcb.self_s", "generators.gen_rnc.self_s",
