@@ -447,13 +447,15 @@ def counterexample_search(field: FieldSpec, n: int, r: int, d: int, size_cap: in
     if size_cap > 0:
         pts = enumerate_points(field, n)
         basis = monomial_basis(n, r)
-        cols = monomial_columns([pt.ints for pt in pts], basis, field.p)
+        # per point, its values at the monomials: a subset's columns are
+        # the transpose of its points' rows
+        rows = list(zip(*monomial_columns([pt.ints for pt in pts], basis, field.p)))
         for size in range(1, size_cap + 1):
             checked = 0
             cb_count = 0
             for idx in itertools.combinations(range(len(pts)), size):
                 checked += 1
-                if r >= 1 and _failing_points([[col[i] for i in idx] for col in cols], field):
+                if r >= 1 and _failing_points(zip(*[rows[i] for i in idx]), field):
                     continue
                 cb_count += 1
                 gamma = PointSet(field, n, tuple(pts[i] for i in idx))

@@ -21,8 +21,8 @@ rows exist only for a witness, as that matrix's transpose.  Scaling a point
 scales its values, which moves neither the failing set nor the kernel, so
 the verdict and the witness are those of the Fraction rows.
 _failing_points is the one reader of the failing set: the exhaustive scan
-in campaign builds the columns of every point of the space once and hands
-it each subset's column slices.
+in campaign builds the rows of every point of the space once and hands it
+each subset's columns, the transpose of the subset's rows.
 
 Conventions (the definitional edge cases are not forced by the mathematics
 and are fixed here for consistency with the minimum-count bound |Gamma| >= r+2):

@@ -29,6 +29,12 @@ min_cover keeps one set of candidate levels and one search for its whole
 (dim, length) sweep; an MCB campaign trial hands it the levels its
 matroid's lattice was read from.
 
+A point set whose matroid is disconnected (two conics in skew planes, skew
+lines) is grown as a direct sum of its components (_direct_sum), whose
+unions of flats take no residual.  _components finds the components, and
+the rank that exists_cover, min_cover and a point Matroid read, in one
+echelon.
+
 The search is depth-first branch and bound: branch on the uncovered point
 lying on the fewest candidate flats, bound by the remaining dimension and
 length budgets plus a knapsack-style coverage bound, and memoize failed
@@ -147,27 +153,38 @@ def candidate_flats(gamma: PointSet, max_dim: int):
     entries have content 1) and fraction-free residuals D*v - sum(v[c_k] *
     B_k), made primitive (linalg.primitive).
 
+    - Direct sums: when the point matroid splits into components
+      (_components), the loop grows each component below its span, and a
+      dim-k flat is a union of one flat per component (empty, a point, a
+      flat of its levels or its span) whose ranks sum to k + 1.  Such a
+      union's basis is that of its largest flat plus one pivot insert of
+      the residual of each row of the others.  A reduced echelon basis is
+      unique per subspace, so the candidates are those of the loop on the
+      whole set.
+
     Returned in canonical order (dimension, then basis bytes).
     """
-    return [c for level in _grow(gamma, max_dim) for _mask, c in level.items()]
+    levels = _grow(gamma, max_dim, _components(gamma)[1])
+    return [c for level in levels for _mask, c in level.items()]
 
 
 class _Level:
     """The candidate flats of one dimension (cost) in discovery order, which
-    _grow keeps (another order skips fewer points): each child's parent
-    (basis, pivots) and residual, and its point mask.  A child's basis, its
-    parent's plus one pivot insert, is made on its first basis() read;
-    items() builds the rest and sorts the level by basis."""
+    _grow keeps (another order skips fewer points): each child's point mask
+    and the arguments of make that build its (basis, pivots), in the level
+    loop its parent's (basis, pivots) and residual for one pivot insert.  A
+    child's basis is made on its first basis() read; items() builds the rest
+    and sorts the level by basis, so no reader depends on the order."""
 
-    def __init__(self, field, cost: int, insert):
-        self.field, self.cost, self.insert = field, cost, insert
+    def __init__(self, field, cost: int, make):
+        self.field, self.cost, self.make = field, cost, make
         self.children, self.masks, self.built = [], [], {}
 
     def basis(self, j: int) -> tuple:
         """The (basis, pivot columns) of child j."""
         got = self.built.get(j)
         if got is None:
-            got = self.built[j] = self.insert(*self.children[j])
+            got = self.built[j] = self.make(*self.children[j])
         return got
 
     def items(self) -> list:
@@ -177,21 +194,75 @@ class _Level:
         return [(mask, CandidateFlat(self.field, basis, mask)) for basis, _piv, mask in level]
 
 
-def _grow(gamma: PointSet, max_dim: int) -> list:
+def _components(gamma: PointSet):
+    """(rank, parts): the rank of gamma's points and the connected
+    components of their matroid as (point mask, rank) pairs, ordered by
+    lowest point.
+
+    One echelon of the points as columns.  Its pivot columns are a basis,
+    and a non-pivot point f is on the fundamental circuit made of f and the
+    pivots whose row is nonzero at f.  Two points are in one component
+    exactly when a chain of such circuits joins them, so the rows that
+    share a nonzero column join, and a component's points are the nonzero
+    columns of its rows and its rank is their number.  When the circuit of
+    some non-pivot point holds every pivot, the matroid is connected.
+    """
+    rows, piv = linalg.echelon(zip(*[pt.ints for pt in gamma]), gamma.field)
+    n, rank = len(gamma), len(rows)
+    # from the first non-pivot point (rank, when piv ends at rank - 1) on;
+    # a pivot's column holds a zero unless the rank is 1
+    first = rank
+    if piv[-1:] != [rank - 1]:
+        first = next((k for k, c in enumerate(piv) if c != k), rank)
+    for f in range(first, n):
+        if 0 not in [row[f] for row in rows]:
+            return rank, [((1 << n) - 1, rank)]
+    bits = [1 << i for i in range(n)]
+    parts = []
+    for row in rows:
+        points, size = sum([b for b, x in zip(bits, row) if x]), 1
+        kept = []
+        for part in parts:
+            if part[0] & points:
+                points |= part[0]
+                size += part[1]
+            else:
+                kept.append(part)
+        kept.append((points, size))
+        parts = kept
+    return rank, sorted(parts, key=lambda part: part[0] & -part[0])
+
+
+def _grow(gamma: PointSet, max_dim: int, parts) -> list:
     """The levels of candidate_flats, dims 1..min(max_dim, ambient dim), as
     _Levels: their masks are final, and a child's basis is built only when
-    it is read (as a parent with points to reduce, or by items())."""
+    it is read (as a parent with points to reduce, or by items()).
+
+    parts are the components of gamma's point matroid (_components).  One
+    part is grown by the level loop, _grow_part; two or more make a direct
+    sum, _direct_sum."""
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
     fld = gamma.field
     coords = [pt.ints for pt in gamma]
-    residual, insert = _residual_ops(fld)
+    ops = _residual_ops(fld)
+    points = [((c,), (_lead(c),)) for c in coords]
+    count = min(max_dim, gamma.ambient_dim)
+    if len(parts) != 1:
+        return _direct_sum(fld, coords, points, parts, count, ops)
+    return _grow_part(fld, coords, points, parts[0][0], count, ops)
+
+
+def _grow_part(fld, coords, points, part: int, count: int, ops) -> list:
+    """The candidate levels of the points of part, dims 1 to count (those
+    above the span of part are empty)."""
+    residual, insert = ops
     # the parents of the first level: a point's basis is itself
-    masks = [1 << i for i in range(len(coords))]
-    basis_of = [((c,), (_lead(c),)) for c in coords].__getitem__
-    full = (1 << len(coords)) - 1
+    masks = _elements(part)
+    basis_of = [points[i] for i in masks].__getitem__
+    masks = [1 << i for i in masks]
     levels = []
-    for dim in range(min(max_dim, gamma.ambient_dim)):
+    for dim in range(count):
         level = _Level(fld, dim + 1, insert)
         inside = {}  # parent mask -> union of this level's independent children on it
         holding = [[] for _ in coords]  # point -> this level's dependent children on it
@@ -200,26 +271,85 @@ def _grow(gamma: PointSet, max_dim: int) -> list:
             for g in holding[(mask & -mask).bit_length() - 1]:
                 if g & mask == mask:
                     done |= g
-            if done == full:
+            if done == part:
                 continue
             basis, piv = basis_of(j)
             groups = {}
-            for i in _elements(full & ~done):
+            for i in _elements(part & ~done):
                 r = residual(coords[i], basis, piv)
                 groups[r] = groups.get(r, mask) | 1 << i
             for r, child in groups.items():
                 level.children.append((basis, piv, r))
                 level.masks.append(child)
-                points = _elements(child)
-                if len(points) == dim + 2:
-                    for i in points:
+                members = _elements(child)
+                if len(members) == dim + 2:
+                    for i in members:
                         sub = child ^ 1 << i
                         inside[sub] = inside.get(sub, 0) | child
                 else:
-                    for i in points:
+                    for i in members:
                         holding[i].append(child)
         levels.append(level)
         masks, basis_of = level.masks, level.basis
+    return levels
+
+
+def _direct_sum(fld, coords, points, parts, count: int, ops) -> list:
+    """The candidate levels of a point set whose matroid is the direct sum
+    of its parts'.
+
+    A flat of a direct sum is the union of one flat per summand, and its
+    rank is the sum of theirs (Oxley, Matroid Theory, ch. 4), so the dim-k
+    level is every union of flats of the parts, each empty, a point, a flat
+    of the part's levels or the part's span, whose ranks sum to k + 1: its
+    mask is the OR of theirs.  A part's levels are grown below its span,
+    whose mask is the part itself.  A union's basis is built on its first
+    basis() read from the basis of its flat of largest rank, by one pivot
+    insert of the residual of each row of the others (each residual is
+    nonzero, the parts' spans being independent); a part's span is built
+    the same way from one flat of its top level and a point outside it."""
+    residual, insert = ops
+
+    def union(first, *rest):
+        basis, piv = first[1](first[2])
+        for _rank, basis_of, j in rest:
+            for row in basis_of(j)[0]:
+                basis, piv = insert(basis, piv, residual(row, basis, piv))
+        return basis, piv
+
+    top = count + 1
+    # rank -> the (mask, flats) unions of the parts so far, each flat a
+    # (rank, basis_of, index) triple and the one of largest rank first
+    unions = {0: [(0, ())]}
+    point_basis = points.__getitem__
+    for part, rank in parts:
+        by_rank = [[(0, ())], [(1 << i, ((1, point_basis, i),)) for i in _elements(part)]]
+        for level in _grow_part(fld, coords, points, part, min(count, rank - 2), ops):
+            by_rank.append([(mask, ((level.cost + 1, level.basis, j),))
+                            for j, mask in enumerate(level.masks)])
+        if len(by_rank) == rank >= 2:
+            below, (flat,) = by_rank[-1][0]
+            span = _Level(fld, rank - 1, union)
+            span.children.append((flat, (1, point_basis, _elements(part & ~below)[0])))
+            span.masks.append(part)
+            by_rank.append([(part, ((rank, span.basis, 0),))])
+        summed = {}
+        for ra, have in unions.items():
+            for rb, extra in enumerate(by_rank[:top + 1 - ra]):
+                out = summed.setdefault(ra + rb, [])
+                for ma, fa in have:
+                    if rb >= ra or fa[0][0] < rb:
+                        out.extend([(ma | mb, fb + fa) for mb, fb in extra])
+                    else:
+                        out.extend([(ma | mb, fa + fb) for mb, fb in extra])
+        unions = summed
+    levels = []
+    for dim in range(count):
+        level = _Level(fld, dim + 1, union)
+        for mask, flats in unions.get(dim + 2, ()):
+            level.children.append(flats)
+            level.masks.append(mask)
+        levels.append(level)
     return levels
 
 
@@ -428,11 +558,11 @@ class _CoverSearch:
         return False
 
 
-def _point_search(gamma: PointSet, top_dim: int, max_dim: int, node_budget: int,
+def _point_search(gamma: PointSet, top_dim: int, parts, max_dim: int, node_budget: int,
                   levels=None) -> _CoverSearch:
     """The cover search of gamma (at least two points, spanning a dim-top_dim
     flat) for dim budgets <= max_dim, over its candidate flats with cost =
-    dimension.
+    dimension; parts are the components of its point matroid.
 
     A cover by two or more planes uses planes of dimension <= max_dim-1 (the
     others contribute at least 1 each), and a single covering plane shrinks
@@ -442,7 +572,7 @@ def _point_search(gamma: PointSet, top_dim: int, max_dim: int, node_budget: int,
     full = (1 << len(gamma)) - 1
     cap = min(max_dim - 1, gamma.ambient_dim)
     if levels is None:
-        levels = _grow(gamma, cap) if cap >= 1 else []
+        levels = _grow(gamma, cap, parts) if cap >= 1 else []
     levels = [(level.cost, level.masks, level.items) for level in levels]
     # The levels hold every span of a subset up to dim cap, span(gamma)
     # among them when top_dim <= cap; otherwise it outranks them all in
@@ -500,8 +630,8 @@ def exists_cover(
         return _result_from_chosen(
             gamma, [CandidateFlat(line.field, line.basis, 1, line)], nodes=1, minimal=False
         )
-    top_dim = linalg.rank([pt.ints for pt in gamma], gamma.field) - 1
-    search = _point_search(gamma, top_dim, d, node_budget)
+    rank, parts = _components(gamma)
+    search = _point_search(gamma, rank - 1, parts, d, node_budget)
     chosen = search.run(d, max_length)
     if chosen is None:
         return CoverResult(False, None, 0, 0, search.nodes, True)
@@ -520,7 +650,8 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
 def _min_cover(gamma: PointSet, node_budget: int | None, levels=None) -> CoverResult:
     """min_cover, over the _grow levels of gamma up to dim span(gamma) - 1,
     grown here unless the caller has grown them already (a point Matroid's
-    lattice is read from the same levels).  Each level's bases, sort and
+    lattice is read from the same levels); dim span(gamma) comes from
+    _components either way.  Each level's bases, sort and
     index are built by the first query that tries one of its candidates."""
     if len(gamma) == 0:
         raise ValueError("min_cover needs a nonempty point set")
@@ -528,8 +659,9 @@ def _min_cover(gamma: PointSet, node_budget: int | None, levels=None) -> CoverRe
         node_budget = node_budget_default()
     if len(gamma) == 1:
         return replace(exists_cover(gamma, 1, 1, node_budget), proof_of_minimality=True)
-    top_dim = linalg.rank([pt.ints for pt in gamma], gamma.field) - 1
-    search = _point_search(gamma, top_dim, top_dim, node_budget, levels)
+    rank, parts = _components(gamma)
+    top_dim = rank - 1
+    search = _point_search(gamma, top_dim, parts, top_dim, node_budget, levels)
     total_nodes = 0
     for dim in range(1, top_dim + 1):
         for length in range(1, dim + 1):

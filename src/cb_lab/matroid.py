@@ -5,8 +5,10 @@ representing point set, by a list of flats, or analytically (uniform
 matroids).  Its flat lattice is a plain {rank: sorted tuple of masks} dict,
 built once per matroid.  The flats of a point matroid are the masks of
 cover's candidate levels, read with no basis built: a rank-(k+1) flat is the
-point mask of a dim-k span of a subset.  Closure enumeration is used only
-for abstract matroids, which have no points to span.
+point mask of a dim-k span of a subset.  A point matroid's full rank comes
+from cover._components with its connected components, which those levels
+are grown by.  Closure enumeration is used only for abstract matroids,
+which have no points to span.
 
 Only from_flat_list (behind from_json's "flats") spot-checks the rank axioms,
 as its ranks come from an input family that may not be a flat lattice; matrix
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .cover import _CoverSearch, _elements, _grow
+from .cover import _components, _CoverSearch, _elements, _grow
 from .errors import GroundTooLargeError
 from .fields import FieldSpec
 from .projective import PointSet
@@ -60,6 +62,7 @@ class Matroid:
         self._cache = {}
         self._lattice = None  # {rank: masks} up to full_rank - 1, built by flats()
         self._levels = None  # a point matroid's candidate levels, grown with the lattice
+        self._parts = None  # a point matroid's components (cover._components)
 
     # -- construction ------------------------------------------------------
 
@@ -69,11 +72,18 @@ class Matroid:
             raise ValueError("need a nonempty point set")
         rows = [pt.ints for pt in gamma]
         fld = gamma.field
+        full = (1 << len(rows)) - 1
+        parts = []  # the components, filled in with the full rank
 
         def rank_fn(mask: int) -> int:
+            if mask == full:
+                rank, parts[:] = _components(gamma)
+                return rank
             return linalg.rank([rows[i] for i in _elements(mask)], fld)
 
-        return cls(len(rows), rank_fn, f"points({len(rows)})", gamma)
+        m = cls(len(rows), rank_fn, f"points({len(rows)})", gamma)
+        m._parts = parts
+        return m
 
     @classmethod
     def uniform(cls, k: int, n: int) -> Matroid:
@@ -198,7 +208,7 @@ def _build_flats(m: Matroid, max_rank: int) -> dict:
         # Points are distinct and nonzero: the empty set and the singletons
         # are closed, and each span holds the points of gamma it contains.
         masks = {0: [0], 1: [1 << i for i in range(m.size)]}
-        m._levels = _grow(m.points, max_rank - 1) if max_rank >= 2 else []
+        m._levels = _grow(m.points, max_rank - 1, m._parts) if max_rank >= 2 else []
         for level in m._levels:
             masks[level.cost + 1] = level.masks
         return {rk: tuple(sorted(ms)) for rk, ms in masks.items()}

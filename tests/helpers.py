@@ -280,6 +280,30 @@ def _subset_ranks(gamma: PointSet) -> list:
             for mask in range(1 << len(rows))]
 
 
+def components_by_separators(gamma: PointSet):
+    """(rank, parts) of gamma's point matroid by brute force over subset
+    ranks, the reference for cover._components: a separator is a nonempty
+    S with r(S) + r(gamma - S) = r(gamma), the components are the minimal
+    separators, and parts lists them as (mask, rank) by lowest point."""
+    rk = _subset_ranks(gamma)
+    full = len(rk) - 1
+    seps = [s for s in range(1, full + 1) if rk[s] + rk[full ^ s] == rk[full]]
+    minimal = [s for s in seps if not any(t != s and t & s == t for t in seps)]
+    return rk[full], sorted(((s, rk[s]) for s in minimal), key=lambda part: part[0] & -part[0])
+
+
+def candidate_levels_unsplit(gamma: PointSet, max_dim: int) -> list:
+    """Per candidate level, its (mask, raw basis) pairs sorted by mask, from
+    the level loop run on the whole of gamma as one part: the reference for
+    the levels that cover._grow builds per component of a direct sum."""
+    from cb_lab import cover
+
+    full = (1 << len(gamma)) - 1
+    rank = rank_by_field_ops([pt.coords for pt in gamma], gamma.field)
+    return [sorted((mask, level.basis(j)[0]) for j, mask in enumerate(level.masks))
+            for level in cover._grow(gamma, max_dim, [(full, rank)])]
+
+
 def min_cover_dim_by_partitions(gamma: PointSet) -> int:
     """The least dimension of a plane configuration covering a nonempty gamma,
     as the least sum of max(rank - 1, 1) over the set partitions of gamma: a

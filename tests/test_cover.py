@@ -24,13 +24,15 @@ from cb_lab import (
     span,
     verify_cover,
 )
-from cb_lab import cover
+from cb_lab import cover, linalg
 from cb_lab.errors import BudgetExceededError
 
 from helpers import (
     candidate_flats_by_fractions,
     candidate_flats_oracle,
+    candidate_levels_unsplit,
     clustered_point_set,
+    components_by_separators,
     cover_oracle,
     exists_cover_eager,
     first_containing_plane,
@@ -39,6 +41,7 @@ from helpers import (
     min_cover_dim_by_rich_flats,
     min_cover_eager,
     mixed_rational_point_set,
+    random_invertible_matrix,
     random_point_set,
     record_cover_flats,
     single_point_line_by_rank_scan,
@@ -145,10 +148,22 @@ def test_candidate_flats_over_q_match_fraction_oracle(sets, max_dims):
 
 
 # (id, gamma, max_dim, residual calls): the counts pin the skip, which
-# leaves out exactly the points of children already built on the parent
+# leaves out exactly the points of children already built on the parent.
+# The two conics lie in skew planes, so their matroid is a direct sum of two
+# rank-3 components of c points each, and candidate_flats builds every basis:
+# - each conic's lines by the level loop, (c - 1) + ... + 1 = c(c - 1)/2,
+#   and its plane from one line and one point: 1;
+# - one residual per row outside the largest flat of each union: c^2 lines
+#   of two points, 2c * c(c - 1)/2 planes of a line and a point, 2c solids
+#   of a plane and a point, and (c(c - 1)/2)^2 solids of two lines and
+#   2 * c(c - 1)/2 hyperplanes of a plane and a line, two rows each.
+# c = 8: 2 * 29 + 64 + 448 + 16 + 2 * 784 + 2 * 56 = 2266;
+# c = 5: 2 * 11 + 25 + 100 + 10 + 2 * 100 + 2 * 20 = 397.
+# The rational normal curve is connected, so the level loop grows it whole.
 _RESIDUAL_CASES = [
-    ("gf101-two-plane-conics", gen_two_plane_conics(8, GF101, 0)[0], 4, 1616),
-    ("q-two-plane-conics", gen_two_plane_conics(5, Q, 3)[0], 4, 311),
+    ("gf101-two-plane-conics", gen_two_plane_conics(8, GF101, 0)[0], 4, 2266),
+    ("q-two-plane-conics", gen_two_plane_conics(5, Q, 3)[0], 4, 397),
+    ("gf101-rnc-p5", gen_rnc(5, 10, GF101, seed=1), 4, 627),
     ("gf2-all-of-p3", _all_of(GF2, 3), 3, 138),
 ]
 
@@ -177,9 +192,21 @@ def _residual_calls(gamma, max_dim, monkeypatch):
 )
 def test_candidate_flats_reduce_each_point_once_per_new_child(gamma, max_dim, monkeypatch):
     # A residual is taken only for a point that lands in a child not built
-    # before, outside its parent, so a child C costs at most |C| - dim C.
+    # before, outside its parent, so a child C of the level loop (inside one
+    # component) costs at most |C| - dim C.  A union over several components
+    # costs one residual per row outside its flat of largest rank.
     cands, calls = _residual_calls(gamma, max_dim, monkeypatch)
-    assert 0 < calls <= sum(c.mask.bit_count() - c.flat.dim for c in cands)
+    parts = [mask for mask, _rank in cover._components(gamma)[1]]
+
+    def cost(c):
+        pieces = [c.mask & part for part in parts if c.mask & part]
+        if len(pieces) == 1:
+            return c.mask.bit_count() - c.flat.dim
+        ranks = [linalg.rank([gamma[i].ints for i in cover._elements(piece)], gamma.field)
+                 for piece in pieces]
+        return c.flat.dim + 1 - max(ranks)
+
+    assert 0 < calls <= sum(map(cost, cands))
 
 
 @pytest.mark.parametrize(
@@ -253,7 +280,8 @@ def test_by_point_lists_every_candidate_on_each_target_point_in_order():
     rng = random.Random(5)
     for field in (GF3, GF101, Q):
         gamma = _flag_set(field, 4, 10, rng)
-        search = cover._point_search(gamma, span(list(gamma)).dim, 4, 10**6)
+        rank, parts = cover._components(gamma)
+        search = cover._point_search(gamma, rank - 1, parts, 4, 10**6)
         assert [cost for cost, _m, _i in search.levels] == [1, 2, 3, 4][:len(search.levels)]
         check(search)
         m = Matroid.from_points(gamma)
@@ -631,7 +659,7 @@ def _conics_cover_item(seed: int, k: int):
 def test_conics_min_cover_reads_only_lines_and_planes(seed, monkeypatch):
     # The sweep ends at (dim, length) = (4, 2), on a conic's plane tried
     # before any solid: levels 3 and 4 are counted from their masks, never
-    # sorted, and only the parents with points left to reduce get a basis.
+    # sorted, and no solid or hyperplane gets a basis.
     gamma = _conics_cover_item(seed, 0)
     candidates = len(candidate_flats(gamma, 4))
     inserts, read = [], []
@@ -650,8 +678,10 @@ def test_conics_min_cover_reads_only_lines_and_planes(seed, monkeypatch):
     got = min_cover(gamma)
     assert (got.dim, got.length) == (4, 2)
     assert read == [1, 2]
-    # every line and plane, and the 35 solids with points left to reduce
-    assert len(inserts) == 605 < candidates == 1426
+    # one pivot insert per line and plane: the 64 lines joining the conics,
+    # the 2 * 28 lines of one conic, the 2 * 8 * 28 planes of a line of one
+    # conic and a point of the other, and the two conics' planes
+    assert len(inserts) == 64 + 56 + 448 + 2 == 570 < candidates == 1426
     monkeypatch.undo()
     assert got.to_json() == min_cover_eager(gamma).to_json()
 
@@ -699,14 +729,18 @@ def test_root_pruned_cover_builds_no_candidate_and_no_index(monkeypatch):
         exists_cover(quartic, 2, 2, node_budget=0)
 
 
-@pytest.mark.parametrize("gamma,d", [(gen_skew_lines(2, (5, 5), GF101, seed=3)[0], 2),
-                                     (gen_two_plane_conics(6, GF101, seed=12)[0], 4),
-                                     (gen_skew_lines(2, (4, 3), Q, seed=7)[0], 2),
-                                     (gen_two_plane_conics(5, Q, seed=3)[0], 4)],
-                         ids=["gf101-skew-lines", "gf101-conics", "q-skew-lines", "q-conics"])
-def test_branching_cover_takes_the_residuals_of_candidate_flats_once(gamma, d, monkeypatch):
+@pytest.mark.parametrize("gamma,d,every", [
+    (gen_skew_lines(2, (5, 5), GF101, seed=3)[0], 2, True),
+    (gen_two_plane_conics(6, GF101, seed=12)[0], 4, False),
+    (gen_skew_lines(2, (4, 3), Q, seed=7)[0], 2, True),
+    (gen_two_plane_conics(5, Q, seed=3)[0], 4, False),
+], ids=["gf101-skew-lines", "gf101-conics", "q-skew-lines", "q-conics"])
+def test_branching_cover_takes_the_residuals_of_candidate_flats_once(gamma, d, every, monkeypatch):
     # the root branches, so the top level is finished from the residuals
-    # its mask growth took, not taken again
+    # its mask growth took, not taken again.  The unions of a direct sum
+    # take theirs when their basis is built: the skew lines' search tries
+    # every line, as candidate_flats does, while the conics' never builds
+    # the solids of two lines.
     cap = min(d - 1, gamma.ambient_dim)
     _cands, alone = _residual_calls(gamma, cap, monkeypatch)
     monkeypatch.undo()
@@ -727,4 +761,83 @@ def test_branching_cover_takes_the_residuals_of_candidate_flats_once(gamma, d, m
     res = exists_cover(gamma, d, d)
     assert res.found and res.nodes_explored > 1
     assert searches[0].index[0] is not None
-    assert len(calls) == alone > 0
+    assert 0 < len(calls) <= alone
+    assert (len(calls) == alone) == every
+
+
+def _block_diagonal_set(field, n, rng):
+    """Random points of P^n, each supported on one block of a random split
+    of the coordinates into two to four blocks, moved by one random
+    invertible matrix and shuffled: the blocks' spans are independent, so
+    the matroid is a direct sum, with finer components where a block's
+    points are themselves independent (a block's lone point is a coloop)."""
+    cuts = sorted(rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+    mat = random_invertible_matrix(field, n, rng)
+    pts, seen = [], set()
+    for lo, hi in zip([0] + cuts, cuts + [n + 1]):
+        for _ in range(rng.randint(1, 4)):
+            v = [0] * (n + 1)
+            for j in range(lo, hi):
+                v[j] = rng.randrange(field.p) if field.p else rng.randint(-4, 4)
+            if any(v):
+                pt = ProjPoint(field, [sum(a * x for a, x in zip(row, v)) for row in mat])
+                if pt.coords not in seen:
+                    seen.add(pt.coords)
+                    pts.append(pt)
+    rng.shuffle(pts)
+    return PointSet(field, n, tuple(pts))
+
+
+def _split_cases(field, rng):
+    """Skew lines, two-plane conics, block-diagonal and plain random sets."""
+    sets = _skew_line_sets(field, rng) + _two_conic_sets(field, rng)
+    sets += [_block_diagonal_set(field, rng.randint(2, 5), rng) for _ in range(40)]
+    sets += [random_point_set(field, n, rng.randint(n + 2, 7), rng) for n in (2, 2, 2, 3)]
+    return sets
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF101, Q], ids=["gf2", "gf3", "gf101", "q"])
+def test_components_match_the_separator_oracle(field):
+    # the rank and the minimal separators, coloops and three or more
+    # components included
+    rng = random.Random(31 + (field.p or 0))
+    seen = set()
+    for gamma in _split_cases(field, rng):
+        got = cover._components(gamma)
+        assert got == components_by_separators(gamma), gamma.to_json()
+        rank, parts = got
+        assert rank == linalg.rank([pt.ints for pt in gamma], field)
+        seen.add(min(len(parts), 3))
+        seen.add("coloop" if any(r == 1 for _m, r in parts) and len(gamma) > 1 else "none")
+    assert {1, 2, 3, "coloop"} <= seen
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF101, Q], ids=["gf2", "gf3", "gf101", "q"])
+def test_direct_sum_levels_match_the_unsplit_loop(field):
+    # every level of a direct sum holds the (mask, raw basis) pairs of the
+    # level loop run on the whole set, at every max_dim
+    rng = random.Random(131 + (field.p or 0))
+    sums = 0
+    for gamma in _split_cases(field, rng):
+        parts = cover._components(gamma)[1]
+        sums += len(parts) > 1
+        for max_dim in range(1, gamma.ambient_dim + 2):
+            levels = cover._grow(gamma, max_dim, parts)
+            got = [sorted((mask, level.basis(j)[0]) for j, mask in enumerate(level.masks))
+                   for level in levels]
+            assert got == candidate_levels_unsplit(gamma, max_dim), (max_dim, gamma.to_json())
+    assert sums >= 36
+
+
+def test_covers_and_lattices_run_one_elimination_for_the_components(monkeypatch):
+    # dim span(gamma) and the point matroid's full rank come with the
+    # components, from one echelon; the growth of a direct sum runs none
+    gamma = gen_two_plane_conics(5, GF101, seed=3)[0]
+    calls = []
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda *args: calls.append(args) or echelon(*args))
+    for run in (lambda: min_cover(gamma), lambda: exists_cover(gamma, 4, 2),
+                lambda: flats(Matroid.from_points(gamma), 5)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
