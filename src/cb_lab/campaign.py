@@ -376,8 +376,9 @@ def _mcb_trial(rec, rng, field, budget):
     rec["mcb"] = mcb.verdict
     try:
         # is_mcb built the matroid's lattice from the candidate levels that
-        # min_cover needs: those of gamma up to dim full_rank - 2.
-        mc = _min_cover(gamma, budget, matroid._levels)
+        # min_cover needs, those of gamma up to dim full_rank - 2, and its
+        # full rank with the components they were grown by.
+        mc = _min_cover(gamma, budget, matroid._levels, (matroid.full_rank, matroid._parts))
         dims = sorted((pl.dim for pl in mc.config.planes), reverse=True)
         flat_cover = exists_flat_cover(matroid, dims)
         rec.update(

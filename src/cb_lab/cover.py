@@ -19,15 +19,15 @@ the dependent children are scanned.  Over GF(p) a residual is scaled to a
 leading 1.  Over Q the level loop runs on integers (each point's
 ProjPoint.ints, echelon bases times the lcm D of their denominators,
 fraction-free residuals from linalg's Q body keyed by linalg.primitive)
-and each level's basis sort compares each entry x / D as the integer
-x * (L // D), L the lcm of that level's D, which orders exactly as the
-Fractions do.  A candidate keeps its mask, dimension and raw echelon
+and a basis sort compares each entry x / D as the integer x * (L // D),
+L the lcm of the D of the candidates sorted together, which orders exactly
+as the Fractions do.  A candidate keeps its mask, dimension and raw echelon
 basis; its Flat (over Q the rows divided by D, linalg.unit_pivots) is
 built on the first .flat read, which the searches and the matroid lattice
 never make: only the chosen planes of a cover are read.
 min_cover keeps one set of candidate levels and one search for its whole
 (dim, length) sweep; an MCB campaign trial hands it the levels its
-matroid's lattice was read from.
+matroid's lattice was read from, and the components its full rank came with.
 
 A point set whose matroid is disconnected (two conics in skew planes, skew
 lines) is grown as a direct sum of its components (_direct_sum), whose
@@ -43,12 +43,14 @@ set means the space was exhausted, never truncated.  The same core covers a
 target mask by any weighted candidate masks, so it also serves
 matroid.is_mcb (flats of cost 1).
 
-The coverage bound and the branching counts read only the candidates'
-masks and costs, so the growth keeps every level's masks but builds a basis
-only for a parent with points left to reduce.  A level's other bases, its
-sort, its CandidateFlats and its by-point index wait for the first node that
-tries one of its candidates; levels are tried in ascending cost, so a query
-that succeeds on a plane never sorts the solids.
+The coverage bound and the branching counts of every level read only the
+candidates' masks and costs, so the growth keeps every level's masks but
+builds a basis only for a parent with points left to reduce.  The search
+reads a level one point at a time: the first node that branches on point i
+and tries the level builds the bases and CandidateFlats of the candidates
+on i only, and sorts just those.  Levels are tried in ascending cost, so a
+query that succeeds on a plane never sorts the solids, and a search that
+branches on two points of sixteen builds only the candidates on those two.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import add
@@ -173,12 +176,14 @@ class _Level:
     _grow keeps (another order skips fewer points): each child's point mask
     and the arguments of make that build its (basis, pivots), in the level
     loop its parent's (basis, pivots) and residual for one pivot insert.  A
-    child's basis is made on its first basis() read; items() builds the rest
-    and sorts the level by basis, so no reader depends on the order."""
+    child's basis is made on its first basis() read and its CandidateFlat
+    on its first items() read, both kept.  items(js) sorts children js by
+    basis, so no reader depends on the order; sorting a subset by that
+    total order gives the whole level's order filtered to the subset."""
 
     def __init__(self, field, cost: int, make):
         self.field, self.cost, self.make = field, cost, make
-        self.children, self.masks, self.built = [], [], {}
+        self.children, self.masks, self.built, self.flats = [], [], {}, {}
 
     def basis(self, j: int) -> tuple:
         """The (basis, pivot columns) of child j."""
@@ -187,11 +192,18 @@ class _Level:
             got = self.built[j] = self.make(*self.children[j])
         return got
 
-    def items(self) -> list:
-        """The (mask, CandidateFlat) pairs of the level in canonical basis order."""
-        level = [self.basis(j) + (mask,) for j, mask in enumerate(self.masks)]
+    def items(self, js=None) -> list:
+        """The (mask, CandidateFlat) pairs of children js, every child by
+        default, in canonical basis order."""
+        level = [self.basis(j) + (j,) for j in (range(len(self.masks)) if js is None else js)]
         level.sort(key=None if self.field.kind == PRIME else _rational_key(level))
-        return [(mask, CandidateFlat(self.field, basis, mask)) for basis, _piv, mask in level]
+        out = []
+        for basis, _piv, j in level:
+            flat = self.flats.get(j)
+            if flat is None:
+                flat = self.flats[j] = CandidateFlat(self.field, basis, self.masks[j])
+            out.append((self.masks[j], flat))
+        return out
 
 
 def _components(gamma: PointSet):
@@ -354,17 +366,17 @@ def _direct_sum(fld, coords, points, parts, count: int, ops) -> list:
 
 
 def _rational_key(entries):
-    """The basis sort key of one level's integer (basis, pivots, mask)
-    triples over Q.
+    """The basis sort key of integer (basis, pivots, child) triples of one
+    level over Q.
 
     Entry x of a basis with pivots D is x / D = x * (L // D) / L, with L the
-    lcm of every D of the level, so the scaled integers sort exactly as the
-    Fractions do.
+    lcm of every D of the triples, so the scaled integers sort exactly as
+    the Fractions do, whichever triples of the level are sorted.
     """
-    scale = lcm(*(basis[0][piv[0]] for basis, piv, _mask in entries))
+    scale = lcm(*(basis[0][piv[0]] for basis, piv, _j in entries))
 
     def key(entry):
-        basis, piv, _mask = entry
+        basis, piv, _j = entry
         s = scale // basis[0][piv[0]]
         return [x * s for row in basis for x in row]
 
@@ -454,16 +466,16 @@ def _single_point_line(gamma: PointSet) -> Flat | None:
 class _CoverSearch:
     """Branch and bound covering the points of a target mask by candidates
     in levels (cost >= 1, masks, items), one per cost and in ascending cost,
-    items() giving the level's (mask, item) pairs in branching order:
-    run(d, max_length) looks for at most max_length candidates of total cost
-    <= d and returns their items in pick order, or None.  Each run counts
-    its own nodes against the node budget.
+    items(js) giving the (mask, item) pairs of the level's candidates js in
+    branching order: run(d, max_length) looks for at most max_length
+    candidates of total cost <= d and returns their items in pick order, or
+    None.  Each run counts its own nodes against the node budget.
 
     The coverage bound and the option counts that pick the branching point
-    read only the masks.  A level's items() is called, and its by-point
-    index built, at the first node that tries one of its candidates.  The
-    cheapest level's counts are read off its index: the first node that
-    branches on a point cover tries a line, and is_mcb has one level.
+    read only the masks.  A level's list of the candidates on point i is
+    built by items() at the first node that branches on i and tries that
+    level, and kept: a search reads the candidates of the points it
+    branches on and builds no other.
     """
 
     def __init__(self, levels, target: int, node_budget):
@@ -471,35 +483,27 @@ class _CoverSearch:
         self.node_budget = node_budget
         self.levels = levels
         self.costs = [cost for cost, _masks, _items in levels]
-        self.index = [None] * len(levels)  # per level: point -> its (mask, item) pairs
+        self.index = [{} for _ in levels]  # per level: point -> its (mask, item) pairs
         self.counts = [None] * len(levels)  # per level: point -> its number of candidates
         self.options = {0: [0] * target.bit_length()}  # levels read -> per point, the sum
         # cost -> the most points on one candidate of that cost
         self.best = {cost: max(map(int.bit_count, masks)) for cost, masks, _i in levels if masks}
         self.max_cost = max(self.best, default=0)
 
-    def _index(self, k: int) -> list:
-        if self.index[k] is None:
-            by_point = self.index[k] = [[] for _ in range(self.target.bit_length())]
-            for pair in self.levels[k][2]():
-                for i in _elements(pair[0] & self.target):
-                    by_point[i].append(pair)
-        return self.index[k]
+    def _index(self, k: int, i: int) -> list:
+        """The (mask, item) pairs of level k's candidates on point i."""
+        got = self.index[k].get(i)
+        if got is None:
+            _cost, masks, items = self.levels[k]
+            got = self.index[k][i] = items([j for j, mask in enumerate(masks) if mask >> i & 1])
+        return got
 
     def _options(self, read: int) -> list:
-        """Per point, its candidates on the first read levels: the cheapest
-        level's counts are read off its index, the others' off their masks."""
+        """Per point, its candidates on the first read levels, off their masks."""
         if read not in self.options:
             k = read - 1
-            if k:
-                counts = [0] * self.target.bit_length()
-                for mask in self.levels[k][1]:
-                    for i in _elements(mask & self.target):
-                        counts[i] += 1
-            else:
-                counts = list(map(len, self._index(0)))
-            self.counts[k] = counts
-            self.options[read] = list(map(add, self._options(k), counts))
+            self.counts[k] = _point_counts(self.levels[k][1], self.target)
+            self.options[read] = list(map(add, self._options(k), self.counts[k]))
         return self.options[read]
 
     def _coverage_bound(self, d: int, length: int):
@@ -549,13 +553,31 @@ class _CoverSearch:
             if not self.counts[k][pick]:
                 continue
             cost = self.costs[k]
-            for mask, item in self._index(k)[pick]:
+            for mask, item in self._index(k, pick):
                 stack.append(item)
                 if self._dfs(uncovered & ~mask, cost_left - cost, len_left - 1, stack):
                     return True
                 stack.pop()
         self.memo.add(key)
         return False
+
+
+@cache
+def _spread(w: int) -> list:
+    """Per byte, the byte with its bit t moved to bit t * w."""
+    return [sum([(b >> t & 1) << t * w for t in range(8)]) for b in range(256)]
+
+
+def _point_counts(masks, target: int) -> list:
+    """Per point i below target's top bit, the number of masks holding i if
+    target does, else 0.  Each mask is spread, a byte at a time, to one w-bit
+    field per point, w wide enough for any count, so one sum adds them all."""
+    w = len(masks).bit_length()
+    spread, total = _spread(w), 0
+    for s in range(0, target.bit_length(), 8):
+        total += sum([spread[m >> s & 255] for m in masks]) << s * w
+    field = (1 << w) - 1
+    return [total >> i * w & field if target >> i & 1 else 0 for i in range(target.bit_length())]
 
 
 def _point_search(gamma: PointSet, top_dim: int, parts, max_dim: int, node_budget: int,
@@ -578,10 +600,13 @@ def _point_search(gamma: PointSet, top_dim: int, parts, max_dim: int, node_budge
     # among them when top_dim <= cap; otherwise it outranks them all in
     # (dim, basis) order and goes last, built only if the search tries it.
     if cap < top_dim <= max_dim:
+        built = []  # span(gamma), on every point, built once per search
 
-        def top():
-            flat = span(list(gamma))
-            return [(full, CandidateFlat(flat.field, flat.basis, full, flat))]
+        def top(_js):
+            if not built:
+                flat = span(list(gamma))
+                built.append((full, CandidateFlat(flat.field, flat.basis, full, flat)))
+            return built
 
         levels.append((top_dim, [full], top))
     return _CoverSearch(levels, full, node_budget)
@@ -610,7 +635,7 @@ def exists_cover(
     was exhausted); a truncated search raises BudgetExceededError instead.
     The root's coverage bound reads only the candidates' masks, so a query
     it refuses (found=False, nodes_explored=1) builds no candidate basis, no
-    index and no span.
+    point's candidate list and no span.
     A 0-dimensional configuration is empty, so d <= 0 succeeds only for empty
     gamma; that answer comes before the length check, so any max_length is
     accepted there.  For d >= 1 a max_length below 1 raises ValueError.
@@ -647,19 +672,21 @@ def min_cover(gamma: PointSet, node_budget: int | None = None) -> CoverResult:
     return _min_cover(gamma, node_budget)
 
 
-def _min_cover(gamma: PointSet, node_budget: int | None, levels=None) -> CoverResult:
-    """min_cover, over the _grow levels of gamma up to dim span(gamma) - 1,
-    grown here unless the caller has grown them already (a point Matroid's
-    lattice is read from the same levels); dim span(gamma) comes from
-    _components either way.  Each level's bases, sort and
-    index are built by the first query that tries one of its candidates."""
+def _min_cover(gamma: PointSet, node_budget: int | None, levels=None,
+               components=None) -> CoverResult:
+    """min_cover, over the _grow levels of gamma up to dim span(gamma) - 1
+    and its _components (rank, parts), each computed here unless the caller
+    has them already (a point Matroid's lattice is read from the same
+    levels, and its full rank comes with the same components).  A level's
+    list of the candidates on a point is built by the first query that
+    branches on that point and tries the level."""
     if len(gamma) == 0:
         raise ValueError("min_cover needs a nonempty point set")
     if node_budget is None:
         node_budget = node_budget_default()
     if len(gamma) == 1:
         return replace(exists_cover(gamma, 1, 1, node_budget), proof_of_minimality=True)
-    rank, parts = _components(gamma)
+    rank, parts = components or _components(gamma)
     top_dim = rank - 1
     search = _point_search(gamma, top_dim, parts, top_dim, node_budget, levels)
     total_nodes = 0

@@ -260,8 +260,10 @@ def is_mcb(m: Matroid, r: int) -> McbReport:
         if r * most < m.size - 1:
             continue
         candidates = [h for h in hyperplanes if not h >> x & 1]
-        search = _CoverSearch([(1, candidates, lambda: zip(candidates, candidates))],
-                              ground & ~(1 << x), math.inf)
+        # hs binds this x's list, which the next x rebinds candidates away from
+        search = _CoverSearch(
+            [(1, candidates, lambda js, hs=candidates: [(hs[j],) * 2 for j in js])],
+            ground & ~(1 << x), math.inf)
         got = search.run(r, r)
         if got is not None:
             if not got and candidates:

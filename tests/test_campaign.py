@@ -163,6 +163,31 @@ def test_mcb_trial_builds_candidate_flats_once(field, monkeypatch):
     assert checked >= 4
 
 
+@pytest.mark.parametrize("field", [FieldSpec.prime(101), FieldSpec.rational()],
+                         ids=["gf101", "q"])
+def test_mcb_trial_finds_the_components_once(field, monkeypatch):
+    # min_cover reads the rank and components that the matroid's full rank
+    # came with, so a trial runs one elimination for them, not two.
+    import cb_lab.cover
+    import cb_lab.matroid
+
+    calls = []
+    components = cb_lab.cover._components
+    counted = lambda gamma: calls.append(gamma) or components(gamma)  # noqa: E731
+    monkeypatch.setattr(cb_lab.cover, "_components", counted)
+    monkeypatch.setattr(cb_lab.matroid, "_components", counted)
+    checked = 0
+    for seed in range(6):
+        calls.clear()
+        spec = CampaignSpec("mcb_analog", (2,), (3,), field, trials=1, seed=seed)
+        rec = run_campaign(spec).records[0]
+        if rec["status"] != "ok":
+            continue
+        assert len(calls) == 1 and len(calls[0]) == rec["size"]
+        checked += 1
+    assert checked >= 4
+
+
 def test_mcb_trial_over_q_builds_flats_only_for_chosen_planes(monkeypatch):
     # The lattice and the cover search read candidate masks and dimensions
     # only: a Flat is built for each chosen plane other than span(gamma).

@@ -257,25 +257,22 @@ def test_candidate_flats_match_oracle_on_flag_sets(field):
     assert top_level >= 3
 
 
-def _pair_key(pair):
-    """A search pair with its CandidateFlat item (if any) replaced by its basis."""
-    mask, item = pair
-    return mask, getattr(item, "_basis", item)
-
-
 def test_by_point_lists_every_candidate_on_each_target_point_in_order():
-    # items() builds fresh CandidateFlats on each call: compare their bases.
-    # The counts agree with the index whether read off it (the cheapest
-    # level) or from the masks (the others).
+    # Each target point's list is the level's sorted items() filtered to
+    # the point, the same pairs (a child's CandidateFlat is built once);
+    # the counts are read off the masks; no other point gets a list.
     def check(search):
         target = search.target
+        points = cover._elements(target)
         search._options(len(search.levels))
         for k, (_cost, masks, items) in enumerate(search.levels):
-            want = [[_pair_key(c) for c in items() if c[0] >> i & 1] if target >> i & 1 else []
-                    for i in range(target.bit_length())]
-            assert search.counts[k] == [len(cands) for cands in want]
-            assert [[_pair_key(c) for c in cands] for cands in search._index(k)] == want
-            assert sorted(masks) == sorted(c[0] for c in items())
+            every = items(range(len(masks)))
+            assert sorted(masks) == sorted(c[0] for c in every)
+            assert search.counts[k] == [sum(m >> i & 1 for m in masks) if target >> i & 1 else 0
+                                        for i in range(target.bit_length())]
+            want = [[c for c in every if c[0] >> i & 1] for i in points]
+            assert [search._index(k, i) for i in points] == want
+            assert sorted(search.index[k]) == points
 
     rng = random.Random(5)
     for field in (GF3, GF101, Q):
@@ -291,11 +288,27 @@ def test_by_point_lists_every_candidate_on_each_target_point_in_order():
             # as is_mcb builds it (no candidate holds x), and with every
             # hyperplane, so that candidate masks reach outside the target
             for hs in ([h for h in hyperplanes if not h >> x & 1], hyperplanes):
-                search = cover._CoverSearch([(1, hs, lambda hs=hs: zip(hs, hs))],
-                                            ground & ~(1 << x), 10)
-                index = search._index(0)
-                assert x >= len(index) or index[x] == []
+                search = cover._CoverSearch(
+                    [(1, hs, lambda js, hs=hs: [(hs[j],) * 2 for j in js])], ground & ~(1 << x), 10)
                 check(search)
+                assert x not in search.index[0]
+
+
+def test_point_counts_match_a_count_per_mask():
+    # every point on every mask (a count of exactly 2^k - 1 or 2^k fills
+    # its field), points past the first byte, bits above the target's top
+    # bit, points outside the target, and no mask at all
+    rng = random.Random(32)
+    cases = [([], 0b1011), ([0b111], 0b111), ([(1 << 20) - 1] * 8, (1 << 20) - 1),
+             ([(1 << 20) - 1] * 7, (1 << 19) - 1)]
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        masks = [rng.getrandbits(n + 3) for _ in range(rng.choice((1, 3, 15, 16, 17, 64)))]
+        cases.append((masks, rng.getrandbits(n) | 1 << n - 1))
+    for masks, target in cases:
+        want = [sum(m >> i & 1 for m in masks) if target >> i & 1 else 0
+                for i in range(target.bit_length())]
+        assert cover._point_counts(masks, target) == want, (masks, target)
 
 
 def test_candidates_three_collinear(gf101):
@@ -659,29 +672,40 @@ def _conics_cover_item(seed: int, k: int):
 def test_conics_min_cover_reads_only_lines_and_planes(seed, monkeypatch):
     # The sweep ends at (dim, length) = (4, 2), on a conic's plane tried
     # before any solid: levels 3 and 4 are counted from their masks, never
-    # sorted, and no solid or hyperplane gets a basis.
+    # read, and no solid or hyperplane gets a basis.  The search branches
+    # only on points 0 and 8 (one on each conic: points 0-7 and 8-15), and
+    # builds each (level, point) list once.
     gamma = _conics_cover_item(seed, 0)
+    assert cover._components(gamma)[1] == [(0xFF, 3), (0xFF00, 3)]
     candidates = len(candidate_flats(gamma, 4))
-    inserts, read = [], []
-    residual_ops, items = cover._residual_ops, cover._Level.items
+    inserts, read, points = [], [], set()
+    residual_ops, items, index = cover._residual_ops, cover._Level.items, cover._CoverSearch._index
 
     def counted_ops(field):
         residual, insert = residual_ops(field)
         return residual, lambda *args: inserts.append(args) or insert(*args)
 
-    def recorded_items(level):
+    def recorded_items(level, js=None):
         read.append(level.cost)
-        return items(level)
+        return items(level, js)
+
+    def recorded_index(search, k, i):
+        points.add((search.costs[k], i))
+        return index(search, k, i)
 
     monkeypatch.setattr(cover, "_residual_ops", counted_ops)
     monkeypatch.setattr(cover._Level, "items", recorded_items)
+    monkeypatch.setattr(cover._CoverSearch, "_index", recorded_index)
     got = min_cover(gamma)
     assert (got.dim, got.length) == (4, 2)
-    assert read == [1, 2]
-    # one pivot insert per line and plane: the 64 lines joining the conics,
-    # the 2 * 28 lines of one conic, the 2 * 8 * 28 planes of a line of one
-    # conic and a point of the other, and the two conics' planes
-    assert len(inserts) == 64 + 56 + 448 + 2 == 570 < candidates == 1426
+    assert points == {(1, 0), (1, 8), (2, 0), (2, 8)} and sorted(read) == [1, 1, 2, 2]
+    # one pivot insert per line and plane built: the 29 lines through
+    # point 0 or 8 (7 + 7 in their conics, 8 + 8 - 1 joining them), the
+    # 156 planes through 0 or 8 (85 each, 14 through both: a line of one
+    # conic and a point of the other, or a conic's plane), and the 2 * 21
+    # lines of one conic missing its point 0 or 8 that such a plane is
+    # built from
+    assert len(inserts) == 29 + 156 + 42 == 227 < candidates == 1426
     monkeypatch.undo()
     assert got.to_json() == min_cover_eager(gamma).to_json()
 
@@ -722,25 +746,26 @@ def test_root_pruned_cover_builds_no_candidate_and_no_index(monkeypatch):
         searches.clear()
         res = exists_cover(gamma, 2, 2)
         assert (res.found, res.nodes_explored, res.proof_of_minimality) == (False, 1, True)
-        assert len(searches) == 1 and searches[0].index == [None] * len(searches[0].levels)
+        assert len(searches) == 1 and searches[0].index == [{}] * len(searches[0].levels)
         assert _CountedFlat.made == 0 and spans == []
     # the node-budget check at the root stays
     with pytest.raises(BudgetExceededError):
         exists_cover(quartic, 2, 2, node_budget=0)
 
 
-@pytest.mark.parametrize("gamma,d,every", [
-    (gen_skew_lines(2, (5, 5), GF101, seed=3)[0], 2, True),
-    (gen_two_plane_conics(6, GF101, seed=12)[0], 4, False),
-    (gen_skew_lines(2, (4, 3), Q, seed=7)[0], 2, True),
-    (gen_two_plane_conics(5, Q, seed=3)[0], 4, False),
+@pytest.mark.parametrize("gamma,d", [
+    (gen_skew_lines(2, (5, 5), GF101, seed=3)[0], 2),
+    (gen_two_plane_conics(6, GF101, seed=12)[0], 4),
+    (gen_skew_lines(2, (4, 3), Q, seed=7)[0], 2),
+    (gen_two_plane_conics(5, Q, seed=3)[0], 4),
 ], ids=["gf101-skew-lines", "gf101-conics", "q-skew-lines", "q-conics"])
-def test_branching_cover_takes_the_residuals_of_candidate_flats_once(gamma, d, every, monkeypatch):
+def test_branching_cover_takes_the_residuals_of_candidate_flats_once(gamma, d, monkeypatch):
     # the root branches, so the top level is finished from the residuals
     # its mask growth took, not taken again.  The unions of a direct sum
-    # take theirs when their basis is built: the skew lines' search tries
-    # every line, as candidate_flats does, while the conics' never builds
-    # the solids of two lines.
+    # take theirs when their basis is built, and the search builds only
+    # the candidates on the points it branches on: on the 5 + 5 skew lines
+    # the 11 lines through points 0 and 5 of the 27, and on the conics no
+    # solid of two lines.
     cap = min(d - 1, gamma.ambient_dim)
     _cands, alone = _residual_calls(gamma, cap, monkeypatch)
     monkeypatch.undo()
@@ -760,9 +785,8 @@ def test_branching_cover_takes_the_residuals_of_candidate_flats_once(gamma, d, e
     monkeypatch.setattr(cover, "_residual_ops", counted_ops)
     res = exists_cover(gamma, d, d)
     assert res.found and res.nodes_explored > 1
-    assert searches[0].index[0] is not None
-    assert 0 < len(calls) <= alone
-    assert (len(calls) == alone) == every
+    assert searches[0].index[0]
+    assert 0 < len(calls) < alone
 
 
 def _block_diagonal_set(field, n, rng):
@@ -794,6 +818,70 @@ def _split_cases(field, rng):
     sets += [_block_diagonal_set(field, rng.randint(2, 5), rng) for _ in range(40)]
     sets += [random_point_set(field, n, rng.randint(n + 2, 7), rng) for n in (2, 2, 2, 3)]
     return sets
+
+
+def _read_in_random_order(search, rng) -> dict:
+    """Every target point's list on every level of search, read in a random
+    order with some points read twice, as {(level, point): list}; checks
+    that a candidate on two points is one item in both lists."""
+    points = cover._elements(search.target)
+    order = points + rng.choices(points, k=len(points))
+    rng.shuffle(order)
+    got, items = {}, {}
+    for i in order:
+        for k in rng.sample(range(len(search.levels)), len(search.levels)):
+            pairs = got.setdefault((k, i), search._index(k, i))
+            assert search._index(k, i) == pairs
+            for mask, item in pairs:
+                assert items.setdefault((k, mask), item) is item
+    return got
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF101, Q], ids=["gf2", "gf3", "gf101", "q"])
+def test_point_lists_read_in_any_order_are_the_eager_levels_filtered(field, monkeypatch):
+    # A level's list on point i, read in any order and any number of times,
+    # is the whole level in (dim, basis) order, from the subset oracle,
+    # filtered to i; span(gamma) is built once per search.  On connected
+    # sets, direct sums and the searches of is_mcb, whose lists keep the
+    # order of its hyperplanes.
+    import cb_lab.matroid
+
+    rng = random.Random(32 + (field.p or 0))
+    sets = [random_point_set(field, n, rng.randint(n + 2, 7), rng) for n in (2, 3, 3, 4)]
+    sets += [_block_diagonal_set(field, rng.randint(2, 4), rng) for _ in range(6)]
+    sets += _skew_line_sets(field, rng) + _two_conic_sets(field, rng)
+    spans, searches = [], []
+
+    class Recorded(cover._CoverSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(cover, "span", lambda objs: spans.append(objs) or span(objs))
+    monkeypatch.setattr(cb_lab.matroid, "_CoverSearch", Recorded)
+    split = set()
+    for gamma in sets:
+        if len(gamma) < 2:
+            continue
+        rank, parts = cover._components(gamma)
+        split.add(len(parts) > 1)
+        eager = candidate_flats_oracle(gamma, rank - 1)
+        search = cover._point_search(gamma, rank - 1, parts, rank - 1, 10**6)
+        spans.clear()
+        for (k, i), pairs in _read_in_random_order(search, rng).items():
+            want = [(mask, basis) for dim, basis, mask in eager
+                    if dim == search.costs[k] and mask >> i & 1]
+            assert [(mask, c.flat.basis) for mask, c in pairs] == want, (k, i, gamma.to_json())
+        assert len(spans) == 1
+        m = Matroid.from_points(gamma)
+        for r in (1, 2, 3):
+            searches.clear()
+            is_mcb(m, r)
+            for search in searches:
+                ((_cost, hyperplanes, _items),) = search.levels
+                for (_k, i), pairs in _read_in_random_order(search, rng).items():
+                    assert pairs == [(h, h) for h in hyperplanes if h >> i & 1]
+    assert split == {False, True}
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF101, Q], ids=["gf2", "gf3", "gf101", "q"])

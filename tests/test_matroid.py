@@ -357,9 +357,11 @@ def _is_mcb_by_searches(m: Matroid, r: int) -> McbReport:
     ground = (1 << m.size) - 1
     for x in range(m.size):
         candidates = [h for h in hyperplanes if not h >> x & 1]
-        search = cover._CoverSearch([(1, candidates, lambda hs=candidates: zip(hs, hs))],
-                                    ground & ~(1 << x), math.inf)
-        assert search._index(0) is not None
+        target = ground & ~(1 << x)
+        search = cover._CoverSearch(
+            [(1, candidates, lambda js, hs=candidates: [(hs[j],) * 2 for j in js])],
+            target, math.inf)
+        assert all(search._index(0, i) is not None for i in _elements(target))
         got = search.run(r, r)
         if got is not None:
             if not got and candidates:
