@@ -31,7 +31,11 @@ matroid's lattice was read from, and the components its full rank came with.
 
 A point set whose matroid is disconnected (two conics in skew planes, skew
 lines) is grown as a direct sum of its components (_direct_sum), whose
-unions of flats take no residual.  _components finds the components, and
+unions of flats take no residual.  Its levels hold the unions in blocks,
+one per choice of a rank for each component: a block's masks are ORed at
+once, and a union's flats are decoded from its index (_Unions) only when
+its basis is first read, which no search does for the solids and
+hyperplanes of two conics.  _components finds the components, and
 the rank that exists_cover, min_cover and a point Matroid read, in one
 echelon.
 
@@ -175,9 +179,10 @@ class _Level:
     """The candidate flats of one dimension (cost) in discovery order, which
     _grow keeps (another order skips fewer points): each child's point mask
     and the arguments of make that build its (basis, pivots), in the level
-    loop its parent's (basis, pivots) and residual for one pivot insert.  A
-    child's basis is made on its first basis() read and its CandidateFlat
-    on its first items() read, both kept.  items(js) sorts children js by
+    loop its parent's (basis, pivots) and residual for one pivot insert, in
+    a direct sum its flats, decoded from j by _Unions.  A child's basis is
+    made on its first basis() read and its CandidateFlat on its first
+    items() read, both kept.  items(js) sorts children js by
     basis, so no reader depends on the order; sorting a subset by that
     total order gives the whole level's order filtered to the subset."""
 
@@ -315,11 +320,15 @@ def _direct_sum(fld, coords, points, parts, count: int, ops) -> list:
     level is every union of flats of the parts, each empty, a point, a flat
     of the part's levels or the part's span, whose ranks sum to k + 1: its
     mask is the OR of theirs.  A part's levels are grown below its span,
-    whose mask is the part itself.  A union's basis is built on its first
-    basis() read from the basis of its flat of largest rank, by one pivot
-    insert of the residual of each row of the others (each residual is
-    nonzero, the parts' spans being independent); a part's span is built
-    the same way from one flat of its top level and a point outside it."""
+    whose mask is the part itself.  The unions come in blocks, one per
+    choice of a rank for each part: every way of taking one flat of that
+    rank per part, the last part varying fastest.  A level's masks are
+    ORed a block at a time; a union's flats are decoded from its index
+    (_Unions) and its basis is built on its first basis() read, from the
+    basis of its flat of largest rank, by one pivot insert of the residual
+    of each row of the others (each residual is nonzero, the parts' spans
+    being independent).  A part's span is built the same way from one flat
+    of its top level and a point outside it."""
     residual, insert = ops
 
     def union(first, *rest):
@@ -330,39 +339,60 @@ def _direct_sum(fld, coords, points, parts, count: int, ops) -> list:
         return basis, piv
 
     top = count + 1
-    # rank -> the (mask, flats) unions of the parts so far, each flat a
-    # (rank, basis_of, index) triple and the one of largest rank first
-    unions = {0: [(0, ())]}
+    # rank -> (masks, blocks) of the unions of the parts so far; a block is
+    # (start, digits, lead): its first index, then per part whose flat a
+    # union takes, the one of largest rank (lead) first, that part's flats
+    # at their rank as (stride, size, flats), each flat a (rank, basis_of,
+    # index) triple picked by digit (j - start) // stride % size
+    unions = {0: ([0], [(0, (), 0)])}
     point_basis = points.__getitem__
     for part, rank in parts:
-        by_rank = [[(0, ())], [(1 << i, ((1, point_basis, i),)) for i in _elements(part)]]
+        elements = _elements(part)
+        by_rank = [([0], None), ([1 << i for i in elements], [(1, point_basis, i) for i in elements])]
         for level in _grow_part(fld, coords, points, part, min(count, rank - 2), ops):
-            by_rank.append([(mask, ((level.cost + 1, level.basis, j),))
-                            for j, mask in enumerate(level.masks)])
+            by_rank.append((level.masks, [(level.cost + 1, level.basis, j)
+                                          for j in range(len(level.masks))]))
         if len(by_rank) == rank >= 2:
-            below, (flat,) = by_rank[-1][0]
+            below, flats = by_rank[-1]
             span = _Level(fld, rank - 1, union)
-            span.children.append((flat, (1, point_basis, _elements(part & ~below)[0])))
+            span.children.append((flats[0], (1, point_basis, _elements(part & ~below[0])[0])))
             span.masks.append(part)
-            by_rank.append([(part, ((rank, span.basis, 0),))])
+            by_rank.append(([part], [(rank, span.basis, 0)]))
         summed = {}
-        for ra, have in unions.items():
-            for rb, extra in enumerate(by_rank[:top + 1 - ra]):
-                out = summed.setdefault(ra + rb, [])
-                for ma, fa in have:
-                    if rb >= ra or fa[0][0] < rb:
-                        out.extend([(ma | mb, fb + fa) for mb, fb in extra])
-                    else:
-                        out.extend([(ma | mb, fa + fb) for mb, fb in extra])
+        for ra, (have, blocks) in unions.items():
+            for rb, (extra, flats) in enumerate(by_rank[:top + 1 - ra]):
+                masks, out = summed.setdefault(ra + rb, ([], []))
+                size = len(extra)
+                for start, digits, lead in blocks:
+                    digits = tuple((stride * size, width, fs) for stride, width, fs in digits)
+                    if rb and (rb >= ra or lead < rb):
+                        digits, lead = ((1, size, flats),) + digits, rb
+                    elif rb:
+                        digits += ((1, size, flats),)
+                    out.append((len(masks) + start * size, digits, lead))
+                masks.extend([ma | mb for ma in have for mb in extra])
         unions = summed
     levels = []
     for dim in range(count):
         level = _Level(fld, dim + 1, union)
-        for mask, flats in unions.get(dim + 2, ()):
-            level.children.append(flats)
-            level.masks.append(mask)
+        level.masks, blocks = unions.get(dim + 2, ([], []))
+        level.children = _Unions(blocks)
         levels.append(level)
     return levels
+
+
+class _Unions:
+    """The children of a direct-sum level, for _Level.basis: child j's flats,
+    the one of largest rank first, decoded by mixed radix from the block
+    that holds j (the last block starting at or before it)."""
+
+    def __init__(self, blocks):
+        self.blocks, self.starts = blocks, [block[0] for block in blocks]
+
+    def __getitem__(self, j: int) -> list:
+        start, digits, _lead = self.blocks[bisect_right(self.starts, j) - 1]
+        j -= start
+        return [flats[j // stride % size] for stride, size, flats in digits]
 
 
 def _rational_key(entries):

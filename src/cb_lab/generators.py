@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from operator import mul
+from operator import itemgetter, mul
 
 from . import gfpoly, linalg
 from .errors import (
@@ -649,39 +649,63 @@ def _quadric_curve(q1, q2, p: int, sqrts: dict) -> list:
     by the place of w in _w_roots(q1, prefix), with (0:0:0:1) last.
 
     When the pencil has a smooth split member (_split_member), the points are
-    listed along one ruling of it (_ruling_points) and sorted into that
-    order: p + 1 binary quadratics.  Otherwise, as for pencils whose members
-    are all cones or plane pairs, and for some over the tiniest fields, the
-    plane quartic Res_w(q1, q2) is sliced (_sliced_curve).
+    listed along one ruling of it (_ruling), p + 1 binary quadratics, in one
+    keyed pass: each point is normalised to a leading 1 as it is listed and
+    keyed by its place in that scan, and one stable sort on the integer keys
+    gives the order.  Otherwise, as for pencils whose members are all cones
+    or plane pairs, and for some over the tiniest fields, the plane quartic
+    Res_w(q1, q2) is sliced (_sliced_curve).
     """
     split = _split_member(q1, q2, p, sqrts)
     if split is None:
         return _sliced_curve(q1, q2, p, sqrts)
-    pts = _ruling_points(*split, p, sqrts)
-    pts.sort(key=lambda x: _scan_place(q1, x, p))
-    return pts
-
-
-def _scan_place(q1, x, p: int) -> int:
-    """The place of the point x (leading 1) in the prefix scan of
-    _quadric_curve.  Two points share a prefix only as two roots of
-    _w_roots(q1, prefix), whose first is -beta plus the least square root of
-    the discriminant (2 alpha w + beta)^2 over 2 alpha, or as every w in
-    order when q1 vanishes on the line through the prefix and (0:0:0:1)."""
-    x0, x1, x2, w = x
-    if x0:
-        index = x1 * p + x2
-    elif x1:
-        index = p * p + x2
-    elif x2:
-        index = p * p + p
-    else:
-        return (p * p + p + 1) * p
-    alpha = q1[9]
-    beta = (q1[3] * x0 + q1[6] * x1 + q1[8] * x2) % p
-    if alpha == 0 and beta == 0:
-        return index * p + w
-    return index * p + (2 * ((2 * alpha * w + beta) % p) > p)
+    lines, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = _ruling(*split, p, sqrts)
+    (e0, e1, e2, e3), (h0, h1, h2, h3), (l0, l1, l2, l3), (m0, m1, m2, m3) = lines
+    # The key of a point is its prefix's index (x1 p + x2 under x0 = 1, then
+    # p^2 + x2 under x1 = 1, then p^2 + p, and (0:0:0:1) after all) times p,
+    # plus the place of w among the prefix's _w_roots(q1): w itself when q1
+    # vanishes on the line through the prefix and (0:0:0:1), else 0 for the
+    # root -beta plus the least square root of the discriminant
+    # (2 alpha w + beta)^2, over 2 alpha, and 1 for the other.
+    alpha, d0, d1, d2 = q1[9], q1[3], q1[6], q1[8]
+    pp = p * p
+    keyed = []
+    for s, t in _p1(p):
+        ss, st, tt = s * s, s * t, t * t
+        a = (a0 * ss + a1 * st + a2 * tt) % p
+        b = (b0 * ss + b1 * st + b2 * tt) % p
+        c = (c0 * ss + c1 * st + c2 * tt) % p
+        if a:
+            rt = sqrts.get((b * b - 4 * a * c) % p)
+            if rt is None:
+                continue
+            roots = ((-b + rt, 2 * a),) if rt == 0 else ((-b + rt, 2 * a), (-b - rt, 2 * a))
+        else:
+            roots = _binary_roots(a, b, c, p, sqrts)
+        u0, u1, u2, u3 = s * e0 + t * h0, s * e1 + t * h1, s * e2 + t * h2, s * e3 + t * h3
+        v0, v1, v2, v3 = s * l0 + t * m0, s * l1 + t * m1, s * l2 + t * m2, s * l3 + t * m3
+        for sig, tau in roots:
+            x0, x1, x2, w = ((sig * u0 + tau * v0) % p, (sig * u1 + tau * v1) % p,
+                             (sig * u2 + tau * v2) % p, (sig * u3 + tau * v3) % p)
+            if x0:
+                inv = pow(x0, p - 2, p)
+                x1, x2, w = x1 * inv % p, x2 * inv % p, w * inv % p
+                pt, index, beta = (1, x1, x2, w), x1 * p + x2, d0 + d1 * x1 + d2 * x2
+            elif x1:
+                inv = pow(x1, p - 2, p)
+                x2, w = x2 * inv % p, w * inv % p
+                pt, index, beta = (0, 1, x2, w), pp + x2, d1 + d2 * x2
+            elif x2:
+                w = w * pow(x2, p - 2, p) % p
+                pt, index, beta = (0, 0, 1, w), pp + p, d2
+            else:
+                keyed.append(((pp + p + 1) * p, (0, 0, 0, 1)))
+                continue
+            beta %= p
+            place = w if alpha == 0 and beta == 0 else 2 * ((2 * alpha * w + beta) % p) > p
+            keyed.append((index * p + place, pt))
+    keyed.sort(key=itemgetter(0))
+    return [pt for _, pt in keyed]
 
 
 def _polar(q, x, y, p: int) -> int:
@@ -753,9 +777,12 @@ def _point_on(q, p: int, sqrts: dict) -> tuple:
     raise AssertionError("a ternary quadratic form over GF(p) has a zero")
 
 
-def _ruling_points(q, other, p: int, sqrts: dict) -> list:
-    """The rational points of q = other = 0, q smooth and split (odd p), each
-    once, normalised to a leading 1, line by line along one ruling of q.
+def _ruling(q, other, p: int, sqrts: dict):
+    """The lines of one ruling of q (smooth and split, odd p) and other on
+    them: ((e, h2, lh1, mk), A, B, C), where the line at (s:t) in P^1 runs
+    through s e + t h2 and s lh1 + t mk, and other(sig (s e + t h2) +
+    tau (s lh1 + t mk)) = A sig^2 + B sig tau + C tau^2, each of A, B, C the
+    coefficients of a binary quadratic in (s, t).
 
     From a point e of q: the tangent plane at e meets q in two lines through
     e, and the line where it meets x_i = 0 (e_i != 0) meets them in h1 and
@@ -765,8 +792,7 @@ def _ruling_points(q, other, p: int, sqrts: dict) -> list:
     q(a e + d k + b h1 + c h2) = lam a d + mu b c with lam = e.k and
     mu = h1.h2 nonzero, so the lines through s e + t h2 and lam s h1 - mu t k,
     over (s:t) in P^1, are the p + 1 lines of one ruling; they cover q, each
-    point once.  On the line at (s:t), other is a binary quadratic whose
-    coefficients are binary quadratics in (s, t), computed once.
+    point once (Hirschfeld, Finite Projective Spaces of Three Dimensions).
     """
     e = _point_on(q, p, sqrts)
     i = next(j for j, x in enumerate(e) if x)
@@ -790,23 +816,9 @@ def _ruling_points(q, other, p: int, sqrts: dict) -> list:
     def restricted(x, y):
         return _quadric_value(other, x, p), _polar(other, x, y, p), _quadric_value(other, y, p)
 
-    # other(sig (s e + t h2) + tau (s lh1 + t mk)) = A sig^2 + B sig tau + C tau^2
-    (a0, a1, a2), (c0, c1, c2) = restricted(e, h2), restricted(lh1, mk)
-    b0, b1, b2 = (_polar(other, e, lh1, p), _polar(other, e, mk, p) + _polar(other, h2, lh1, p),
-                  _polar(other, h2, mk, p))
-    pts = []
-    for s, t in _p1(p):
-        ss, st, tt = s * s, s * t, t * t
-        roots = _binary_roots((a0 * ss + a1 * st + a2 * tt) % p, (b0 * ss + b1 * st + b2 * tt) % p,
-                              (c0 * ss + c1 * st + c2 * tt) % p, p, sqrts)
-        if roots:
-            u = [s * a + t * b for a, b in zip(e, h2)]
-            w = [s * a + t * b for a, b in zip(lh1, mk)]
-            for sig, tau in roots:
-                x = [sig * a + tau * b for a, b in zip(u, w)]
-                inv = pow(next(c for c in x if c % p), p - 2, p)
-                pts.append(tuple([c * inv % p for c in x]))
-    return pts
+    b = (_polar(other, e, lh1, p), _polar(other, e, mk, p) + _polar(other, h2, lh1, p),
+         _polar(other, h2, mk, p))
+    return (e, h2, lh1, mk), restricted(e, h2), b, restricted(lh1, mk)
 
 
 def _sliced_curve(q1, q2, p: int, sqrts: dict) -> list:

@@ -27,10 +27,16 @@ from cb_lab.forms import MonomialBasis, evaluation_row
 from cb_lab.gfpoly import trim
 from cb_lab.generators import (
     RESAMPLE_BUDGET,
+    _binary_roots,
     _conic_through_origin_point,
+    _gradient,
     _line_key,
+    _p1,
+    _point_on,
+    _polar,
     _quadric_value,
     _rand_element,
+    _split_member,
     _split_quadric,
 )
 from cb_lab.linalg import (
@@ -584,6 +590,77 @@ def quadric_curve_by_scan(q1, q2, field):
     """The points of q1 = q2 = 0 in P^3: every point of q1 from the prefix scan
     that lies on q2 (reference for the slice-by-slice root finder)."""
     return [x for x in quadric_points_by_scan(q1, field) if _quadric_value(q2, x, field.p) == 0]
+
+
+def _ruling_points(q, other, p: int, sqrts: dict) -> list:
+    """The rational points of q = other = 0, q smooth and split (odd p), each
+    once, normalised to a leading 1, line by line along one ruling of q (the
+    construction of generators._ruling), with the other quadric restricted
+    to each line directly: one _binary_roots call per line."""
+    e = _point_on(q, p, sqrts)
+    i = next(j for j, x in enumerate(e) if x)
+    rest = [j for j in range(4) if j != i]
+    v = _gradient(q, e, p)
+    j = next(j for j in rest if v[j])
+    f, g = ([v[j] if n == m else -v[m] if n == j else 0 for n in range(4)]
+            for m in rest if m != j)
+    (s1, t1), (s2, t2) = _binary_roots(_quadric_value(q, f, p), _polar(q, f, g, p),
+                                       _quadric_value(q, g, p), p, sqrts)
+    h1, h2 = ([(s * a + t * b) % p for a, b in zip(f, g)] for s, t in ((s1, t1), (s2, t2)))
+    (u0, u1, u2), (v0, v1, v2) = ([u[n] for n in rest] for u in
+                                  (_gradient(q, h1, p), _gradient(q, h2, p)))
+    y = [u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
+    y.insert(i, 0)
+    qy, ey = _quadric_value(q, y, p), _polar(q, e, y, p)
+    k = [(qy * a - ey * b) % p for a, b in zip(e, y)]
+    lam, mu = _polar(q, e, k, p), _polar(q, h1, h2, p)
+    lh1, mk = [lam * x % p for x in h1], [-mu * x % p for x in k]
+    pts = []
+    for s, t in _p1(p):
+        u = [s * a + t * b for a, b in zip(e, h2)]
+        w = [s * a + t * b for a, b in zip(lh1, mk)]
+        roots = _binary_roots(_quadric_value(other, u, p), _polar(other, u, w, p),
+                              _quadric_value(other, w, p), p, sqrts)
+        for sig, tau in roots:
+            x = [sig * a + tau * b for a, b in zip(u, w)]
+            inv = pow(next(c for c in x if c % p), p - 2, p)
+            pts.append(tuple([c * inv % p for c in x]))
+    return pts
+
+
+def _scan_place(q1, x, p: int) -> int:
+    """The place of the point x (leading 1) in the prefix scan of
+    quadric_points_by_scan(q1): its prefix's enumeration index, then the
+    place of w among that prefix's roots (the first is -beta plus the least
+    square root of the discriminant (2 alpha w + beta)^2, over 2 alpha), or
+    w itself when q1 vanishes on the line through the prefix and (0:0:0:1)."""
+    x0, x1, x2, w = x
+    if x0:
+        index = x1 * p + x2
+    elif x1:
+        index = p * p + x2
+    elif x2:
+        index = p * p + p
+    else:
+        return (p * p + p + 1) * p
+    alpha = q1[9]
+    beta = (q1[3] * x0 + q1[6] * x1 + q1[8] * x2) % p
+    if alpha == 0 and beta == 0:
+        return index * p + w
+    return index * p + (2 * ((2 * alpha * w + beta) % p) > p)
+
+
+def quadric_curve_by_ruling(q1, q2, p: int, sqrts: dict):
+    """The points of q1 = q2 = 0 in the order of quadric_curve_by_scan, for a
+    pencil with a smooth split member (None otherwise), at any odd p: listed
+    along the member's ruling with the restriction of the other quadric
+    computed on each line, then sorted by a per-point _scan_place."""
+    split = _split_member(q1, q2, p, sqrts)
+    if split is None:
+        return None
+    pts = _ruling_points(*split, p, sqrts)
+    pts.sort(key=lambda x: _scan_place(q1, x, p))
+    return pts
 
 
 def _check_count(field: FieldSpec, n: int, count: int) -> None:

@@ -917,6 +917,30 @@ def test_direct_sum_levels_match_the_unsplit_loop(field):
     assert sums >= 36
 
 
+def test_direct_sum_masks_are_read_without_decoding_a_union(monkeypatch):
+    # a two-conic set's levels are read off their masks alone by the root
+    # bound and the branching counts, which decode no union's flats; a
+    # union is decoded on its first basis() read, once
+    gamma = _conics_cover_item(1, 0)
+    full = (1 << len(gamma)) - 1
+    decoded = []
+    getitem = cover._Unions.__getitem__
+    monkeypatch.setattr(cover._Unions, "__getitem__",
+                        lambda unions, j: decoded.append(j) or getitem(unions, j))
+    refused = exists_cover(gamma, 4, 1)  # no solid holds 16 points
+    assert not refused.found and refused.nodes_explored == 1
+    levels = cover._grow(gamma, 4, cover._components(gamma)[1])
+    assert [len(level.masks) for level in levels] == [120, 450, 800, 56]
+    for level in levels:
+        counts = cover._point_counts(level.masks, full)
+        assert counts == [sum(mask >> i & 1 for mask in level.masks) for i in range(len(gamma))]
+    assert decoded == []
+    solids = levels[2]
+    for j in (0, 799, 799):
+        solids.basis(j)
+    assert decoded == [0, 799]
+
+
 def test_covers_and_lattices_run_one_elimination_for_the_components(monkeypatch):
     # dim span(gamma) and the point matroid's full rank come with the
     # components, from one echelon; the growth of a direct sum runs none

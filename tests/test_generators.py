@@ -67,6 +67,7 @@ from helpers import (
     pencil_ci_by_scan,
     pencil_discriminant_by_leibniz,
     plane_curve_ci_by_scan,
+    quadric_curve_by_ruling,
     quadric_curve_by_scan,
     quadric_points_by_scan,
     rank_oracle,
@@ -676,6 +677,59 @@ def test_quadric_curve_path_follows_the_pencil(monkeypatch):
     for name in ("shared-plane", "two-cones-0001"):
         assert _split_member(*cases[name], p, sqrts) is None
         assert run(name)[1] == 1, name
+
+
+@pytest.mark.parametrize("p, pencils", [(1009, 200), (10007, 16)])
+def test_keyed_ruling_pass_matches_the_two_pass_oracle_at_large_primes(p, pencils):
+    # primes where the prefix scan is out of reach: random pencils with a
+    # smooth split member, against the listing along the ruling sorted by a
+    # per-point scan place
+    sqrts = _sqrt_table(p)
+    rng = random.Random(p)
+    checked = 0
+    while checked < pencils:
+        q1, q2 = (tuple(rng.randrange(p) for _ in range(10)) for _ in range(2))
+        want = quadric_curve_by_ruling(q1, q2, p, sqrts)
+        if want is None:
+            continue
+        assert _quadric_curve(q1, q2, p, sqrts) == want, (q1, q2)
+        checked += 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_keyed_ruling_pass_matches_the_two_pass_oracle_on_special_pencils(p, monkeypatch):
+    # the special pencils of _quadric_pair_cases that have a smooth split
+    # member; together they reach every branch of the key: points with
+    # x0 = 0, (0:0:0:1) on the curve, two points on one prefix ordered by w
+    # (q1 vanishes on the line through it and (0:0:0:1)), and a line of the
+    # ruling inside the curve (a vanishing binary quadratic)
+    sqrts = _sqrt_table(p)
+    rng = random.Random(p)
+    full_lines = []
+    real_roots = generators._binary_roots
+
+    def binary_roots(a, b, c, p, sqrts):
+        roots = real_roots(a, b, c, p, sqrts)
+        full_lines.append(len(roots) == p + 1)
+        return roots
+
+    monkeypatch.setattr(generators, "_binary_roots", binary_roots)
+    seen = set()
+    for _ in range(10):
+        for name, (q1, q2) in _quadric_pair_cases(p, rng).items():
+            want = quadric_curve_by_ruling(q1, q2, p, sqrts)
+            if want is None:
+                continue
+            full_lines.clear()
+            got = _quadric_curve(q1, q2, p, sqrts)
+            assert got == want, (name, q1, q2)
+            prefixes = [x[:3] for x in got]
+            seen.update(feature for feature, hit in (
+                ("x0 = 0", any(x[0] == 0 and x != (0, 0, 0, 1) for x in got)),
+                ("(0:0:0:1)", (0, 0, 0, 1) in got),
+                ("ordered by w", q1[9] == 0 and len(set(prefixes)) < len(prefixes)),
+                ("ruling line", any(full_lines))) if hit)
+    assert seen == {"x0 = 0", "(0:0:0:1)", "ordered by w", "ruling line"}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
